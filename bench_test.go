@@ -209,11 +209,13 @@ func BenchmarkTable5WebPageLoad(b *testing.B) {
 
 // BenchmarkCorridorParallel times a two-client ride through a
 // 24-segment corridor (96 APs) executed as per-segment event-loop
-// domains: round-robin on one goroutine (domains-serial) vs one
-// goroutine per domain (domains-parallel). The two produce bit-identical
-// results, so the ratio of their times is the pure speedup of the
-// conservative parallel execution; it scales with physical cores (on a
-// single-core host the parallel form only pays the barrier overhead).
+// domains: round-robin on one goroutine (domains-serial) vs each round's
+// active domains claimed by the coordinator and GOMAXPROCS−1 helper
+// goroutines (domains-parallel). The two produce bit-identical results,
+// so the ratio of their times is the pure speedup of the conservative
+// parallel execution. With two vehicles most rounds have one or two
+// active domains, so the parallel form gains little over serial; at
+// GOMAXPROCS=1 it has no helpers and runs serially.
 // The ride is capped at 10 simulated seconds to bound each iteration.
 func BenchmarkCorridorParallel(b *testing.B) {
 	for _, mode := range []core.DomainMode{core.DomainsSerial, core.DomainsParallel} {

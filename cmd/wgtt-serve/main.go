@@ -191,7 +191,10 @@ func schedule(dur, slice, ckptAt wgtt.Duration) []wgtt.Duration {
 //	/metrics       registry exposition, cached at slice boundaries;
 //	               ?fresh=1 re-snapshots when the sim is quiescent.
 //	               Wall-clock transport/journal counters are appended
-//	               live at every scrape (they are atomic).
+//	               live at every scrape (they are atomic), after the
+//	               per-domain barrier waits: each round's wall time
+//	               minus the domain's own run time in it, so an idle
+//	               domain waits the whole round.
 //	/healthz       round progress and peer connectivity, JSON.
 //	/varz          build info, config digest, partition map, JSON.
 //	/debug/tracez  the owned flight-recorder shards as Chrome
@@ -269,7 +272,7 @@ func writeWaitStats(w io.Writer, stats []sim.WaitStat) {
 	if len(stats) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "# coordinator barrier waits (wall clock)\n")
+	fmt.Fprintf(w, "# coordinator barrier waits (wall clock): per round, round wall time minus the domain's own run time; idle domains wait the whole round\n")
 	for _, st := range stats {
 		fmt.Fprintf(w, "wgtt_coord_wait_rounds{domain=%q} %d\n", st.Domain, st.Rounds)
 		fmt.Fprintf(w, "wgtt_coord_wait_sum_ns{domain=%q} %d\n", st.Domain, st.SumNs)

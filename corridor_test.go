@@ -2,6 +2,7 @@ package wgtt
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"wgtt/internal/core"
@@ -24,7 +25,7 @@ var goldenCorridor = map[int64]string{
 // TestCorridorDomainParity is the tentpole's end-to-end gate: the
 // three-segment two-client ride must render bit-identically whether the
 // segment domains execute round-robin on one goroutine (DomainsSerial)
-// or one goroutine per domain (DomainsParallel), and both must match the
+// or spread over a goroutine pool (DomainsParallel), and both must match the
 // golden pin per seed.
 func TestCorridorDomainParity(t *testing.T) {
 	if testing.Short() {
@@ -61,5 +62,34 @@ func TestCorridorSingleSegmentFallback(t *testing.T) {
 	}
 	if n.Medium == nil {
 		t.Fatal("single-segment fallback lost the shared medium")
+	}
+}
+
+// TestCorridorRebuildDeterminism rebuilds the 24-segment corridor at
+// seed 3 (domains serial, telemetry on, 10 simulated seconds) several
+// times in one process and requires byte-identical metric snapshots.
+// Map iteration order once leaked into the backhaul's AssocState
+// broadcast, so rebuilds could deliver a trunk message in a different
+// order.
+func TestCorridorRebuildDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("several 24-segment rides")
+	}
+	const rebuilds = 12
+	var first string
+	for i := 0; i < rebuilds; i++ {
+		r := corridorSetup(Options{Seed: 3, Mutate: telemetryOn}, core.DomainsSerial, 24, 10*Second)
+		r.Net.Run(r.Dur)
+		var sb strings.Builder
+		if err := r.Net.MetricsSnapshot().Write(&sb, MetricsText); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = sb.String()
+			continue
+		}
+		if got := sb.String(); got != first {
+			t.Fatalf("rebuild %d differs from the first\n%s", i, firstDiffLabeled("first", "rebuild", first, got))
+		}
 	}
 }

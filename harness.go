@@ -70,7 +70,8 @@ func WithSerial(serial bool) Option { return func(o *Options) { o.Serial = seria
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
 // WithParallelSegments runs each multi-segment network's segments as
-// conservative parallel event-loop domains (one goroutine per segment).
+// conservative parallel event-loop domains (each sync round's busy
+// segments run on up to GOMAXPROCS goroutines).
 // Single-segment networks ignore it and stay on the exact serial path.
 func WithParallelSegments(on bool) Option {
 	return func(o *Options) { o.ParallelSegments = on }

@@ -11,6 +11,7 @@ package backhaul
 
 import (
 	"fmt"
+	"slices"
 
 	"wgtt/internal/packet"
 	"wgtt/internal/queue"
@@ -87,6 +88,9 @@ type Net struct {
 	loop  *sim.Loop
 	cfg   Config
 	nodes map[NodeID]*node
+	// ids lists the attached nodes in ascending order: Broadcast's send
+	// order, which must not follow map iteration.
+	ids []NodeID
 
 	// Stats.
 	sent      int
@@ -166,6 +170,8 @@ func (n *Net) AddNode(id NodeID, h Handler) {
 		control: queue.NewFIFO[*frame](n.cfg.QueueFrames),
 		data:    queue.NewFIFO[*frame](n.cfg.QueueFrames),
 	}
+	i, _ := slices.BinarySearch(n.ids, id)
+	n.ids = slices.Insert(n.ids, i, id)
 }
 
 // Send transmits msg from one node to another. The message is serialized
@@ -257,9 +263,11 @@ func (n *Net) handlerFor(dst *node) Handler {
 	return dst.handler
 }
 
-// Broadcast sends msg from one node to every other attached node.
+// Broadcast sends msg from one node to every other attached node, in
+// ascending NodeID order: the sends share the sender's egress queue, so
+// their order fixes every copy's delivery time.
 func (n *Net) Broadcast(from NodeID, msg packet.Message) {
-	for id := range n.nodes {
+	for _, id := range n.ids {
 		if id != from {
 			n.Send(from, id, msg)
 		}

@@ -1,6 +1,7 @@
 package backhaul
 
 import (
+	"slices"
 	"testing"
 
 	"wgtt/internal/packet"
@@ -192,5 +193,25 @@ func TestHandlerlessNodeAcceptsTraffic(t *testing.T) {
 	_, delivered, _ := net.Stats()
 	if delivered != 1 {
 		t.Errorf("delivered = %d", delivered)
+	}
+}
+
+// TestBroadcastOrder pins Broadcast's send order to ascending NodeID,
+// whatever order the nodes were attached in: the copies queue on the
+// sender's one egress port, so the order decides every delivery time,
+// and map iteration order would make it differ between identical runs.
+func TestBroadcastOrder(t *testing.T) {
+	loop := sim.NewLoop()
+	net := New(loop, DefaultConfig())
+	var got []NodeID
+	for _, id := range []NodeID{7, 2, 11, 0, 5, 9, 1, 12, 3, 8, 4, 10, 6} {
+		id := id
+		net.AddNode(id, func(NodeID, packet.Message) { got = append(got, id) })
+	}
+	net.Broadcast(5, &packet.AssocState{State: packet.StateAssociated})
+	loop.Run(sim.Time(10 * sim.Millisecond))
+	want := []NodeID{0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12}
+	if !slices.Equal(got, want) {
+		t.Fatalf("broadcast delivered to %v, want %v", got, want)
 	}
 }

@@ -74,8 +74,9 @@ const (
 	// (own loop, own medium partition, mailbox trunks) but executes the
 	// synchronization rounds domain-by-domain on one goroutine.
 	DomainsSerial
-	// DomainsParallel is the same partition with one goroutine per
-	// domain; bit-identical to DomainsSerial by construction.
+	// DomainsParallel is the same partition with each round's active
+	// domains spread over up to GOMAXPROCS goroutines; bit-identical to
+	// DomainsSerial by construction.
 	DomainsParallel
 )
 

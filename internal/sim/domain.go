@@ -2,8 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sync"
-	"time"
+	"sync/atomic"
 )
 
 // This file implements conservative parallel discrete-event simulation over
@@ -29,12 +28,13 @@ import (
 // receiving Loop at its arrival time. Each Loop assigns its own monotonic
 // sequence numbers, so the event order inside every domain is a pure
 // function of (round schedule, mailbox registration order, per-domain event
-// history) and is identical whether rounds run serially or on one goroutine
-// per domain. Parallel execution is therefore bit-identical to serial
-// execution of the same domain graph — and, because typed envelopes are
-// data (see envelope.go), so is multi-process execution of a partition of
-// it (see shard.go): the same envelopes reach the same mailboxes at the
-// same times in the same order, whether by reference or by wire.
+// history) and is identical whether a round's domains run serially or are
+// spread over several goroutines. Parallel execution is therefore
+// bit-identical to serial execution of the same domain graph — and,
+// because typed envelopes are data (see envelope.go), so is multi-process
+// execution of a partition of it (see shard.go): the same envelopes reach
+// the same mailboxes at the same times in the same order, whether by
+// reference or by wire.
 
 // Domain is one event loop in a partitioned simulation. All state owned by
 // a domain must only be touched from its Loop's callbacks; the only legal
@@ -147,10 +147,12 @@ func (m *Mailbox) deliver(at Time, env Envelope, trace uint64) {
 
 // Coordinator advances a set of domains in lockstep rounds of width equal
 // to the lookahead, draining mailboxes at the barrier between rounds. With
-// parallel=false the rounds run domain-by-domain on the calling goroutine;
-// with parallel=true each domain gets a worker goroutine and rounds are
-// separated by a WaitGroup barrier. Both modes produce bit-identical
-// results (see the package comment above).
+// parallel=false the rounds run domain-by-domain on the calling goroutine.
+// With parallel=true each round runs only the domains with an event due
+// in it, claimed one at a time by the calling goroutine and a pool of
+// GOMAXPROCS−1 helpers (see roundPool); idle domains just have their
+// clocks advanced. Both modes produce bit-identical results (see the
+// package comment above).
 type Coordinator struct {
 	lookahead Duration
 	parallel  bool
@@ -160,10 +162,14 @@ type Coordinator struct {
 	rounds    int64
 	exchanges int64
 	// waitStats, when non-nil, collects per-domain wall-clock barrier
-	// waits in parallel mode (EnableWaitStats). workNs is the workers'
-	// per-round scratch; written before wg.Done, read after wg.Wait.
+	// waits in parallel mode (EnableWaitStats). workNs is the per-round
+	// Loop.Run time of each domain, written by whichever goroutine ran
+	// the domain and read by the coordinator once the round completes.
 	waitStats []waitRec
 	workNs    []int64
+	// helpers counts live roundPool helper goroutines; Run returns only
+	// once it is back to zero.
+	helpers atomic.Int32
 }
 
 // NewCoordinator returns a coordinator advancing time in rounds of width
@@ -176,7 +182,8 @@ func NewCoordinator(lookahead Duration, parallel bool) *Coordinator {
 	return &Coordinator{lookahead: lookahead, parallel: parallel}
 }
 
-// Parallel reports whether rounds execute on per-domain goroutines.
+// Parallel reports whether rounds spread their domains over a goroutine
+// pool.
 func (c *Coordinator) Parallel() bool { return c.parallel }
 
 // Lookahead returns the round width.
@@ -245,8 +252,9 @@ func (c *Coordinator) nextEventAt() (Time, bool) {
 }
 
 // Run advances all domains to virtual time until. It may be called
-// repeatedly to advance incrementally. In parallel mode the per-domain
-// workers live only for the duration of the call.
+// repeatedly to advance incrementally. In parallel mode the helper
+// goroutines live only for the duration of the call: Run returns after
+// every one of them has exited.
 func (c *Coordinator) Run(until Time) {
 	if until <= c.now {
 		return
@@ -255,31 +263,10 @@ func (c *Coordinator) Run(until Time) {
 	// before the first round executes.
 	c.drain()
 
-	var work []chan Time
-	var wg sync.WaitGroup
+	var p *roundPool
 	if c.parallel {
-		work = make([]chan Time, len(c.domains))
-		for i, d := range c.domains {
-			ch := make(chan Time)
-			work[i] = ch
-			go func(i int, d *Domain, ch chan Time) {
-				for end := range ch {
-					if c.waitStats != nil {
-						t0 := time.Now()
-						d.Loop.Run(end)
-						c.workNs[i] = time.Since(t0).Nanoseconds()
-					} else {
-						d.Loop.Run(end)
-					}
-					wg.Done()
-				}
-			}(i, d, ch)
-		}
-		defer func() {
-			for _, ch := range work {
-				close(ch)
-			}
-		}()
+		p = c.newRoundPool()
+		defer p.close()
 	}
 
 	for c.now < until {
@@ -298,19 +285,8 @@ func (c *Coordinator) Run(until Time) {
 		if end > until {
 			end = until
 		}
-		if c.parallel {
-			var t0 time.Time
-			if c.waitStats != nil {
-				t0 = time.Now()
-			}
-			wg.Add(len(c.domains))
-			for _, ch := range work {
-				ch <- end
-			}
-			wg.Wait()
-			if c.waitStats != nil {
-				c.recordWaits(time.Since(t0).Nanoseconds())
-			}
+		if p != nil {
+			p.round(end)
 		} else {
 			for _, d := range c.domains {
 				d.Loop.Run(end)
@@ -339,9 +315,11 @@ type waitRec struct {
 	buckets [8]int64 // len(WaitBoundsNs)+1
 }
 
-// WaitStat summarizes one domain's wall-clock barrier waits: the time
-// the domain's worker spent idle at round barriers waiting for the
-// slowest domain of each round. Wall-clock and therefore
+// WaitStat summarizes one domain's wall-clock barrier waits. A domain's
+// wait in one parallel round is the round's wall time minus the domain's
+// own Loop.Run time in it, so a domain with no event due in the round
+// waits the whole round, and Rounds counts every round of the
+// coordinator, active or not. Wall-clock and therefore
 // nondeterministic — this deliberately lives outside the telemetry
 // registry (whose snapshots must be a pure function of the simulated
 // schedule) and is surfaced through wgtt-serve's introspection
@@ -355,9 +333,9 @@ type WaitStat struct {
 }
 
 // EnableWaitStats turns on barrier-wait collection for subsequent
-// parallel Run calls (two clock reads per domain per round; off by
-// default so the hot path stays untouched). Serial rounds have no
-// barrier waits and record nothing.
+// parallel Run calls (two clock reads per round and per active domain;
+// off by default so the hot path stays untouched). Serial rounds have
+// no barrier waits and record nothing.
 func (c *Coordinator) EnableWaitStats() {
 	if c.waitStats == nil {
 		c.waitStats = make([]waitRec, len(c.domains))

@@ -19,12 +19,13 @@
 //     simulated schedule.
 //
 //  3. Domain safe. A Registry is split into shards: each parallel
-//     segment domain owns one shard and only that domain's goroutine
-//     touches it between coordinator barriers (the same ownership rule
-//     as every other per-domain structure), so counters are plain
-//     int64, not atomics. Snapshot merges the shards after the
-//     coordinator has joined its workers, which is also the
-//     happens-before edge that makes the plain fields visible.
+//     segment domain owns one shard and, within a round, only the
+//     goroutine running that domain touches it (the same ownership rule
+//     as every other per-domain structure; the round barrier orders
+//     successive rounds), so counters are plain int64, not atomics.
+//     Snapshot merges the shards after Coordinator.Run has returned,
+//     which is also the happens-before edge that makes the plain fields
+//     visible.
 //     Because instrumented code only appends to its own shard,
 //     DomainsSerial and DomainsParallel stay bit-identical.
 //

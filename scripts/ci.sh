@@ -26,8 +26,12 @@ go build ./...
 # federation package's directory/relocate RPCs ride those trunks; shake
 # all four under the race detector first. The TestDomain* parity tests
 # then exercise full corridor rides (including fault-injected and
-# workload-bearing ones) with one goroutine per segment domain.
-go test -race ./internal/runner/ ./internal/sim/ ./internal/deploy/ ./internal/federation/
+# workload-bearing ones) on the parallel coordinator's goroutine pool.
+# The sim package's round-dispatch tests (sparse meshes at GOMAXPROCS
+# 1, 2 and 8, sliced runs, helper lifetime) repeat ten times to shake
+# out rare interleavings of the claiming helpers.
+go test -race ./internal/runner/ ./internal/deploy/ ./internal/federation/
+go test -race -count=10 ./internal/sim/
 go test -race -run 'TestDomain' ./internal/core/
 go test -race -run 'TestDomain' .
 
@@ -68,6 +72,11 @@ go test -run 'FuzzScenario' ./internal/scenario/
 go test -tags simcheck ./internal/sim/
 
 go test ./...
+
+# The benchmark (bench/) is its own Go module, so the root build and
+# test above never compile it; vet and smoke-test it here.
+go -C bench vet ./...
+go -C bench test ./...
 
 # Scenario digest-determinism gate: compiling the same scenario twice —
 # a generated network and the corridor example — must print the same

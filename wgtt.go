@@ -111,8 +111,9 @@ const (
 	SingleLoop = core.SingleLoop
 	// DomainsSerial partitions per segment but runs on one goroutine.
 	DomainsSerial = core.DomainsSerial
-	// DomainsParallel runs one goroutine per segment domain;
-	// bit-identical to DomainsSerial by construction.
+	// DomainsParallel spreads each round's active segment domains over
+	// up to GOMAXPROCS goroutines; bit-identical to DomainsSerial by
+	// construction.
 	DomainsParallel = core.DomainsParallel
 )
 
