@@ -87,24 +87,7 @@ func run() error {
 	// datapath knobs every process must agree on. The copies are
 	// conditional so an unset flag never stomps a value a scenario file
 	// compiled in (e.g. its channel backend).
-	opt := wgtt.Options{Seed: cfg.Seed, Mutate: func(c *wgtt.Config) {
-		if cfg.Audibility != "" {
-			c.Audibility = cfg.Audibility
-		}
-		if cfg.ChannelBackend != "" {
-			c.ChannelBackend = cfg.ChannelBackend
-		}
-		if cfg.FlightRecorder != 0 {
-			c.FlightRecorder = cfg.FlightRecorder
-		}
-		if cfg.HandoffBandHiMs != 0 {
-			c.HandoffBandLoMs = cfg.HandoffBandLoMs
-			c.HandoffBandHiMs = cfg.HandoffBandHiMs
-		}
-		if cfg.UnownedSpike != 0 {
-			c.UnownedSpike = cfg.UnownedSpike
-		}
-	}}
+	opt := wgtt.Options{Seed: cfg.Seed, Mutate: func(c *wgtt.Config) { wgtt.OverlayDatapath(c, cfg) }}
 	if wgtt.ScenarioIsFile(*scenario) && !flagWasSet("seed") {
 		// Without an explicit -seed the scenario file's own seed rules;
 		// a set flag (even -seed 1) overrides it on every process.

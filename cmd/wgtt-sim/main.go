@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -78,29 +79,38 @@ func writeHeapProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-func main() {
-	var (
-		mph       = flag.Float64("mph", 15, "client speed (0 = parked mid-array)")
-		clients   = flag.Int("clients", 1, "number of clients (following pattern)")
-		workloadN = flag.String("workload", "udp", "udp | tcp | video | web | conference")
-		rate      = flag.Float64("rate", 30, "UDP offered load, Mbit/s")
-		series    = flag.Bool("series", false, "print 100 ms throughput series for client 0")
-		traceKind = flag.String("trace-kind", "", "filter -trace output by kind: dl | ul | sw | ctl | drop (empty = all)")
-		traceNode = flag.String("trace-node", "", "filter -trace output to events whose node contains this substring")
-		traceOut  = flag.String("trace-out", "",
-			"write the stitched flight-recorder timeline as Chrome trace_event JSON to this file (\"-\" = stdout); enables -flight-recorder 4096 when unset")
+var (
+	mph       = flag.Float64("mph", 15, "client speed (0 = parked mid-array)")
+	clients   = flag.Int("clients", 1, "number of clients (following pattern)")
+	workloadN = flag.String("workload", "udp", "udp | tcp | video | web | conference")
+	rate      = flag.Float64("rate", 30, "UDP offered load, Mbit/s")
+	series    = flag.Bool("series", false, "print 100 ms throughput series for client 0")
+	traceN    = flag.Int("trace", 0,
+		"print the last N switch-protocol records of the flight recorder (tcpdump-style); raises -flight-recorder to N")
+	traceOut = flag.String("trace-out", "",
+		"write the stitched flight-recorder timeline as Chrome trace_event JSON to this file (\"-\" = stdout, the summary then goes to stderr); enables -flight-recorder 4096 when unset")
 
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
+	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
+	memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 
-		scenarioPath = flag.String("scenario", "",
-			"run a declarative scenario file (YAML or JSON) instead of the flag-built deployment")
-		genScenario = flag.String("gen-scenario", "",
-			"run a generated scenario: SEED[:SIZE] with SIZE small | medium | large (e.g. 7:medium)")
-		scenarioDigest = flag.Bool("scenario-digest", false,
-			"with -scenario/-gen-scenario: print the compiled scenario's content digest and exit without running")
-	)
-	var metrics metricsFlag
+	scenarioPath = flag.String("scenario", "",
+		"run a declarative scenario file (YAML or JSON) instead of the flag-built deployment")
+	genScenario = flag.String("gen-scenario", "",
+		"run a generated scenario: SEED[:SIZE] with SIZE small | medium | large (e.g. 7:medium)")
+	scenarioDigest = flag.Bool("scenario-digest", false,
+		"with -scenario/-gen-scenario: print the compiled scenario's content digest and exit without running")
+
+	metrics metricsFlag
+)
+
+// meterer is a throughput-metered workload (UDP or TCP downlink).
+type meterer interface{ Mbps(wgtt.Time) float64 }
+
+func main() { os.Exit(run()) }
+
+// run is main with an exit code, so deferred profile writers run on
+// every path.
+func run() int {
 	flag.Var(&metrics, "metrics", "print end-of-run metrics; optionally -metrics=text|json|csv|prom")
 
 	// The deployment-shaping flags (-scheme, -seed, -segments, -channel,
@@ -109,34 +119,49 @@ func main() {
 	cfg, opts, err := wgtt.LoadConfig(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
+	}
+	scenario := *scenarioPath != "" || *genScenario != ""
+	switch {
+	case *scenarioPath != "" && *genScenario != "":
+		fmt.Fprintln(os.Stderr, "-scenario and -gen-scenario are mutually exclusive")
+		return 2
+	case *scenarioDigest && !scenario:
+		fmt.Fprintln(os.Stderr, "-scenario-digest needs -scenario or -gen-scenario")
+		return 2
+	case scenario:
+		// The scenario file picks each client's workload.
+	case *workloadN != "udp" && *workloadN != "tcp" && *workloadN != "video" && *workloadN != "web" && *workloadN != "conference":
+		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workloadN)
+		return 2
+	case opts.ParallelSegments && *workloadN != "udp" && *workloadN != "tcp" && *workloadN != "conference":
+		fmt.Fprintf(os.Stderr, "-parallel-segments supports the udp, tcp, and conference workloads, not %q\n", *workloadN)
+		return 2
 	}
 
-	kindFilter, err := trace.ParseKind(*traceKind)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	cfg.Telemetry = metrics.on
+	if *traceOut != "" && cfg.FlightRecorder == 0 {
+		cfg.FlightRecorder = 4096
 	}
-	if *scenarioPath != "" || *genScenario != "" {
-		if *scenarioPath != "" && *genScenario != "" {
-			fmt.Fprintln(os.Stderr, "-scenario and -gen-scenario are mutually exclusive")
-			os.Exit(2)
-		}
-		if err := runScenario(cfg, opts, *scenarioPath, *genScenario, *scenarioDigest, metrics); err != nil {
+	cfg.FlightRecorder = max(cfg.FlightRecorder, *traceN)
+	if !scenario {
+		if err := cfg.Validate(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 2
 		}
-		return
 	}
-	if *scenarioDigest {
-		fmt.Fprintln(os.Stderr, "-scenario-digest needs -scenario or -gen-scenario")
-		os.Exit(2)
+	// The run's text output goes to stdout unless -trace-out claims it
+	// for the JSON timeline.
+	var out io.Writer = os.Stdout
+	if *traceOut == "-" {
+		out = os.Stderr
 	}
+
 	if *cpuProfile != "" {
 		stop, err := startCPUProfile(*cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer stop()
 	}
@@ -148,19 +173,30 @@ func main() {
 		}()
 	}
 
-	scheme := cfg.Scheme
-	cfg.Telemetry = metrics.on
-	if *traceOut != "" && cfg.FlightRecorder == 0 {
-		cfg.FlightRecorder = 4096
+	var n *wgtt.Network
+	var meters []meterer
+	if scenario {
+		if n, err = runScenario(out, cfg, opts.ParallelSegments); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		if n == nil { // -scenario-digest
+			return 0
+		}
+	} else {
+		n, meters = runFlags(out, cfg, opts.ParallelSegments)
 	}
-	if opts.ParallelSegments && *workloadN != "udp" && *workloadN != "tcp" && *workloadN != "conference" {
-		fmt.Fprintf(os.Stderr, "-parallel-segments supports the udp, tcp, and conference workloads, not %q\n", *workloadN)
-		os.Exit(2)
-	}
-	if err := cfg.Validate(); err != nil {
+	if err := report(out, n, meters); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 1
 	}
+	return 0
+}
+
+// runFlags builds the flag-described deployment and workload, rides it,
+// and prints the per-client results. It returns the network and the
+// throughput meters (for -series).
+func runFlags(out io.Writer, cfg wgtt.Config, parallel bool) (*wgtt.Network, []meterer) {
 	n := wgtt.NewNetwork(cfg)
 	lo, hi := cfg.RoadSpanX()
 
@@ -176,7 +212,6 @@ func main() {
 		dur = wgtt.Duration((hi - lo + 10) / trajs[0].SpeedMps() * 1e9)
 	}
 
-	type meterer interface{ Mbps(wgtt.Time) float64 }
 	var udps []*wgtt.UDPDownlink
 	var meters []meterer
 	var videos []*wgtt.Video
@@ -205,7 +240,7 @@ func main() {
 			pages = append(pages, w)
 		case "conference":
 			cf := wgtt.NewConference(n, c)
-			if opts.ParallelSegments {
+			if parallel {
 				// Domain mode: the call's client-side timers must be
 				// armed from the construction goroutine before the
 				// domains start, not from the server loop mid-run.
@@ -214,34 +249,38 @@ func main() {
 				n.Loop.After(100*wgtt.Millisecond, cf.Start)
 			}
 			confs = append(confs, cf)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workloadN)
-			os.Exit(2)
 		}
 	}
 
 	n.Run(dur)
 	now := n.Loop.Now()
 
-	fmt.Printf("scheme=%v  speed=%v mph  clients=%d  workload=%s  sim=%.1fs\n\n",
-		scheme, *mph, *clients, *workloadN, now.Seconds())
+	fmt.Fprintf(out, "scheme=%v  speed=%v mph  clients=%d  workload=%s  sim=%.1fs\n\n",
+		cfg.Scheme, *mph, *clients, *workloadN, now.Seconds())
 	for i, m := range meters {
-		fmt.Printf("client %d: %.1f Mbit/s\n", i, m.Mbps(now))
+		fmt.Fprintf(out, "client %d: %.1f Mbit/s\n", i, m.Mbps(now))
 	}
 	for i, f := range udps {
-		fmt.Printf("client %d: loss %.3f\n", i, f.Sink.LossRate())
+		fmt.Fprintf(out, "client %d: loss %.3f\n", i, f.Sink.LossRate())
 	}
 	for i, v := range videos {
-		fmt.Printf("client %d: rebuffer ratio %.2f (%d stalls)\n", i, v.RebufferRatio(), v.Rebuffers())
+		fmt.Fprintf(out, "client %d: rebuffer ratio %.2f (%d stalls)\n", i, v.RebufferRatio(), v.Rebuffers())
 	}
 	for i, w := range pages {
-		fmt.Printf("client %d: page load %.2f s (done=%v)\n", i, w.LoadTimeSeconds(), w.Done())
+		fmt.Fprintf(out, "client %d: page load %.2f s (done=%v)\n", i, w.LoadTimeSeconds(), w.Done())
 	}
 	for i, cf := range confs {
-		fmt.Printf("client %d: fps median %.0f, p85 %.0f\n", i,
+		fmt.Fprintf(out, "client %d: fps median %.0f, p85 %.0f\n", i,
 			cf.FPSSamples.Quantile(0.5), cf.FPSSamples.Quantile(0.85))
 	}
-	if scheme == wgtt.SchemeWGTT {
+	return n, meters
+}
+
+// report prints what both kinds of run share once the ride is over:
+// the switch summary, the -trace text view, the -trace-out timeline,
+// anomalies, -metrics, and the -series throughput of client 0.
+func report(out io.Writer, n *wgtt.Network, meters []meterer) error {
+	if n.Cfg.Scheme == wgtt.SchemeWGTT {
 		var issued, acked, dups, exported, imported int
 		for _, ctrl := range n.Controllers() {
 			issued += ctrl.SwitchesIssued
@@ -250,10 +289,10 @@ func main() {
 			exported += ctrl.HandoffsExported
 			imported += ctrl.HandoffsImported
 		}
-		fmt.Printf("\nswitches: %d issued, %d completed; uplink dups removed: %d\n",
+		fmt.Fprintf(out, "\nswitches: %d issued, %d completed; uplink dups removed: %d\n",
 			issued, acked, dups)
 		if len(n.Controllers()) > 1 {
-			fmt.Printf("cross-segment handoffs: %d exported, %d imported\n", exported, imported)
+			fmt.Fprintf(out, "cross-segment handoffs: %d exported, %d imported\n", exported, imported)
 		}
 		if nodes := n.FederationNodes(); len(nodes) > 0 {
 			var rel, abandoned, releases int
@@ -265,32 +304,29 @@ func main() {
 				releases += ctrl.FedReleases
 			}
 			outage, random := n.TrunkFaultDrops()
-			fmt.Printf("federation: %d re-locates (%d abandoned), %d releases; trunk drops: %d outage, %d random; lost clients: %d\n",
+			fmt.Fprintf(out, "federation: %d re-locates (%d abandoned), %d releases; trunk drops: %d outage, %d random; lost clients: %d\n",
 				rel, abandoned, releases, outage, random, len(n.LostClients()))
 		}
 	}
-	if opts.Trace > 0 && n.Trace != nil {
-		fmt.Println("\nevent trace (most recent):")
-		_ = trace.DumpEvents(os.Stdout, n.Trace.Filter(kindFilter, *traceNode))
+	if *traceN > 0 {
+		recs := n.FlightRecords()
+		recs = recs[max(0, len(recs)-*traceN):]
+		fmt.Fprintf(out, "\nswitch-protocol trace (last %d records):\n", len(recs))
+		if err := trace.Dump(out, recs); err != nil {
+			return err
+		}
 	}
-	if *traceOut != "" {
-		out := os.Stdout
-		if *traceOut != "-" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
+	switch *traceOut {
+	case "":
+	case "-":
+		if err := n.WriteChromeTrace(os.Stdout); err != nil {
+			return err
 		}
-		if err := n.WriteChromeTrace(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	default:
+		if err := writeChromeFile(n, *traceOut); err != nil {
+			return err
 		}
-		if *traceOut != "-" {
-			fmt.Printf("\nflight-recorder timeline: %s (load in ui.perfetto.dev)\n", *traceOut)
-		}
+		fmt.Fprintf(out, "\nflight-recorder timeline: %s (load in ui.perfetto.dev)\n", *traceOut)
 	}
 	if anoms := n.FlightAnomalies(); len(anoms) > 0 {
 		fmt.Fprintf(os.Stderr, "\n%d anomalies triggered:\n", len(anoms))
@@ -298,29 +334,40 @@ func main() {
 	}
 	if metrics.on {
 		if snap := n.MetricsSnapshot(); snap != nil {
-			fmt.Println()
-			if err := snap.Write(os.Stdout, metrics.format); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			fmt.Fprintln(out)
+			if err := snap.Write(out, metrics.format); err != nil {
+				return err
 			}
 		}
 	}
 	if *series && len(meters) > 0 {
-		if f, ok := meters[0].(*wgtt.UDPDownlink); ok {
-			ts, mbps := f.Meter.Series()
-			fmt.Println("\nt(s)  Mbit/s")
-			for i := range ts {
-				fmt.Printf("%5.1f %6.1f\n", ts[i], mbps[i])
-			}
+		var ts, mbps []float64
+		switch f := meters[0].(type) {
+		case *wgtt.UDPDownlink:
+			ts, mbps = f.Meter.Series()
+		case *wgtt.TCPDownlink:
+			ts, mbps = f.Meter.Series()
 		}
-		if f, ok := meters[0].(*wgtt.TCPDownlink); ok {
-			ts, mbps := f.Meter.Series()
-			fmt.Println("\nt(s)  Mbit/s")
-			for i := range ts {
-				fmt.Printf("%5.1f %6.1f\n", ts[i], mbps[i])
-			}
+		fmt.Fprintln(out, "\nt(s)  Mbit/s")
+		for i := range ts {
+			fmt.Fprintf(out, "%5.1f %6.1f\n", ts[i], mbps[i])
 		}
 	}
+	return nil
+}
+
+// writeChromeFile writes the stitched flight-recorder timeline to path
+// as Chrome trace_event JSON.
+func writeChromeFile(n *wgtt.Network, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := n.WriteChromeTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // flagWasSet reports whether the named flag was explicitly set on the
@@ -346,22 +393,24 @@ func parseGenSpec(s string) (int64, string, error) {
 }
 
 // runScenario is the declarative-scenario path: load or generate a
-// scenario, compile it, and either print the content digest (the CI
-// determinism gate diffs two of these) or build and run it.
-func runScenario(cfg wgtt.Config, opts wgtt.DeployOptions, path, gen string, digestOnly bool, metrics metricsFlag) error {
+// scenario and compile it, then either print the content digest (the
+// CI determinism gate diffs two of these) and return a nil network, or
+// build and ride it and print the per-client results. cfg carries the
+// flag-set knobs that override the compiled scenario.
+func runScenario(out io.Writer, cfg wgtt.Config, parallel bool) (*wgtt.Network, error) {
 	var spec *wgtt.ScenarioSpec
 	var err error
-	if path != "" {
-		spec, err = wgtt.LoadScenario(path)
+	if *scenarioPath != "" {
+		spec, err = wgtt.LoadScenario(*scenarioPath)
 	} else {
 		var seed int64
 		var size string
-		if seed, size, err = parseGenSpec(gen); err == nil {
+		if seed, size, err = parseGenSpec(*genScenario); err == nil {
 			spec, err = wgtt.GenerateScenario(seed, size)
 		}
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// The scenario file's own seed rules unless -seed was explicitly
 	// given (the default would otherwise silently override it).
@@ -371,54 +420,26 @@ func runScenario(cfg wgtt.Config, opts wgtt.DeployOptions, path, gen string, dig
 	}
 	comp, err := wgtt.CompileScenario(spec, seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if digestOnly {
+	if *scenarioDigest {
 		fmt.Println(comp.Digest())
-		return nil
+		return nil, nil
 	}
 	r := wgtt.BuildScenarioRun(comp, wgtt.Options{Mutate: func(c *wgtt.Config) {
-		c.Telemetry = metrics.on
-		if opts.ParallelSegments && len(c.Segments) >= 2 {
+		c.Telemetry = cfg.Telemetry
+		if parallel && len(c.Segments) >= 2 {
 			c.Domains = core.DomainsParallel
 		}
-		if cfg.Audibility != "" {
-			c.Audibility = cfg.Audibility
-		}
-		if cfg.ChannelBackend != "" {
-			c.ChannelBackend = cfg.ChannelBackend
-		}
-		if cfg.FlightRecorder != 0 {
-			c.FlightRecorder = cfg.FlightRecorder
-		}
+		wgtt.OverlayDatapath(c, cfg)
 	}})
 	r.Net.Run(r.Dur)
 	now := r.Net.Loop.Now()
 
-	fmt.Printf("scenario=%s  seed=%d  segments=%d  sim=%.1fs\n\n",
+	fmt.Fprintf(out, "scenario=%s  seed=%d  segments=%d  sim=%.1fs\n\n",
 		comp.Name, r.Cfg.Seed, len(r.Cfg.Segments), now.Seconds())
 	for _, f := range r.Figures(nil) {
-		fmt.Printf("client %d: %.1f Mbit/s\n", f.ID, f.Mbps)
+		fmt.Fprintf(out, "client %d: %.1f Mbit/s\n", f.ID, f.Mbps)
 	}
-	if r.Cfg.Scheme == wgtt.SchemeWGTT {
-		var issued, acked int
-		for _, ctrl := range r.Net.Controllers() {
-			issued += ctrl.SwitchesIssued
-			acked += ctrl.SwitchesAcked
-		}
-		fmt.Printf("\nswitches: %d issued, %d completed", issued, acked)
-		if len(r.Net.FederationNodes()) > 0 {
-			fmt.Printf("; lost clients: %d", len(r.Net.LostClients()))
-		}
-		fmt.Println()
-	}
-	if metrics.on {
-		if snap := r.Net.MetricsSnapshot(); snap != nil {
-			fmt.Println()
-			if err := snap.Write(os.Stdout, metrics.format); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return r.Net, nil
 }

@@ -125,7 +125,6 @@ func CorridorFederated(opt Options) CorridorFedResult {
 		DropProb:  0.02,
 		JitterMax: 40 * Microsecond,
 	}
-	cfg.Telemetry = true // the result reports trunk drop counters
 	if opt.ParallelSegments {
 		cfg.Domains = core.DomainsParallel
 	}

@@ -3,6 +3,9 @@ package wgtt
 import (
 	"fmt"
 	"testing"
+
+	"wgtt/internal/packet"
+	"wgtt/internal/trace"
 )
 
 // workloadDomainSignature runs the two client-side-timer workloads — CBR
@@ -48,5 +51,72 @@ func TestDomainClientWorkloadParity(t *testing.T) {
 		if serial == "up=0;frames=0;fpsN=0;fpsMean=NaN" {
 			t.Errorf("seed %d: workloads delivered nothing: %q", seed, serial)
 		}
+	}
+}
+
+// TestFederationReleaseRecords rides a ring-federated corridor whose
+// trunk faults make the replicated directory hand clients to another
+// segment, and requires exactly one release record per FedReleases
+// increment in each controller's domain, naming the new owner.
+func TestFederationReleaseRecords(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three four-segment federated rides")
+	}
+	total := 0
+	for seed := int64(2); seed <= 4; seed++ {
+		opts := DefaultDeployOptions()
+		opts.Seed = seed
+		opts.Segments = "4x7.5,4x7.5,4x7.5,4x7.5"
+		opts.RingTrunk = true
+		opts.TrunkFaults = "drop=0.05,jitter=40us,outage=1-2@1s-4s,outage=2-3@3s-6s"
+		opts.FlightRecorder = flightRecCap
+		cfg, err := opts.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := NewNetwork(cfg)
+		lo, hi := cfg.RoadSpanX()
+		trajs := Scenario(Following, 3, lo-5, 0, 25)
+		for _, traj := range trajs {
+			f := NewUDPDownlink(n, n.AddClient(traj), 30)
+			n.Loop.After(100*Millisecond, f.Start)
+		}
+		n.Run(Duration((hi - lo + 10) / trajs[0].SpeedMps() * 1e9))
+
+		recs := n.FlightRecords()
+		for seg, ctrl := range n.Controllers() {
+			// lastMove holds each client's final ownership-moving record
+			// in this domain: export, import, or release.
+			lastMove := map[packet.MAC]TraceRecord{}
+			releases := 0
+			for _, r := range recs {
+				if int(r.Domain) != seg {
+					continue
+				}
+				switch r.Op {
+				case trace.OpRelease:
+					releases++
+					if r.B < 0 || int(r.B) >= len(cfg.Segments) || int(r.B) == seg {
+						t.Errorf("seed %d seg %d: release of %s names owner %d", seed, seg, r.Client, r.B)
+					}
+					fallthrough
+				case trace.OpExport, trace.OpImport:
+					lastMove[r.Client] = r
+				}
+			}
+			for _, r := range lastMove {
+				if r.Op == trace.OpRelease && ctrl.ExportedTo(r.Client) != int(r.B) {
+					t.Errorf("seed %d seg %d: %s released to seg %d, but the controller routes it to %d",
+						seed, seg, r.Client, r.B, ctrl.ExportedTo(r.Client))
+				}
+			}
+			if releases != ctrl.FedReleases {
+				t.Errorf("seed %d seg %d: %d release records for %d releases", seed, seg, releases, ctrl.FedReleases)
+			}
+			total += ctrl.FedReleases
+		}
+	}
+	if total == 0 {
+		t.Error("no releases at seeds 2-4: the ride no longer exercises Release")
 	}
 }

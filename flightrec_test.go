@@ -1,11 +1,13 @@
 package wgtt
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
 
+	"wgtt/internal/core"
 	"wgtt/internal/telemetry"
 	"wgtt/internal/trace"
 )
@@ -61,6 +63,40 @@ func TestFlightRecorderOffOnParity(t *testing.T) {
 			i++
 		}
 		t.Errorf("telemetry diverges at byte %d with the recorder on", i)
+	}
+}
+
+// TestDomainFlightRecordParity requires the corridor's stitched
+// flight-recorder timeline — and so its text view — to be identical
+// under DomainsSerial and DomainsParallel at seeds 1–3.
+func TestDomainFlightRecordParity(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			ride := func(mode core.DomainMode) ([]TraceRecord, string) {
+				opt := Options{Seed: seed, Mutate: func(c *Config) { c.FlightRecorder = flightRecCap }}
+				r := corridorSetup(opt, mode, 3, 0)
+				r.Net.Run(r.Dur)
+				recs := r.Net.FlightRecords()
+				var text bytes.Buffer
+				if err := trace.Dump(&text, recs); err != nil {
+					t.Fatal(err)
+				}
+				return recs, text.String()
+			}
+			serial, serialText := ride(core.DomainsSerial)
+			parallel, parallelText := ride(core.DomainsParallel)
+			if len(serial) == 0 {
+				t.Fatal("serial run produced no flight records")
+			}
+			if !reflect.DeepEqual(serial, parallel) {
+				t.Errorf("records diverge: serial %d, parallel %d", len(serial), len(parallel))
+			}
+			if serialText != parallelText {
+				t.Errorf("text view diverges\n%s", firstDiff(serialText, parallelText))
+			}
+		})
 	}
 }
 

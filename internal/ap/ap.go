@@ -113,8 +113,6 @@ type AP struct {
 	cfg    Config
 	rng    *sim.RNG
 
-	// Trace, when set, receives stop/start/drop events.
-	Trace *trace.Log
 	// Rec, when set, is the domain's flight recorder: the AP writes its
 	// stop/start protocol steps into it under the causal trace id the
 	// controller's Stop/Start delivery carried.
@@ -139,16 +137,13 @@ type AP struct {
 	await   *awaitBA
 
 	// Stats.
-	Switches       int // start(c,k) handoffs accepted
-	StopsHandled   int
-	AggregatesSent int
+	Switches     int // start(c,k) handoffs accepted
+	StopsHandled int
 	// RateMPDUs counts transmitted MPDUs per MCS (Fig. 16's link
 	// bit-rate distribution).
 	RateMPDUs   [phy.NumRates]int
 	BAForwarded int // BAs we relayed for another AP
 	BARecovered int // aggregates saved by a forwarded BA
-	UplinkMPDUs int
-	CSIReports  int
 }
 
 // New creates an AP at the given roadside position and attaches it to the
@@ -305,7 +300,6 @@ func (a *AP) onStop(m *packet.Stop) {
 	a.StopsHandled++
 	a.met.stops.Inc()
 	cs.serving = false
-	a.Trace.Addf(a.loop.Now(), trace.Control, a.node.Name, "stop #%d %s", m.SwitchID, m.Client)
 	newAP := int32(m.NewAPID)
 	if m.NewAPID == packet.RemoteAPID {
 		newAP = -1
@@ -335,7 +329,6 @@ func (a *AP) onStop(m *packet.Stop) {
 			// remaining backlog up the backhaul so the next segment's
 			// APs can buffer it. The Start rides the control class and
 			// overtakes the drained data frames.
-			a.Trace.Addf(a.loop.Now(), trace.Control, a.node.Name, "start #%d k=%d -> remote", m.SwitchID, k)
 			a.spans.MarkStart(m.SwitchID, a.loop.Now())
 			a.Rec.Record(trace.Record{At: a.loop.Now(), Trace: a.loop.Trace(), SwitchID: m.SwitchID,
 				Node: int16(a.ID), Op: trace.OpStart, Client: m.Client, A: int32(k), B: -1})
@@ -358,7 +351,6 @@ func (a *AP) onStop(m *packet.Stop) {
 			}
 			return
 		}
-		a.Trace.Addf(a.loop.Now(), trace.Control, a.node.Name, "start #%d k=%d -> ap%d", m.SwitchID, k, m.NewAPID)
 		a.spans.MarkStart(m.SwitchID, a.loop.Now())
 		a.Rec.Record(trace.Record{At: a.loop.Now(), Trace: a.loop.Trace(), SwitchID: m.SwitchID,
 			Node: int16(a.ID), Op: trace.OpStart, Client: m.Client, A: int32(k), B: int32(m.NewAPID)})
@@ -465,7 +457,6 @@ func (a *AP) txop() {
 	t.Rate = rate
 	t.MPDUs = mpdus
 	a.medium.Transmit(t)
-	a.AggregatesSent++
 	a.met.aggregates.Inc()
 	a.met.mpdus.Add(int64(len(mpdus)))
 	a.RateMPDUs[rate.MCS] += len(mpdus)
@@ -501,7 +492,6 @@ func (a *AP) finishAggregate(aw *awaitBA, ba mac.BAInfo) {
 	res := aw.client.agg.ProcessBA(aw.sent, ba)
 	if n := len(res.DroppedPkts); n > 0 {
 		a.met.mpdusDrop.Add(int64(n))
-		a.Trace.Addf(a.loop.Now(), trace.Drop, a.node.Name, "%d MPDUs exceeded retry limit", n)
 	}
 	aw.client.rates.Feedback(a.loop.Now(), aw.rate, len(aw.sent), res.AckedCount)
 	// If the client was stopped while this aggregate flew, its retries
@@ -561,7 +551,6 @@ func (ar *apReceiver) OnReceive(t *mac.Transmission, det mac.Detection) {
 // controller, as the Atheros CSI tool does (§4.2), and retains the
 // latest effective SNR locally for the rate-seeding extension.
 func (a *AP) reportCSI(client packet.MAC, det mac.Detection) {
-	a.CSIReports++
 	a.met.csiReports.Inc()
 	cs := a.stateFor(client)
 	cs.lastESNR = csi.EffectiveSNRdB(det.SNRsDB[:], csi.RefModulation)
@@ -586,7 +575,6 @@ func (a *AP) onUplinkData(t *mac.Transmission, det mac.Detection) {
 			continue
 		}
 		anyOK = true
-		a.UplinkMPDUs++
 		a.met.uplinkMPDUs.Inc()
 		a.upOut = packet.UplinkData{
 			APID:   a.ID,

@@ -88,7 +88,6 @@ type AP struct {
 
 	// Stats.
 	BeaconsSent    int
-	AggregatesSent int
 	Reassociations int
 	QueueDrops     int
 	// RateMPDUs counts transmitted MPDUs per MCS (Fig. 16).
@@ -271,7 +270,6 @@ func (a *AP) txop() {
 		Tx: a.node, Dst: cs.addr, Type: mac.FrameData, Rate: rate, MPDUs: mpdus,
 	}
 	a.medium.Transmit(t)
-	a.AggregatesSent++
 	a.RateMPDUs[rate.MCS] += len(mpdus)
 	aw := &apAwait{client: cs, sent: mpdus, rate: rate, start: mpdus[0].Seq}
 	deadline := t.End.Add(phy.SIFS + phy.BlockAckAirtime + a.cfg.BAWaitMargin)

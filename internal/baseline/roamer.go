@@ -287,7 +287,6 @@ type Bridge struct {
 	UplinkPackets   int
 	NoRoutePackets  int
 	// Cross-segment re-association stats.
-	HandoffClaims    int // claims sent toward the previous segment
 	HandoffTransfers int // wired state received from a neighbour
 }
 
@@ -360,7 +359,6 @@ func (b *Bridge) OnBackhaul(from backhaul.NodeID, msg packet.Message) {
 		// it roamed in from an adjacent segment — claim its IP binding
 		// from the previous bridge.
 		if _, known := b.macToIP[m.Client]; !known && len(b.peers) > 0 {
-			b.HandoffClaims++
 			for _, p := range b.peers {
 				p.Deliver(&packet.Handoff{Kind: packet.HandoffBridgeClaim, Client: m.Client})
 			}

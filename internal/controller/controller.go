@@ -153,8 +153,6 @@ type Controller struct {
 	peers  []Peer
 	fed    *federation.Node
 
-	// Trace, when set, receives switch-protocol events.
-	Trace *trace.Log
 	// Rec, when set, is the domain's flight recorder: the controller
 	// writes structured switch-protocol records into it and originates
 	// the causal trace ids that thread a handoff's events together.
@@ -184,12 +182,10 @@ type Controller struct {
 	// SwitchLatencies records the stop→ack execution time of every
 	// completed switch (Table 1's measurement).
 	SwitchLatencies  []sim.Duration
-	UplinkDelivered  int
 	UplinkDuplicates int
 	DownlinkFanout   int // DownlinkData messages emitted
 	DownlinkPackets  int // distinct packets admitted
 	// Cross-segment handoff stats.
-	HandoffClaims    int // claims sent toward adjacent owners
 	HandoffsExported int // clients handed to an adjacent segment
 	HandoffsImported int // clients adopted from an adjacent segment
 	FedReleases      int // ownerships relinquished to a converging directory
@@ -469,8 +465,6 @@ func (c *Controller) issueSwitch(cs *clientState, to int) {
 		// rule SwitchLatencies applies.
 		c.spans.Begin(sw.id, c.loop.Now(), c.traceAP(sw.from), c.traceAP(sw.to))
 	}
-	c.Trace.Addf(c.loop.Now(), trace.Switch, "ctrl", "issue #%d %s ap%d->ap%d",
-		sw.id, cs.addr, c.traceAP(sw.from), c.traceAP(sw.to))
 	c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.traceID(sw.id), SwitchID: sw.id,
 		Node: -1, Op: trace.OpIssue, Client: cs.addr,
 		A: int32(c.traceAP(sw.from)), B: int32(c.traceAP(sw.to))})
@@ -589,7 +583,6 @@ func (c *Controller) onSwitchAck(m *packet.SwitchAck) {
 	cs.sw = nil
 	c.SwitchesAcked++
 	c.met.switchesAcked.Inc()
-	c.Trace.Addf(c.loop.Now(), trace.Switch, "ctrl", "ack #%d now ap%d", sw.id, m.APID)
 	c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.traceID(sw.id), SwitchID: sw.id,
 		Node: -1, Op: trace.OpAck, Client: cs.addr, A: int32(m.APID)})
 	if sw.from >= 0 {
@@ -685,9 +678,7 @@ func (c *Controller) maybeClaim(cs *clientState) {
 		return
 	}
 	cs.lastClaim, cs.everClaim = now, true
-	c.HandoffClaims++
 	c.met.handoffClaims.Inc()
-	c.Trace.Addf(now, trace.Switch, "ctrl", "claim %s score %.1f dB", cs.addr, best)
 	// Claims precede any switch transaction, so there is no trace id
 	// yet; the record rides whatever causal context is active (usually
 	// none) and shows up as a standalone instant.
@@ -712,13 +703,13 @@ func (c *Controller) OnTrunk(peer int, msg packet.Message) {
 			c.fed.OnRouted(m)
 		}
 	case *packet.Handoff:
+		// A HandoffAck needs no action: the importer's import record,
+		// under the same trace id, already shows the handoff completed.
 		switch m.Kind {
 		case packet.HandoffClaim:
 			c.onClaim(peer, m)
 		case packet.HandoffExport:
 			c.importClient(peer, m)
-		case packet.HandoffAck:
-			c.Trace.Addf(c.loop.Now(), trace.Switch, "ctrl", "handoff ack #%d %s", m.SwitchID, m.Client)
 		}
 	case *packet.DownlinkData:
 		if cs := c.clients[m.Client]; cs != nil && cs.owned {
@@ -763,8 +754,6 @@ func (c *Controller) onClaim(peer int, m *packet.Handoff) {
 		// dropped at export, keeping begun/completed/dropped balanced.
 		c.spans.Begin(sw.id, now, c.traceAP(sw.from), -1)
 	}
-	c.Trace.Addf(now, trace.Switch, "ctrl", "handoff #%d %s ap%d->peer%d (score %.1f)",
-		sw.id, cs.addr, c.traceAP(sw.from), peer, m.Score)
 	c.Rec.Record(trace.Record{At: now, Trace: c.traceID(sw.id), SwitchID: sw.id,
 		Node: -1, Op: trace.OpIssue, Client: cs.addr, A: int32(c.traceAP(sw.from)), B: -1})
 	if cs.serving < 0 {
@@ -817,7 +806,6 @@ func (c *Controller) exportTo(cs *clientState, sw *switchState, k uint16) {
 	c.HandoffsExported++
 	c.met.handoffExports.Inc()
 	c.spans.Drop(sw.id)
-	c.Trace.Addf(c.loop.Now(), trace.Switch, "ctrl", "export #%d %s k=%d -> peer%d", sw.id, cs.addr, k, peer)
 	c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.traceID(sw.id), SwitchID: sw.id,
 		Node: -1, Op: trace.OpExport, Client: cs.addr, A: int32(len(sw.held)), B: int32(peer)})
 }
@@ -872,7 +860,6 @@ func (c *Controller) importClient(peer int, m *packet.Handoff) {
 	cs.importedAt, cs.everImport = c.loop.Now(), true
 	c.HandoffsImported++
 	c.met.handoffImports.Inc()
-	c.Trace.Addf(c.loop.Now(), trace.Switch, "ctrl", "import #%d %s k=%d", m.SwitchID, m.Client, m.Index)
 	// The trunk envelope carried the exporter's trace id across the
 	// boundary; the import stitches onto that timeline.
 	c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.loop.Trace(), SwitchID: m.SwitchID,
@@ -903,7 +890,6 @@ func (c *Controller) onUplink(m *packet.UplinkData) {
 			c.dedupQ = c.dedupQ[1:]
 		}
 	}
-	c.UplinkDelivered++
 	c.met.uplinkDelivered.Inc()
 	c.sdOut = packet.ServerData{Inner: m.Inner}
 	c.bh.Send(c.self, c.fabric.Server(), &c.sdOut)

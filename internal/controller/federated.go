@@ -82,8 +82,6 @@ func (c *Controller) onFedClaim(src int, m *packet.Handoff) {
 		// client-visible protocol (same accounting as legacy claims).
 		c.spans.Begin(sw.id, now, c.traceAP(sw.from), -1)
 	}
-	c.Trace.Addf(now, trace.Switch, "ctrl", "fed-handoff #%d %s ap%d->seg%d (score %.1f)",
-		sw.id, cs.addr, c.traceAP(sw.from), src, m.Score)
 	c.Rec.Record(trace.Record{At: now, Trace: c.traceID(sw.id), SwitchID: sw.id,
 		Node: -1, Op: trace.OpIssue, Client: cs.addr, A: int32(c.traceAP(sw.from)), B: -1})
 	if cs.serving < 0 {
@@ -134,7 +132,6 @@ func (c *Controller) exportOutcome(cs *clientState, sw *switchState, ok bool) {
 		for _, p := range sw.held {
 			c.fed.Send(dst, &packet.ServerData{Inner: p})
 		}
-		c.Trace.Addf(now, trace.Switch, "ctrl", "fed-export #%d %s -> seg%d", sw.id, cs.addr, dst)
 		c.Rec.Record(trace.Record{At: now, Trace: c.traceID(sw.id), SwitchID: sw.id,
 			Node: -1, Op: trace.OpExport, Client: cs.addr, A: int32(len(sw.held)), B: int32(dst)})
 		return
@@ -147,7 +144,8 @@ func (c *Controller) exportOutcome(cs *clientState, sw *switchState, ok bool) {
 	c.met.switchAbandoned.Inc()
 	c.spans.Drop(sw.id)
 	c.fed.Announce(cs.addr)
-	c.Trace.Addf(now, trace.Switch, "ctrl", "fed-export #%d %s -> seg%d failed, reclaimed", sw.id, cs.addr, sw.remoteSeg)
+	c.Rec.Record(trace.Record{At: now, Trace: c.traceID(sw.id), SwitchID: sw.id,
+		Node: -1, Op: trace.OpAbandon, Client: cs.addr, A: int32(sw.retries), B: int32(sw.remoteSeg)})
 	for _, d := range sw.heldData {
 		c.fanOut(cs, d.Inner)
 	}
@@ -177,7 +175,6 @@ func (c *Controller) importFed(src int, m *packet.Handoff) {
 	cs.importedAt, cs.everImport = c.loop.Now(), true
 	c.HandoffsImported++
 	c.met.handoffImports.Inc()
-	c.Trace.Addf(c.loop.Now(), trace.Switch, "ctrl", "fed-import #%d %s k=%d from seg%d", m.SwitchID, m.Client, m.Index, src)
 	c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.loop.Trace(), SwitchID: m.SwitchID,
 		Node: -1, Op: trace.OpImport, Client: m.Client, A: int32(m.Index)})
 	c.bh.Broadcast(c.self, &packet.AssocState{
@@ -222,11 +219,15 @@ func (c *Controller) Release(addr packet.MAC, owner int) {
 	cs.exportedTo = -1
 	cs.exportedSeg = owner
 	cs.hasAdoptAt = false
+	rel := trace.Record{At: now, Trace: c.loop.Trace(), Node: -1, Op: trace.OpRelease,
+		Client: addr, A: -1, B: int32(owner)}
 	if cs.serving >= 0 {
 		c.switchID++
 		// Trace the stand-down stop so the AP's records attach to a
-		// causal id even though no local switch state exists for it.
-		prev := c.loop.SetTrace(c.traceID(c.switchID))
+		// causal id even though no local switch state exists for it;
+		// the release record carries the same id.
+		rel.Trace, rel.SwitchID, rel.A = c.traceID(c.switchID), c.switchID, int32(c.traceAP(cs.serving))
+		prev := c.loop.SetTrace(rel.Trace)
 		c.bh.Send(c.self, c.fabric.APNode(uint16(c.apBase+cs.serving)), &packet.Stop{
 			Client:   addr,
 			NewAPID:  packet.RemoteAPID,
@@ -236,5 +237,5 @@ func (c *Controller) Release(addr packet.MAC, owner int) {
 		cs.serving = -1
 	}
 	c.FedReleases++
-	c.Trace.Addf(now, trace.Switch, "ctrl", "fed-release %s -> seg%d", addr, owner)
+	c.Rec.Record(rel)
 }

@@ -158,15 +158,11 @@ type Config struct {
 	Client     client.Config
 	Backhaul   backhaul.Config
 
-	// TraceCapacity, when positive, enables the tcpdump-style event log
-	// (Network.Trace) retaining this many most-recent events.
-	TraceCapacity int
-
 	// FlightRecorder, when positive, enables the causal flight recorder:
 	// one fixed ring of this many structured switch-protocol records per
-	// domain shard (internal/trace.Recorder). Unlike TraceCapacity it is
-	// legal in every domain mode — each domain records into its own
-	// ring — and it never perturbs the event schedule.
+	// domain shard (internal/trace.Recorder). It is legal in every
+	// domain mode — each domain records into its own ring — and it never
+	// perturbs the event schedule.
 	FlightRecorder int
 	// HandoffBandLoMs/HandoffBandHiMs bound the expected stop→ack
 	// latency of a completed handoff. With HandoffBandHiMs > 0, a
@@ -181,8 +177,8 @@ type Config struct {
 
 	// Telemetry enables the metrics registry: datapath counters, handoff
 	// span tracing, and 100 ms time-series sampling across every segment
-	// (Network.MetricsSnapshot). Unlike the trace log it works in domain
-	// mode — each domain records into its own shard.
+	// (Network.MetricsSnapshot). It works in every domain mode — each
+	// domain records into its own shard.
 	Telemetry bool
 
 	// Audibility selects how the medium finds the receivers of a
@@ -306,9 +302,6 @@ func (c *Config) Validate() error {
 	if c.Domains != SingleLoop && len(c.Segments) > 1 {
 		if c.Scheme != WGTT {
 			return fmt.Errorf("core: domain mode %v requires the WGTT scheme (baseline roamers assume one shared medium)", c.Domains)
-		}
-		if c.TraceCapacity > 0 {
-			return fmt.Errorf("core: domain mode %v cannot share one trace log across domains; set TraceCapacity to 0", c.Domains)
 		}
 		if c.Trunk.PropDelay <= 0 {
 			return fmt.Errorf("core: domain mode %v needs a positive trunk PropDelay for lookahead, got %v",

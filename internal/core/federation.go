@@ -97,26 +97,13 @@ func (n *Network) LostClients() []int {
 }
 
 // TrunkFaultDrops sums scheduled-outage and random-fault drops across
-// every trunk direction via telemetry (0 when telemetry is off).
+// every trunk direction.
 func (n *Network) TrunkFaultDrops() (outage, random int64) {
-	snap := n.MetricsSnapshot()
-	if snap == nil {
-		return 0, 0
-	}
-	for _, c := range snap.Counters {
-		switch {
-		case hasSuffix(c.Name, "/trunk/outage_drops"):
-			outage += c.Value
-		case hasSuffix(c.Name, "/trunk/fault_drops"):
-			random += c.Value
-		}
+	for _, t := range n.Deploy.Trunks {
+		outage += int64(t.OutageDrops)
+		random += int64(t.FaultDrops)
 	}
 	return outage, random
-}
-
-// hasSuffix avoids importing strings for one call site.
-func hasSuffix(s, suf string) bool {
-	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
 }
 
 // unownedGauge exposes the lost-client count in the metrics snapshot

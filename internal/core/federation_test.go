@@ -107,6 +107,46 @@ func TestFederationCoverageGapRelocates(t *testing.T) {
 	}
 }
 
+// TestTrunkFaultDropsWithoutTelemetry: the trunk drop counts come from
+// the trunks themselves, so a faulted ride reports the same nonzero
+// outage and random drops with telemetry off as with it on, and they
+// match the telemetry counters.
+func TestTrunkFaultDropsWithoutTelemetry(t *testing.T) {
+	ride := func(telemetry bool) *Network {
+		faults := deploy.FaultSchedule{
+			Outages:   []deploy.Outage{{A: 1, B: 2, Start: 2 * sim.Second, End: 3500 * sim.Millisecond}},
+			DropProb:  0.02,
+			JitterMax: 40 * sim.Microsecond,
+		}
+		cfg := fedConfig(1, fourSegs(), false, faults)
+		cfg.Telemetry = telemetry
+		n := MustNewNetwork(cfg)
+		attachDownlink(n, n.AddClient(mobility.Drive(-5, 0, 25)), 9001, 10)
+		n.Run(6 * sim.Second)
+		return n
+	}
+	off, on := ride(false), ride(true)
+	outage, random := off.TrunkFaultDrops()
+	if outage == 0 || random == 0 {
+		t.Fatalf("telemetry off: trunk drops %d outage, %d random; want both nonzero", outage, random)
+	}
+	if o, r := on.TrunkFaultDrops(); o != outage || r != random {
+		t.Errorf("telemetry on: %d outage, %d random; off: %d, %d", o, r, outage, random)
+	}
+	var metOutage, metRandom int64
+	for _, c := range on.MetricsSnapshot().Counters {
+		switch {
+		case strings.HasSuffix(c.Name, "/trunk/outage_drops"):
+			metOutage += c.Value
+		case strings.HasSuffix(c.Name, "/trunk/fault_drops"):
+			metRandom += c.Value
+		}
+	}
+	if metOutage != outage || metRandom != random {
+		t.Errorf("telemetry counters %d outage, %d random; trunks %d, %d", metOutage, metRandom, outage, random)
+	}
+}
+
 // TestFederationTrunkOutageMidHandoff blacks out the only trunk exactly
 // over the client's first segment crossing while a TCP download runs.
 // The handoff RPCs must retry through the outage, the client must end
@@ -116,7 +156,6 @@ func TestFederationTrunkOutageMidHandoff(t *testing.T) {
 		{A: 0, B: 1, Start: 800 * sim.Millisecond, End: 1600 * sim.Millisecond},
 	}}
 	cfg := fedConfig(1, []deploy.SegmentSpec{{NumAPs: 4}, {NumAPs: 4}, {NumAPs: 4}}, false, faults)
-	cfg.Telemetry = true
 	n := MustNewNetwork(cfg)
 	// Start near the 0→1 boundary (x=26.25) so the crossing lands inside
 	// the outage window at ≈11 m/s.

@@ -64,8 +64,6 @@ type Network struct {
 
 	Clients []*Client
 
-	// Trace is the optional event log (Config.TraceCapacity > 0).
-	Trace *trace.Log
 	// recs[i] is segment i's flight recorder (Config.FlightRecorder > 0);
 	// entries are nil when disabled or for baseline planes. In domain
 	// mode each recorder is written only by its segment's goroutine.
@@ -145,9 +143,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		route:       make(map[packet.IP]int),
 		serverDedup: make(map[packet.DedupKey]bool),
 	}
-	if cfg.TraceCapacity > 0 {
-		n.Trace = trace.New(cfg.TraceCapacity)
-	}
 	if cfg.Telemetry {
 		n.initTelemetrySingle(loop, len(cfg.segmentGeoms()))
 	}
@@ -176,7 +171,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 			case WGTT:
 				rec := trace.NewRecorder(seg.Index, cfg.FlightRecorder)
 				n.recs = append(n.recs, rec)
-				p := deploy.NewWGTTPlane(seg, loop, n.Medium, n.Trace, rec,
+				p := deploy.NewWGTTPlane(seg, loop, n.Medium, rec,
 					n.segTel(seg.Index), rng, cfg.AP, cfg.Controller)
 				n.attachFederation(fedTopo, seg.Index, loop, p.Ctrl)
 				if n.Ctrl == nil {

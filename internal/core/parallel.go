@@ -264,7 +264,7 @@ func newDomainNetwork(cfg Config, model channel.Model) (*Network, error) {
 			sd := n.segs[seg.Index]
 			rec := trace.NewRecorder(seg.Index, cfg.FlightRecorder)
 			n.recs = append(n.recs, rec)
-			p := deploy.NewWGTTPlane(seg, sd.dom.Loop, sd.medium, nil, rec,
+			p := deploy.NewWGTTPlane(seg, sd.dom.Loop, sd.medium, rec,
 				n.segTel(seg.Index), rng, cfg.AP, cfg.Controller)
 			n.attachFederation(fedTopo, seg.Index, sd.dom.Loop, p.Ctrl)
 			if n.Ctrl == nil {

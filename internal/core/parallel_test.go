@@ -106,11 +106,6 @@ func TestDomainModeValidation(t *testing.T) {
 		t.Error("accepted a baseline scheme in domain mode")
 	}
 	bad = base()
-	bad.TraceCapacity = 128
-	if bad.Validate() == nil {
-		t.Error("accepted a shared trace log in domain mode")
-	}
-	bad = base()
 	bad.Trunk.PropDelay = 0
 	if bad.Validate() == nil {
 		t.Error("accepted a zero-lookahead trunk in domain mode")

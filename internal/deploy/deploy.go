@@ -117,6 +117,8 @@ func (s *Segment) ContainsAP(global int) bool {
 // Deployment is the ordered chain of segments along the road.
 type Deployment struct {
 	Segments []*Segment
+	// Trunks lists every trunk direction, in build order.
+	Trunks []*Trunk
 }
 
 // TotalAPs is the deployment-wide AP count.
@@ -255,6 +257,7 @@ func (b Builder) Build() (*Deployment, error) {
 			rev.InstallFaults(b.Trunk.Faults, j, i,
 				sim.NewRNG(b.FaultSeed).Fork(fmt.Sprintf("trunk%d-%d", j, i)))
 		}
+		d.Trunks = append(d.Trunks, fwd, rev)
 		return fwd, rev
 	}
 	for i := 0; i+1 < len(d.Segments); i++ {

@@ -81,7 +81,7 @@ type WGTTPlane struct {
 }
 
 // NewWGTTPlane builds the segment's controller and APs on its backhaul.
-// AP ids (and their MACs, trace names, and per-AP RNG streams) are
+// AP ids (and their MACs, node names, and per-AP RNG streams) are
 // global, so a one-segment deployment forks the root RNG in exactly the
 // order the monolithic network did. tel, when enabled, hangs the
 // segment's controller and per-AP metrics under it and creates the
@@ -89,12 +89,11 @@ type WGTTPlane struct {
 // issue/ack to the APs' stop/start marks. rec, when non-nil, is the
 // domain's flight recorder, shared by the controller and every AP of
 // the segment (they all run on the segment's loop).
-func NewWGTTPlane(seg *Segment, loop *sim.Loop, medium *mac.Medium, tr *trace.Log,
-	rec *trace.Recorder, tel telemetry.Scope, rng *sim.RNG, apCfg ap.Config, ctrlCfg controller.Config) *WGTTPlane {
+func NewWGTTPlane(seg *Segment, loop *sim.Loop, medium *mac.Medium, rec *trace.Recorder,
+	tel telemetry.Scope, rng *sim.RNG, apCfg ap.Config, ctrlCfg controller.Config) *WGTTPlane {
 	fab := &segFabric{apBase: seg.APBase, numAPs: seg.Geom.NumAPs}
 	p := &WGTTPlane{seg: seg}
 	p.Ctrl = controller.New(loop, seg.Backhaul, NodeController, fab, seg.APBase, seg.Geom.NumAPs, ctrlCfg)
-	p.Ctrl.Trace = tr
 	p.Ctrl.Rec = rec
 	spans := tel.Spans("handoff")
 	p.Ctrl.SetTelemetry(tel.Sub("ctrl"), spans)
@@ -102,7 +101,6 @@ func NewWGTTPlane(seg *Segment, loop *sim.Loop, medium *mac.Medium, tr *trace.Lo
 		g := seg.APBase + i
 		a := ap.New(uint16(g), seg.APPosition(i), loop, medium, seg.Backhaul,
 			NodeFirstAP+backhaul.NodeID(i), fab, apCfg, rng.Fork(fmt.Sprintf("ap%d", g)))
-		a.Trace = tr
 		a.Rec = rec
 		a.SetTelemetry(tel.Sub(fmt.Sprintf("ap%d", g)), spans)
 		p.APs = append(p.APs, a)

@@ -1,3 +1,8 @@
+// Package trace is the switch-protocol event log the paper's §5.1
+// methodology calls for ("we log packet flows sent to and from both the
+// controller and the client using tcpdump"): a causal flight recorder
+// whose stitched records render as a tcpdump-style text dump (Dump) or
+// a Chrome/Perfetto timeline (WriteChrome).
 package trace
 
 import (
@@ -12,8 +17,7 @@ import (
 // This file is the causal flight recorder: a fixed-size ring of
 // structured, value-typed records — one Recorder per domain shard, so
 // recording never shares state across domains and stays legal in every
-// domain mode (unlike the formatted-string Log, which Config.Validate
-// forbids outside single-loop runs).
+// execution mode: single loop, domains, and sharded processes.
 //
 // Records are written synchronously from existing protocol handlers:
 // recording schedules no events and draws no randomness, so the event
@@ -38,16 +42,17 @@ const (
 	OpStartRx    // new AP received the Start (A=stale packets flushed)
 	OpAck        // controller saw the SwitchAck (A=serving AP)
 	OpRetx       // controller retransmitted the Stop (A=retry count)
-	OpAbandon    // controller gave up after retry exhaustion (A=retries)
+	OpAbandon    // controller gave up after retry exhaustion (A=retries; B=target segment of a failed federated export)
 	OpClaim      // controller claimed an unowned client overheard above threshold
 	OpExport     // controller exported the client mid-handoff (A=held pkts, B=peer/segment)
 	OpImport     // controller imported the client (A=resume index k)
+	OpRelease    // controller released ownership to the directory's winner (A=stood-down AP or -1, B=new owner segment)
 )
 
 var opNames = [...]string{
 	OpNone: "none", OpIssue: "issue", OpStop: "stop", OpStart: "start",
 	OpStartRx: "start-rx", OpAck: "ack", OpRetx: "retx", OpAbandon: "abandon",
-	OpClaim: "claim", OpExport: "export", OpImport: "import",
+	OpClaim: "claim", OpExport: "export", OpImport: "import", OpRelease: "release",
 }
 
 // String returns the op's wire-stable lowercase name.
@@ -145,17 +150,6 @@ func (r *Recorder) Records() []Record {
 		out = append(out, r.recs[r.next:]...)
 	}
 	return append(out, r.recs[:r.next]...)
-}
-
-// Window returns the held records with lo <= At <= hi, oldest-first.
-func (r *Recorder) Window(lo, hi sim.Time) []Record {
-	var out []Record
-	for _, rec := range r.Records() {
-		if rec.At >= lo && rec.At <= hi {
-			out = append(out, rec)
-		}
-	}
-	return out
 }
 
 // AnomalyKind names a trigger.
@@ -323,22 +317,32 @@ func Handoffs(recs []Record) []Handoff {
 	return out
 }
 
+// Dump writes records one per line, tcpdump-style: virtual time,
+// domain, node, op, switch id, client, trace id, and the op's A/B
+// arguments (see the Op constants).
+func Dump(w io.Writer, recs []Record) error {
+	for _, r := range recs {
+		if _, err := fmt.Fprintf(w, "%v dom=%d node=%d %-8s #%d %s trace=%#x a=%d b=%d\n",
+			r.At, r.Domain, r.Node, r.Op, r.SwitchID, r.Client, r.Trace, r.A, r.B); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // DumpAnomalies writes a human-readable report: each anomaly followed
-// by the stitched records inside ±window of its virtual time.
+// by the records inside ±window of its virtual time, in Dump's format.
+// recs must be a stitched (time-ordered) timeline.
 func DumpAnomalies(w io.Writer, recs []Record, anoms []Anomaly, window sim.Duration) error {
 	for _, a := range anoms {
 		if _, err := fmt.Fprintf(w, "anomaly %s at %v trace=%#x value=%g\n", a.Kind, a.At, a.Trace, a.Value); err != nil {
 			return err
 		}
 		lo, hi := a.At.Add(-window), a.At.Add(window)
-		for _, r := range recs {
-			if r.At < lo || r.At > hi {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "  %v dom=%d node=%d %-8s #%d %s trace=%#x a=%d b=%d\n",
-				r.At, r.Domain, r.Node, r.Op, r.SwitchID, r.Client, r.Trace, r.A, r.B); err != nil {
-				return err
-			}
+		i := sort.Search(len(recs), func(i int) bool { return recs[i].At >= lo })
+		j := sort.Search(len(recs), func(i int) bool { return recs[i].At > hi })
+		if err := Dump(w, recs[i:j]); err != nil {
+			return err
 		}
 	}
 	return nil

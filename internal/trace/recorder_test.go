@@ -3,10 +3,12 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
@@ -44,9 +46,6 @@ func TestRecorderRingWrap(t *testing.T) {
 		if got[i].Domain != 2 {
 			t.Fatalf("record not stamped with recorder domain: %+v", got[i])
 		}
-	}
-	if w := r.Window(5, 6); len(w) != 2 || w[0].At != 5 || w[1].At != 6 {
-		t.Fatalf("Window(5,6) = %+v", w)
 	}
 }
 
@@ -193,30 +192,52 @@ func TestDumpAnomalies(t *testing.T) {
 	}
 }
 
-// TestBadVerbWarning pins the satellite-6 contract: the first
-// unsupported verb/argument combination under `go test` prints one
-// warning naming the format string; later ones stay silent.
-func TestBadVerbWarning(t *testing.T) {
-	prevOut := badVerbOut
-	prevNoted := badVerbNoted.Load()
-	defer func() { badVerbOut = prevOut; badVerbNoted.Store(prevNoted) }()
-	var buf bytes.Buffer
-	badVerbOut = &buf
-	badVerbNoted.Store(false)
+// TestRingProperty: a recorder of capacity c retains exactly the last
+// min(n, c) of n records, oldest-first, and counts all n.
+func TestRingProperty(t *testing.T) {
+	f := func(n uint8, capRaw uint8) bool {
+		c := int(capRaw%16) + 1
+		r := NewRecorder(0, c)
+		for i := 0; i < int(n); i++ {
+			r.Record(rec(sim.Time(i), uint64(i), OpIssue, -1))
+		}
+		got := r.Records()
+		want := min(int(n), c)
+		if len(got) != want || r.Len() != want || r.Total() != uint64(n) {
+			return false
+		}
+		for i, g := range got {
+			if g.At != sim.Time(int(n)-want+i) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
 
-	type odd struct{ x int }
-	if got := sprintf("bad %s here", []any{odd{1}}); got != "bad %!s(?) here" {
-		t.Fatalf("placeholder = %q", got)
+// TestDumpFormat pins the text view's line format: one line per record
+// with every field, in input order.
+func TestDumpFormat(t *testing.T) {
+	mac := packet.ClientMAC(4)
+	recs := []Record{
+		{At: sim.Time(1500 * sim.Millisecond), Trace: 3<<32 | 7, SwitchID: 7, Domain: 1, Node: -1,
+			Op: OpIssue, Client: mac, A: 2, B: 5},
+		{At: sim.Time(1512 * sim.Millisecond), Trace: 3<<32 | 7, SwitchID: 7, Domain: 1, Node: 2,
+			Op: OpStartRx, Client: mac, A: 3},
+		{At: sim.Time(1600 * sim.Millisecond), Domain: 2, Node: -1, Op: OpRelease, Client: mac, A: -1, B: 3},
 	}
-	warn := buf.String()
-	if !strings.Contains(warn, `"bad %s here"`) || !strings.Contains(warn, "verb %s") {
-		t.Fatalf("warning should name format and verb, got %q", warn)
+	var buf bytes.Buffer
+	if err := Dump(&buf, recs); err != nil {
+		t.Fatal(err)
 	}
-	if n := strings.Count(warn, "\n"); n != 1 {
-		t.Fatalf("want exactly one warning line, got %d:\n%s", n, warn)
-	}
-	sprintf("also bad %d", []any{"str"})
-	if buf.String() != warn {
-		t.Fatalf("second bad verb warned again:\n%s", buf.String())
+	want := fmt.Sprintf(
+		"1.500000s dom=1 node=-1 issue    #7 %[1]s trace=0x300000007 a=2 b=5\n"+
+			"1.512000s dom=1 node=2 start-rx #7 %[1]s trace=0x300000007 a=3 b=0\n"+
+			"1.600000s dom=2 node=-1 release  #0 %[1]s trace=0x0 a=-1 b=3\n", mac)
+	if got := buf.String(); got != want {
+		t.Fatalf("Dump =\n%s\nwant\n%s", got, want)
 	}
 }

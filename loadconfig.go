@@ -39,7 +39,6 @@ type DeployOptions struct {
 	Federation           bool   `json:"federation"`
 	RingTrunk            bool   `json:"ring-trunk"`
 	TrunkFaults          string `json:"trunk-faults"`
-	Trace                int    `json:"trace"`
 	FlightRecorder       int    `json:"flight-recorder"`
 	HandoffBand          string `json:"handoff-band"`
 	UnownedSpike         int    `json:"unowned-spike"`
@@ -72,8 +71,6 @@ func RegisterFlags(fs *flag.FlagSet, o *DeployOptions) {
 		"close the trunk chain into a ring (implies -federation; needs >= 3 segments)")
 	fs.StringVar(&o.TrunkFaults, "trunk-faults", o.TrunkFaults,
 		"trunk fault schedule, e.g. drop=0.01,jitter=50us,outage=1-2@2s-3s,outage=all@5s-5.1s")
-	fs.IntVar(&o.Trace, "trace", o.Trace,
-		"dump the last N switch-protocol events (tcpdump-style)")
 	fs.IntVar(&o.FlightRecorder, "flight-recorder", o.FlightRecorder,
 		"causal flight recorder: retain the last N structured switch-protocol records per domain")
 	fs.StringVar(&o.HandoffBand, "handoff-band", o.HandoffBand,
@@ -87,7 +84,7 @@ func RegisterFlags(fs *flag.FlagSet, o *DeployOptions) {
 var sharedFlagNames = []string{
 	"scheme", "seed", "segments", "channel", "audibility",
 	"parallel-segments", "boundary-interference",
-	"federation", "ring-trunk", "trunk-faults", "trace",
+	"federation", "ring-trunk", "trunk-faults",
 	"flight-recorder", "handoff-band", "unowned-spike",
 }
 
@@ -115,8 +112,6 @@ func overlayField(name string, dst, src *DeployOptions) {
 		dst.RingTrunk = src.RingTrunk
 	case "trunk-faults":
 		dst.TrunkFaults = src.TrunkFaults
-	case "trace":
-		dst.Trace = src.Trace
 	case "flight-recorder":
 		dst.FlightRecorder = src.FlightRecorder
 	case "handoff-band":
@@ -176,7 +171,6 @@ func (o DeployOptions) Config() (Config, error) {
 	}
 	cfg := DefaultConfig(scheme)
 	cfg.Seed = o.Seed
-	cfg.TraceCapacity = o.Trace
 	cfg.FlightRecorder = o.FlightRecorder
 	cfg.UnownedSpike = o.UnownedSpike
 	if o.HandoffBand != "" {
@@ -212,6 +206,28 @@ func (o DeployOptions) Config() (Config, error) {
 		cfg.Trunk.Faults = faults
 	}
 	return cfg, nil
+}
+
+// OverlayDatapath copies the datapath knobs the shared flag surface set
+// in flags (audibility, channel backend, flight recorder, anomaly
+// triggers) onto c, a config compiled from a scenario. Unset knobs
+// leave the scenario's compiled values alone.
+func OverlayDatapath(c *Config, flags Config) {
+	if flags.Audibility != "" {
+		c.Audibility = flags.Audibility
+	}
+	if flags.ChannelBackend != "" {
+		c.ChannelBackend = flags.ChannelBackend
+	}
+	if flags.FlightRecorder != 0 {
+		c.FlightRecorder = flags.FlightRecorder
+	}
+	if flags.HandoffBandHiMs != 0 {
+		c.HandoffBandLoMs, c.HandoffBandHiMs = flags.HandoffBandLoMs, flags.HandoffBandHiMs
+	}
+	if flags.UnownedSpike != 0 {
+		c.UnownedSpike = flags.UnownedSpike
+	}
 }
 
 // ParseHandoffBand parses the -handoff-band syntax: "lo,hi" in

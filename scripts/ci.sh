@@ -115,6 +115,40 @@ go run ./cmd/wgtt-sim -segments 4x7.5,4x7.5,4x7.5,4x7.5 -federation -clients 2 -
         if (relocates < 1) { print "federation gate: no re-locates observed"; exit 1 }
     }'
 
+# wgtt-sim smoke gate: the flight recorder's text view (-trace) prints
+# under -parallel-segments, a scenario run writes -trace-out and its CPU
+# profile, -trace-out - leaves stdout pure JSON (the summary moves to
+# stderr), and the federation ride above reports its trunk drops
+# without -metrics.
+sim_tmp=$(mktemp -d)
+go build -o "$sim_tmp/wgtt-sim" ./cmd/wgtt-sim
+"$sim_tmp/wgtt-sim" -segments 4x7.5,4x7.5 -parallel-segments -mph 25 -trace 20 > "$sim_tmp/par.txt"
+if ! grep -q ' trace=0x' "$sim_tmp/par.txt"; then
+    echo "wgtt-sim gate: -trace printed no records under -parallel-segments"
+    exit 1
+fi
+"$sim_tmp/wgtt-sim" -scenario examples/scenarios/corridor.yaml -trace 20 \
+    -trace-out "$sim_tmp/t.json" -cpuprofile "$sim_tmp/cpu.out" > /dev/null
+if ! test -s "$sim_tmp/t.json" || ! test -s "$sim_tmp/cpu.out"; then
+    echo "wgtt-sim gate: -scenario run left -trace-out or -cpuprofile empty"
+    exit 1
+fi
+first=$("$sim_tmp/wgtt-sim" -mph 25 -trace-out - 2>/dev/null | head -c 1)
+if [ "$first" != "{" ]; then
+    echo "wgtt-sim gate: -trace-out - stdout starts with '$first', not JSON"
+    exit 1
+fi
+drops=$("$sim_tmp/wgtt-sim" -segments 4x7.5,4x7.5,4x7.5,4x7.5 -federation -clients 2 -mph 25 \
+    -trunk-faults 'drop=0.02,jitter=40us,outage=1-2@2s-3.5s' |
+    sed -n 's/.*trunk drops: \([0-9]*\) outage, \([0-9]*\) random.*/\1 \2/p')
+echo "wgtt-sim gate: trunk drops (outage random) = $drops"
+set -- $drops
+if [ "${1:-0}" -eq 0 ] || [ "${2:-0}" -eq 0 ]; then
+    echo "wgtt-sim gate: federation ride without -metrics reports no trunk drops"
+    exit 1
+fi
+rm -rf "$sim_tmp"
+
 # Telemetry-overhead gate: the fully instrumented 24-segment corridor
 # ride (counters, spans, per-domain 100 ms samplers) must not run more
 # than 5% slower than the uninstrumented one. Each sample averages three

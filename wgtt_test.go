@@ -210,33 +210,34 @@ func TestStopAndGoTransit(t *testing.T) {
 	}
 }
 
+// TestTraceCapturesSwitchRounds: on the single loop, the flight
+// recorder shows every completed switch as issue → stop → start →
+// start-rx → ack under one trace id, in time order.
 func TestTraceCapturesSwitchRounds(t *testing.T) {
 	cfg := DefaultConfig(SchemeWGTT)
-	cfg.TraceCapacity = 256
+	cfg.FlightRecorder = 1 << 14
 	n := NewNetwork(cfg)
 	c := n.AddClient(Drive(-5, 0, 25))
 	f := NewUDPDownlink(n, c, 20)
 	n.Loop.After(100*Millisecond, f.Start)
 	n.Run(5 * Second)
-	_ = c
-	if n.Trace == nil || n.Trace.Total() == 0 {
-		t.Fatal("trace empty")
-	}
-	// Every completed switch must appear as issue→stop→start→ack.
-	var issues, stops, starts, acks int
-	for _, e := range n.Trace.Events() {
-		switch {
-		case e.Node == "ctrl" && len(e.Detail) > 5 && e.Detail[:5] == "issue":
-			issues++
-		case e.Detail != "" && e.Detail[0] == 's' && e.Detail[1] == 't' && e.Detail[2] == 'o':
-			stops++
-		case e.Detail != "" && e.Detail[0] == 's' && e.Detail[1] == 't' && e.Detail[2] == 'a':
-			starts++
-		case e.Node == "ctrl" && len(e.Detail) > 3 && e.Detail[:3] == "ack":
-			acks++
+
+	completed := 0
+	for _, h := range TraceHandoffs(n.FlightRecords()) {
+		if !h.Completed() || h.From < 0 { // adoptions have no stop leg
+			continue
+		}
+		completed++
+		if !h.HasStop || !h.HasStart || !h.HasStartRx {
+			t.Errorf("trace %#x: missing phase: %+v", h.Trace, h)
+			continue
+		}
+		if h.Stop < h.Issue || h.Start < h.Stop || h.StartRx < h.Start || h.Ack < h.StartRx {
+			t.Errorf("trace %#x: phases out of order: issue %v stop %v start %v start-rx %v ack %v",
+				h.Trace, h.Issue, h.Stop, h.Start, h.StartRx, h.Ack)
 		}
 	}
-	if issues == 0 || starts == 0 || acks == 0 {
-		t.Errorf("trace incomplete: issue=%d stop=%d start=%d ack=%d", issues, stops, starts, acks)
+	if want := len(n.Ctrl.SwitchLatencies); completed != want || want == 0 {
+		t.Errorf("recorder shows %d completed switches, controller completed %d", completed, want)
 	}
 }
