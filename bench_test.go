@@ -260,7 +260,7 @@ func BenchmarkCorridorParallelFlightRec(b *testing.B) {
 		opt.Mutate = func(c *Config) {
 			c.Telemetry = true
 			c.FlightRecorder = 4096
-			c.HandoffBandLoMs, c.HandoffBandHiMs = 17, 21
+			c.Controller.HandoffBandLoMs, c.Controller.HandoffBandHiMs = 17, 21
 		}
 		r := corridorRideN(opt, core.DomainsParallel, 24, 10*Second)
 		b.ReportMetric(r.MeanMbps, "Mbps")

@@ -123,8 +123,7 @@ func run() error {
 	}
 	addrs := strings.Split(*peers, ",")
 	return runPartitioned(sr, sched, serveParams{
-		scenario: *scenario, seed: sr.Cfg.Seed,
-		audibility: cfg.Audibility, channel: cfg.ChannelBackend,
+		scenario: *scenario, seed: sr.Cfg.Seed, channel: cfg.ChannelBackend,
 		proc: *proc, addrs: addrs, partition: *partition,
 		dur: dur, slice: slice, ckptAt: ckptAt,
 		ckptPath: *ckptPath, restore: *restore,
@@ -464,16 +463,16 @@ func runSingle(sr *wgtt.ServeRun, sched []wgtt.Duration, scenario string, seed i
 
 // serveParams carries the resolved partitioned-run settings.
 type serveParams struct {
-	scenario, audibility, channel string
-	seed                          int64
-	proc                          int
-	addrs                         []string
-	partition                     string
-	dur, slice, ckptAt            wgtt.Duration
-	ckptPath                      string
-	restore                       bool
-	httpAddr                      string
-	report                        bool
+	scenario, channel  string
+	seed               int64
+	proc               int
+	addrs              []string
+	partition          string
+	dur, slice, ckptAt wgtt.Duration
+	ckptPath           string
+	restore            bool
+	httpAddr           string
+	report             bool
 }
 
 // digest canonicalizes everything two processes must agree on for
@@ -481,8 +480,8 @@ type serveParams struct {
 // the checkpoint sidecar both verify it.
 func (p serveParams) digest() [32]byte {
 	return sha256.Sum256([]byte(fmt.Sprintf(
-		"wgtt-serve|1|scenario=%s|seed=%d|aud=%s|chan=%s|part=%s|procs=%d|slice=%d|until=%d|ckpt=%d",
-		p.scenario, p.seed, p.audibility, p.channel,
+		"wgtt-serve|1|scenario=%s|seed=%d|chan=%s|part=%s|procs=%d|slice=%d|until=%d|ckpt=%d",
+		p.scenario, p.seed, p.channel,
 		p.partition, len(p.addrs), int64(p.slice), int64(p.dur), int64(p.ckptAt))))
 }
 

@@ -236,3 +236,67 @@ func TestMultiProcessStitchedTimeline(t *testing.T) {
 		})
 	}
 }
+
+// exportRides rides the 3-segment corridor at seeds 1–3 and the
+// 4-segment ring-federated corridor in domain mode mode and requires
+// every export record's import — the record with the same trace id —
+// to lie in the domain the export's B names: B is the destination
+// segment on both trunk kinds.
+func exportRides(t *testing.T, mode core.DomainMode) {
+	type ride struct {
+		name     string
+		seed     int64
+		segments int
+		fed      bool
+	}
+	rides := []ride{{"corridor-seed1", 1, 3, false}, {"corridor-seed2", 2, 3, false},
+		{"corridor-seed3", 3, 3, false}, {"ring-federated", 1, 4, true}}
+	for _, rd := range rides {
+		rd := rd
+		t.Run(rd.name, func(t *testing.T) {
+			t.Parallel()
+			opt := Options{Seed: rd.seed, Mutate: func(c *Config) {
+				c.FlightRecorder = flightRecCap
+				c.Federation.Enabled, c.Federation.Ring = rd.fed, rd.fed
+			}}
+			r := corridorSetup(opt, mode, rd.segments, 0)
+			r.Net.Run(r.Dur)
+			recs := r.Net.FlightRecords()
+			imports := map[uint64][]int16{}
+			for _, rec := range recs {
+				if rec.Op == trace.OpImport {
+					imports[rec.Trace] = append(imports[rec.Trace], rec.Domain)
+				}
+			}
+			exports := 0
+			for _, rec := range recs {
+				if rec.Op != trace.OpExport {
+					continue
+				}
+				exports++
+				if doms := imports[rec.Trace]; len(doms) != 1 || int32(doms[0]) != rec.B {
+					t.Errorf("export of %s by domain %d at %v names segment %d; its import lies in domains %v",
+						rec.Client, rec.Domain, rec.At, rec.B, doms)
+				}
+			}
+			if exports == 0 {
+				t.Fatal("the ride exported no client")
+			}
+		})
+	}
+}
+
+// TestExportRecordsNameImporter checks export records on the single
+// loop and on serial domains.
+func TestExportRecordsNameImporter(t *testing.T) {
+	for _, mode := range []core.DomainMode{core.SingleLoop, core.DomainsSerial} {
+		mode := mode
+		t.Run(mode.String(), func(t *testing.T) { exportRides(t, mode) })
+	}
+}
+
+// TestDomainExportRecordsNameImporter checks export records on
+// parallel domains.
+func TestDomainExportRecordsNameImporter(t *testing.T) {
+	exportRides(t, core.DomainsParallel)
+}

@@ -343,7 +343,6 @@ func (a *AP) onStop(m *packet.Stop) {
 					break
 				}
 				a.met.fwdBytes.Add(int64(p.WireLen()))
-				a.spans.AddForwarded(m.SwitchID, int64(p.WireLen()))
 				a.bh.Send(a.self, a.fabric.Controller(), &packet.DownlinkData{
 					Client: m.Client,
 					Inner:  p,
@@ -372,7 +371,6 @@ func (a *AP) onStart(m *packet.Start) {
 		cs.cyclic.SetHead(m.Index)
 		if flushed = cs.cyclic.Stats.Flushed - before; flushed > 0 {
 			a.met.flushedPkts.Add(int64(flushed))
-			a.spans.AddFlushed(m.SwitchID, flushed)
 		}
 	}
 	if a.cfg.SeedRatesFromCSI && cs.hasESNR {

@@ -90,25 +90,23 @@ type Fabric interface {
 	Server() backhaul.NodeID
 }
 
-// Peer is the sending half of a point-to-point trunk toward an adjacent
-// segment's controller. Deliveries are reliable, FIFO, and delayed by
-// the trunk's serialization + propagation model.
-type Peer interface {
-	Deliver(msg packet.Message)
+// trunk is the sending half of a link toward segment seg's controller.
+type trunk struct {
+	seg  int
+	link federation.Link
 }
 
 type switchState struct {
-	id        uint32
-	from      int // -1 when adopting a client with no serving AP
-	to        int
-	remote    int // peer index for a cross-segment handoff, -1 local
-	remoteSeg int // destination segment for a federated handoff, -1 local
-	retries   int
-	timer     *sim.Event
-	issued    sim.Time
-	held      []packet.Packet // downlink held unstamped during a remote stop
-	// heldData is the stopped AP's pre-stamped backlog arriving while a
-	// federated export awaits its ack; it ships to the importer stamped.
+	id      uint32
+	from    int // -1 when adopting a client with no serving AP
+	to      int
+	remote  int // destination segment of a cross-segment handoff, -1 local
+	retries int
+	timer   *sim.Event
+	issued  sim.Time
+	held    []packet.Packet // downlink held unstamped during a remote stop
+	// heldData is the stopped AP's pre-stamped backlog arriving while an
+	// export resolves; it ships to the importer stamped.
 	heldData []*packet.DownlinkData
 }
 
@@ -127,11 +125,10 @@ type clientState struct {
 	// Cross-segment state. owned marks this controller as the client's
 	// home; states created purely from overheard CSI in a multi-segment
 	// deployment stay unowned until an export arrives.
-	owned      bool
-	exportedTo int // peer index after export, -1 otherwise
-	// exportedSeg is the segment the client was last handed to under
-	// federation (-1 unknown). Export chains are acyclic in time, so
-	// following them always terminates at the current owner.
+	owned bool
+	// exportedSeg is the segment the client was last handed to (-1
+	// none). Export chains are acyclic in time, so following them
+	// always terminates at the current owner.
 	exportedSeg int
 	adoptAt     uint16
 	hasAdoptAt  bool
@@ -150,7 +147,7 @@ type Controller struct {
 	cfg    Config
 	numAPs int
 	apBase int // global id of this segment's first AP
-	peers  []Peer
+	trunks []trunk
 	fed    *federation.Node
 
 	// Rec, when set, is the domain's flight recorder: the controller
@@ -275,12 +272,14 @@ func (c *Controller) SetFederation(f *federation.Node) {
 // is off).
 func (c *Controller) Federation() *federation.Node { return c.fed }
 
-// ConnectPeer attaches the sending half of a trunk toward an adjacent
-// segment's controller and returns its peer index. Incoming trunk
-// traffic is delivered by the remote side via OnTrunk with that index.
-func (c *Controller) ConnectPeer(p Peer) int {
-	c.peers = append(c.peers, p)
-	return len(c.peers) - 1
+// ConnectTrunk attaches the sending half of a trunk toward segment
+// seg's controller; under federation the node routes over it too.
+// Incoming trunk traffic is delivered by the remote side via OnTrunk.
+func (c *Controller) ConnectTrunk(seg int, l federation.Link) {
+	c.trunks = append(c.trunks, trunk{seg, l})
+	if c.fed != nil {
+		c.fed.AddLink(seg, l)
+	}
 }
 
 // RegisterClient announces a client's addressing before any CSI arrives
@@ -332,8 +331,7 @@ func (c *Controller) stateFor(addr packet.MAC) *clientState {
 			// Without trunks every overheard client is ours (the
 			// single-controller deployment); with trunks, ownership
 			// arrives only by registration or import.
-			owned:       len(c.peers) == 0,
-			exportedTo:  -1,
+			owned:       len(c.trunks) == 0,
 			exportedSeg: -1,
 		}
 		for i := range cs.windows {
@@ -449,7 +447,7 @@ func (c *Controller) maybeSwitch(cs *clientState) {
 // `to`.
 func (c *Controller) issueSwitch(cs *clientState, to int) {
 	c.switchID++
-	sw := &switchState{id: c.switchID, from: cs.serving, to: to, remote: -1, remoteSeg: -1, issued: c.loop.Now()}
+	sw := &switchState{id: c.switchID, from: cs.serving, to: to, remote: -1, issued: c.loop.Now()}
 	// Originate the causal trace: everything this switch schedules —
 	// the stop send, its timers, the AP's ioctl callback, the ack —
 	// inherits the register until it is restored below.
@@ -508,7 +506,7 @@ func (c *Controller) UnownedClients() int {
 // instead of a local peer.
 func (c *Controller) sendStop(cs *clientState, sw *switchState) {
 	switch {
-	case sw.remote >= 0 || sw.remoteSeg >= 0:
+	case sw.remote >= 0:
 		c.bh.Send(c.self, c.fabric.APNode(uint16(c.apBase+sw.from)), &packet.Stop{
 			Client:   cs.addr,
 			NewAPID:  packet.RemoteAPID,
@@ -612,15 +610,12 @@ func (c *Controller) Downlink(p packet.Packet) {
 	}
 	cs := c.stateFor(addr)
 	if !cs.owned {
-		switch {
-		case c.fed != nil && cs.exportedSeg >= 0:
-			c.fed.Send(cs.exportedSeg, &packet.ServerData{Inner: p})
-		case cs.exportedTo >= 0:
-			c.peers[cs.exportedTo].Deliver(&packet.ServerData{Inner: p})
+		if cs.exportedSeg >= 0 {
+			c.send(cs.exportedSeg, &packet.ServerData{Inner: p})
 		}
 		return
 	}
-	if cs.sw != nil && (cs.sw.remote >= 0 || cs.sw.remoteSeg >= 0) {
+	if cs.sw != nil && cs.sw.remote >= 0 {
 		if len(cs.sw.held) < heldCap {
 			cs.sw.held = append(cs.sw.held, p)
 		}
@@ -652,16 +647,18 @@ func (c *Controller) fanOut(cs *clientState, p packet.Packet) {
 // the transport's own loss recovery takes over.
 const heldCap = 1024
 
-// maybeClaim asks the owning neighbour for a client this controller
-// hears convincingly. Claims are rate-limited by the switch hysteresis
-// and broadcast to all trunks — only the owner reacts.
+// maybeClaim asks the owner for a client this controller hears
+// convincingly. Claims are rate-limited by the switch hysteresis. Over
+// direct trunks a claim goes out on every trunk and only the owner
+// reacts; under federation the node looks the owner up and retries.
 func (c *Controller) maybeClaim(cs *clientState) {
-	if len(c.peers) == 0 {
+	if len(c.trunks) == 0 {
 		return
 	}
-	// Legacy adjacency never re-claims an exported client; federation
-	// must (the U-turn case) — its re-locate goes through the directory.
-	if c.fed == nil && cs.exportedTo >= 0 {
+	// A direct-trunk exporter never re-claims a client it exported;
+	// federation must (the U-turn case) — its re-locate goes through the
+	// directory.
+	if c.fed == nil && cs.exportedSeg >= 0 {
 		return
 	}
 	now := c.loop.Now()
@@ -688,44 +685,44 @@ func (c *Controller) maybeClaim(cs *clientState) {
 		c.fed.Claim(cs.addr, best)
 		return
 	}
-	for _, p := range c.peers {
-		p.Deliver(&packet.Handoff{Kind: packet.HandoffClaim, Client: cs.addr, Score: best})
+	for _, t := range c.trunks {
+		t.link.Deliver(&packet.Handoff{Kind: packet.HandoffClaim, Client: cs.addr, Score: best})
 	}
 }
 
-// OnTrunk handles traffic from the adjacent controller at peer index
-// `peer`: handoff control, the stopped AP's pre-stamped backlog
-// (re-fanned as-is), and late unstamped downlink (stamped here).
-func (c *Controller) OnTrunk(peer int, msg packet.Message) {
-	switch m := msg.(type) {
-	case *packet.Routed:
-		if c.fed != nil {
-			c.fed.OnRouted(m)
+// send delivers msg to segment seg's controller: routed by the
+// federation node, or over the direct trunk to that segment.
+func (c *Controller) send(seg int, msg packet.Message) {
+	if c.fed != nil {
+		c.fed.Send(seg, msg)
+		return
+	}
+	for _, t := range c.trunks {
+		if t.seg == seg {
+			t.link.Deliver(msg)
+			return
 		}
-	case *packet.Handoff:
-		// A HandoffAck needs no action: the importer's import record,
-		// under the same trace id, already shows the handoff completed.
-		switch m.Kind {
-		case packet.HandoffClaim:
-			c.onClaim(peer, m)
-		case packet.HandoffExport:
-			c.importClient(peer, m)
-		}
-	case *packet.DownlinkData:
-		if cs := c.clients[m.Client]; cs != nil && cs.owned {
-			c.fanOut(cs, m.Inner)
-		}
-	case *packet.ServerData:
-		c.Downlink(m.Inner)
 	}
 }
 
-// onClaim decides whether to hand a client to the claiming neighbour:
-// the remote score must beat the serving AP's by the switch margin, and
-// the usual hysteresis / one-switch-at-a-time rules apply.
-func (c *Controller) onClaim(peer int, m *packet.Handoff) {
+// OnTrunk handles traffic arriving on the trunk from segment seg:
+// federation envelopes go to the node's router, a direct trunk's
+// handoff control and backlog to OnFederated.
+func (c *Controller) OnTrunk(seg int, msg packet.Message) {
+	if m, ok := msg.(*packet.Routed); ok && c.fed != nil {
+		c.fed.OnRouted(m)
+		return
+	}
+	c.OnFederated(seg, msg)
+}
+
+// onClaim is the owner's side of a cross-segment handoff: decide whether
+// to hand a client to the claiming segment src. The remote score must
+// beat the serving AP's by the switch margin, and the usual hysteresis /
+// one-switch-at-a-time rules apply.
+func (c *Controller) onClaim(src int, m *packet.Handoff) {
 	cs := c.clients[m.Client]
-	if cs == nil || !cs.owned || cs.sw != nil {
+	if cs == nil || !cs.owned || cs.sw != nil || (c.fed != nil && src == c.fed.Self()) {
 		return
 	}
 	now := c.loop.Now()
@@ -741,7 +738,7 @@ func (c *Controller) onClaim(peer int, m *packet.Handoff) {
 		}
 	}
 	c.switchID++
-	sw := &switchState{id: c.switchID, from: cs.serving, to: -1, remote: peer, remoteSeg: -1, issued: now}
+	sw := &switchState{id: c.switchID, from: cs.serving, to: -1, remote: src, issued: now}
 	prev := c.loop.SetTrace(c.traceID(sw.id))
 	defer c.loop.SetTrace(prev)
 	cs.sw = sw
@@ -759,7 +756,7 @@ func (c *Controller) onClaim(peer int, m *packet.Handoff) {
 	if cs.serving < 0 {
 		// Nothing to stop locally: export immediately, resuming at the
 		// next index this controller would have stamped.
-		c.exportTo(cs, sw, cs.nextIndex)
+		c.export(cs, sw, cs.nextIndex)
 		return
 	}
 	c.sendStop(cs, sw)
@@ -769,51 +766,42 @@ func (c *Controller) onClaim(peer int, m *packet.Handoff) {
 // froze, and completes the export.
 func (c *Controller) onHandoffStart(m *packet.Start) {
 	cs := c.clients[m.Client]
-	if cs == nil || cs.sw == nil || cs.sw.id != m.SwitchID {
+	if cs == nil || cs.sw == nil || cs.sw.id != m.SwitchID || cs.sw.remote < 0 {
 		return
 	}
-	switch {
-	case cs.sw.remoteSeg >= 0:
-		c.loop.Cancel(cs.sw.timer)
-		c.exportFed(cs, cs.sw, m.Index)
-	case cs.sw.remote >= 0:
-		c.loop.Cancel(cs.sw.timer)
-		c.exportTo(cs, cs.sw, m.Index)
-	}
+	c.loop.Cancel(cs.sw.timer)
+	c.export(cs, cs.sw, m.Index)
 }
 
-// exportTo ships association + queue state to the claiming neighbour.
-// The Export leads; held downlink follows unstamped; the stopped AP's
-// backlog (data-class behind its control-class Start) trails and is
-// forwarded by onReturnedBacklog once ownership has flipped.
-func (c *Controller) exportTo(cs *clientState, sw *switchState, k uint16) {
-	peer := sw.remote
-	c.peers[peer].Deliver(&packet.Handoff{
+// export ships association + queue state to the claiming segment. The
+// Export leads; held downlink follows once it resolves; the stopped
+// AP's backlog (data-class behind its control-class Start) trails and
+// is forwarded by onReturnedBacklog once ownership has flipped. A
+// direct-trunk export is fire-and-forget and resolves at once. Under
+// federation the node's reliable-transfer RPC resolves it, and
+// ownership is retained until the importer acks — a trunk outage
+// mid-handoff must not leave the client owned by nobody.
+func (c *Controller) export(cs *clientState, sw *switchState, k uint16) {
+	m := &packet.Handoff{
 		Kind:     packet.HandoffExport,
 		Client:   cs.addr,
 		IP:       cs.ip,
 		Index:    k,
 		NextIdx:  cs.nextIndex,
 		SwitchID: sw.id,
-	})
-	for _, p := range sw.held {
-		c.peers[peer].Deliver(&packet.ServerData{Inner: p})
 	}
-	cs.sw = nil
-	cs.owned = false
-	cs.exportedTo = peer
-	cs.serving = -1
-	c.HandoffsExported++
-	c.met.handoffExports.Inc()
-	c.spans.Drop(sw.id)
-	c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.traceID(sw.id), SwitchID: sw.id,
-		Node: -1, Op: trace.OpExport, Client: cs.addr, A: int32(len(sw.held)), B: int32(peer)})
+	if c.fed != nil {
+		c.fed.SendReliable(sw.remote, m, func(ok bool) { c.exportOutcome(cs, sw, ok) })
+		return
+	}
+	c.send(sw.remote, m)
+	c.exportOutcome(cs, sw, true)
 }
 
 // onReturnedBacklog forwards the stopped AP's drained cyclic backlog to
-// the client's new segment. Under federation, backlog arriving while
-// the export still awaits its ack is held (the destination is not yet
-// committed); backlog after ownership flipped chases the export chain.
+// the client's new segment. Backlog arriving while the export resolves
+// is held (the destination is not yet committed); backlog after
+// ownership flipped chases the export chain.
 func (c *Controller) onReturnedBacklog(m *packet.DownlinkData) {
 	cs := c.clients[m.Client]
 	if cs == nil {
@@ -822,33 +810,33 @@ func (c *Controller) onReturnedBacklog(m *packet.DownlinkData) {
 	// m is the backhaul's decode scratch; both the held queue and the
 	// trunk retain messages past this call, so hand them a copy.
 	if cs.owned {
-		if sw := cs.sw; sw != nil && sw.remoteSeg >= 0 && len(sw.heldData) < heldCap {
+		if sw := cs.sw; sw != nil && sw.remote >= 0 && len(sw.heldData) < heldCap {
 			d := *m
 			sw.heldData = append(sw.heldData, &d)
 		}
 		return
 	}
-	d := *m
-	switch {
-	case c.fed != nil && cs.exportedSeg >= 0:
-		c.fed.Send(cs.exportedSeg, &d)
-	case cs.exportedTo >= 0:
-		c.peers[cs.exportedTo].Deliver(&d)
+	if cs.exportedSeg >= 0 {
+		d := *m
+		c.send(cs.exportedSeg, &d)
 	}
 }
 
-// importClient adopts a client exported by a neighbour: install its
+// importClient adopts a client exported by segment src: install its
 // addressing, resume the stamping cursor, replicate sta_info to this
 // segment's APs (and the wired server, which re-routes the downlink),
 // ack, and immediately evaluate AP selection so an edge AP adopts the
-// client at index k.
-func (c *Controller) importClient(peer int, m *packet.Handoff) {
+// client at index k. Duplicate exports (a retransmission racing our
+// ack) are re-acked idempotently.
+func (c *Controller) importClient(src int, m *packet.Handoff) {
 	cs := c.stateFor(m.Client)
+	ack := &packet.Handoff{Kind: packet.HandoffAck, Client: m.Client, SwitchID: m.SwitchID}
 	if cs.owned {
+		c.send(src, ack)
 		return
 	}
 	cs.owned = true
-	cs.exportedTo = -1
+	cs.exportedSeg = -1
 	cs.ip = m.IP
 	c.ipToMAC[m.IP] = m.Client
 	cs.nextIndex = m.NextIdx
@@ -869,7 +857,11 @@ func (c *Controller) importClient(peer int, m *packet.Handoff) {
 		IP:     m.IP,
 		State:  packet.StateAssociated,
 	})
-	c.peers[peer].Deliver(&packet.Handoff{Kind: packet.HandoffAck, Client: m.Client, SwitchID: m.SwitchID})
+	c.send(src, ack)
+	if c.fed != nil {
+		c.fed.Announce(m.Client)
+		c.fed.ClaimResolved(m.Client)
+	}
 	c.maybeSwitch(cs)
 }
 

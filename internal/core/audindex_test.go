@@ -25,10 +25,13 @@ func indexRideSignature(t *testing.T, seed int64, mode DomainMode, noIndex bool)
 	cfg.Segments = []deploy.SegmentSpec{{NumAPs: 4}, {NumAPs: 4}, {NumAPs: 4}}
 	cfg.Domains = mode
 	cfg.Telemetry = true
-	if noIndex {
-		cfg.Audibility = AudibilityScan
-	}
 	n := MustNewNetwork(cfg)
+	if noIndex {
+		// The brute-force all-nodes scan is the index's oracle.
+		for _, sd := range n.segs {
+			sd.medium.SetAudibilityIndex(nil)
+		}
+	}
 
 	var sinks []*transport.UDPSink
 	for i, traj := range []mobility.Trajectory{

@@ -164,12 +164,6 @@ type Config struct {
 	// domain mode — each domain records into its own ring — and it never
 	// perturbs the event schedule.
 	FlightRecorder int
-	// HandoffBandLoMs/HandoffBandHiMs bound the expected stop→ack
-	// latency of a completed handoff. With HandoffBandHiMs > 0, a
-	// completed handoff outside [lo, hi] ms notes a latency anomaly on
-	// the domain's flight recorder.
-	HandoffBandLoMs float64
-	HandoffBandHiMs float64
 	// UnownedSpike, when positive, notes an unowned-spike anomaly when a
 	// controller tracks more than this many clients it does not own,
 	// checked at Run/slice boundaries.
@@ -181,34 +175,12 @@ type Config struct {
 	// domain records into its own shard.
 	Telemetry bool
 
-	// Audibility selects how the medium finds the receivers of a
-	// transmission, in the same positive-option style as ChannelBackend:
-	// "" or "index" (AudibilityIndex) is the spatial audibility index —
-	// the default; "scan" (AudibilityScan) forces the brute-force
-	// all-nodes delivery scan. The two are bit-identical; the knob
-	// exists for parity tests and A/B benchmarks.
-	Audibility string
-
 	// Cross-link budgets used only for carrier sense and interference.
 	// Clients sit inside vehicles (extra penetration loss); APs hear
 	// each other along the wall.
 	ClientClientLossDB float64
 	APAPSenseSNRdB     float64
 	APAPSenseRangeM    float64
-}
-
-// Audibility values (Config.Audibility).
-const (
-	// AudibilityIndex is the spatial audibility index (the default).
-	AudibilityIndex = "index"
-	// AudibilityScan is the brute-force all-nodes delivery scan.
-	AudibilityScan = "scan"
-)
-
-// audibilityIndexEnabled resolves the Audibility option: the index is
-// on unless the scan is explicitly selected.
-func (c *Config) audibilityIndexEnabled() bool {
-	return c.Audibility != AudibilityScan
 }
 
 // apBoresightDeg aims every AP antenna straight at the road (the road
@@ -273,12 +245,6 @@ func (c *Config) Validate() error {
 	if c.RF.FreqHz <= 0 || c.RF.NoiseDBm >= 0 {
 		return fmt.Errorf("core: RF params look unset (FreqHz %g, NoiseDBm %g); start from rf.DefaultParams",
 			c.RF.FreqHz, c.RF.NoiseDBm)
-	}
-	switch c.Audibility {
-	case "", AudibilityIndex, AudibilityScan:
-	default:
-		return fmt.Errorf("core: unknown audibility mode %q (want %q or %q)",
-			c.Audibility, AudibilityIndex, AudibilityScan)
 	}
 	if !channel.Known(c.ChannelBackend) {
 		return fmt.Errorf("core: unknown channel backend %q (have %v)",

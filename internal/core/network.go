@@ -123,11 +123,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The handoff latency band rides on the controller's config so the
-	// deploy layer needs no extra plumbing; controllers only evaluate it
-	// when a flight recorder is attached.
-	cfg.Controller.HandoffBandLoMs = cfg.HandoffBandLoMs
-	cfg.Controller.HandoffBandHiMs = cfg.HandoffBandHiMs
 	if cfg.Domains != SingleLoop && len(cfg.segmentGeoms()) > 1 {
 		return newDomainNetwork(cfg, model)
 	}
@@ -147,9 +142,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		n.initTelemetrySingle(loop, len(cfg.segmentGeoms()))
 	}
 	n.Medium = mac.NewMedium(loop, &netChannel{n: n, loop: loop}, rng.Fork("medium"))
-	if cfg.audibilityIndexEnabled() {
-		n.Medium.SetAudibilityIndex(newAudIndex(n, loop))
-	}
+	n.Medium.SetAudibilityIndex(newAudIndex(n, loop))
 	fedTopo := cfg.federationTopology()
 
 	d, err := deploy.Builder{

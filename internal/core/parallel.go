@@ -184,9 +184,7 @@ func newDomainNetwork(cfg Config, model channel.Model) (*Network, error) {
 		}
 		sd.medium = mac.NewMedium(d.Loop, &netChannel{n: n, loop: d.Loop},
 			rng.Fork(fmt.Sprintf("medium%d", i)))
-		if cfg.audibilityIndexEnabled() {
-			sd.medium.SetAudibilityIndex(newAudIndex(n, d.Loop))
-		}
+		sd.medium.SetAudibilityIndex(newAudIndex(n, d.Loop))
 		n.segs = append(n.segs, sd)
 	}
 	server := coord.NewDomain("server")

@@ -408,7 +408,7 @@ func (t *Trunk) UpAt(at sim.Time) bool {
 	return true
 }
 
-// Deliver implements the planes' Peer interfaces.
+// Deliver implements federation.Link and baseline.Peer.
 func (t *Trunk) Deliver(m packet.Message) {
 	wire := m.WireLen() + trunkEncapOverhead
 	t.metMsgs.Inc()

@@ -127,17 +127,10 @@ func (p *WGTTPlane) ConnectNext(next Plane, fwd, rev *Trunk) {
 	if !ok {
 		panic("deploy: adjacent segments must run the same scheme")
 	}
-	atP := p.Ctrl.ConnectPeer(fwd)
-	atQ := q.Ctrl.ConnectPeer(rev)
-	fwd.deliver = func(m packet.Message) { q.Ctrl.OnTrunk(atQ, m) }
-	rev.deliver = func(m packet.Message) { p.Ctrl.OnTrunk(atP, m) }
-	// Federation nodes route over the same trunks, keyed by segment.
-	if f := p.Ctrl.Federation(); f != nil {
-		f.AddLink(q.seg.Index, fwd)
-	}
-	if f := q.Ctrl.Federation(); f != nil {
-		f.AddLink(p.seg.Index, rev)
-	}
+	p.Ctrl.ConnectTrunk(q.seg.Index, fwd)
+	q.Ctrl.ConnectTrunk(p.seg.Index, rev)
+	fwd.deliver = func(m packet.Message) { q.Ctrl.OnTrunk(p.seg.Index, m) }
+	rev.deliver = func(m packet.Message) { p.Ctrl.OnTrunk(q.seg.Index, m) }
 }
 
 // ConnectExtra implements ExtraLinker: a bypass/ring trunk between

@@ -39,32 +39,20 @@ type Config struct {
 	Ring bool
 	// ExtraTrunks adds further bypass trunks between segment pairs.
 	ExtraTrunks [][2]int
-	// ClaimTimeout is the re-locate RPC's initial retry interval; it
-	// backs off exponentially (0 = default 20 ms).
-	ClaimTimeout sim.Duration
-	// ExportTimeout is the reliable-export retransmit interval; it
-	// backs off exponentially (0 = default 10 ms).
-	ExportTimeout sim.Duration
 	// MaxRetries bounds both RPCs' attempts (0 = default 8).
 	MaxRetries int
 }
 
-// Default RPC parameters.
+// RPC parameters. Both retry intervals back off exponentially.
 const (
-	defaultClaimTimeout  = 20 * sim.Millisecond
-	defaultExportTimeout = 10 * sim.Millisecond
-	defaultMaxRetries    = 8
-	maxBackoffShift      = 4 // cap backoff at 16x the base interval
+	claimRetry        = 20 * sim.Millisecond // re-locate RPC's initial retry interval
+	exportRetry       = 10 * sim.Millisecond // reliable export's initial retransmit interval
+	defaultMaxRetries = 8
+	maxBackoffShift   = 4 // cap backoff at 16x the base interval
 )
 
 // withDefaults fills zero RPC knobs.
 func (c Config) withDefaults() Config {
-	if c.ClaimTimeout == 0 {
-		c.ClaimTimeout = defaultClaimTimeout
-	}
-	if c.ExportTimeout == 0 {
-		c.ExportTimeout = defaultExportTimeout
-	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = defaultMaxRetries
 	}
@@ -283,7 +271,7 @@ func (n *Node) sendClaim(pc *pendingClaim) {
 	if shift > maxBackoffShift {
 		shift = maxBackoffShift
 	}
-	d := n.cfg.ClaimTimeout << shift
+	d := claimRetry << shift
 	pc.timer = n.loop.After(d, func() { n.claimTimeout(pc) })
 }
 
@@ -336,7 +324,7 @@ func (n *Node) sendExport(pe *pendingExport) {
 	if shift > maxBackoffShift {
 		shift = maxBackoffShift
 	}
-	d := n.cfg.ExportTimeout << shift
+	d := exportRetry << shift
 	pe.timer = n.loop.After(d, func() { n.exportTimeout(pe) })
 }
 

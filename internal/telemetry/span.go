@@ -19,8 +19,6 @@ type SpanRecord struct {
 	StartAt  sim.Time // old AP sent the Start (ioctl done)
 	AckedAt  sim.Time // controller saw the SwitchAck
 	HasStart bool     // StartAt observed (false if the Start raced a retransmit path)
-	Flushed  int      // stale packets flushed from the new AP's queue head
-	FwdBytes int64    // backlog bytes forwarded over the backhaul (remote handoff)
 }
 
 // TotalMs returns the stop→ack latency in milliseconds.
@@ -98,28 +96,6 @@ func (sp *Spans) MarkStart(id uint32, now sim.Time) {
 	if a, ok := sp.active[id]; ok && !a.rec.HasStart {
 		a.rec.StartAt = now
 		a.rec.HasStart = true
-	}
-}
-
-// AddFlushed accumulates stale packets flushed when the new AP moved
-// its queue head.
-func (sp *Spans) AddFlushed(id uint32, n int) {
-	if sp == nil {
-		return
-	}
-	if a, ok := sp.active[id]; ok {
-		a.rec.Flushed += n
-	}
-}
-
-// AddForwarded accumulates backlog bytes forwarded to the controller
-// during a remote (cross-segment) handoff.
-func (sp *Spans) AddForwarded(id uint32, bytes int64) {
-	if sp == nil {
-		return
-	}
-	if a, ok := sp.active[id]; ok {
-		a.rec.FwdBytes += bytes
 	}
 }
 

@@ -31,8 +31,6 @@ func TestDisabledScopeIsInert(t *testing.T) {
 	h.Observe(4)
 	sp.Begin(1, 0, 0, 1)
 	sp.MarkStart(1, 0)
-	sp.AddFlushed(1, 2)
-	sp.AddForwarded(1, 100)
 	sp.End(1, 0)
 	sp.Drop(2)
 	sc.Sample(0)
@@ -114,7 +112,6 @@ func TestSpansLifecycle(t *testing.T) {
 	sp.Begin(7, ms(100), 2, 3)
 	sp.MarkStart(7, ms(117))
 	sp.MarkStart(7, ms(130)) // retransmit race: first mark wins
-	sp.AddFlushed(7, 4)
 	sp.End(7, ms(121))
 
 	sp.Begin(8, ms(200), 3, 4)
@@ -126,7 +123,7 @@ func TestSpansLifecycle(t *testing.T) {
 		t.Fatalf("completed = %d, want 1", len(done))
 	}
 	rec := done[0]
-	if rec.ID != 7 || rec.From != 2 || rec.To != 3 || rec.Flushed != 4 {
+	if rec.ID != 7 || rec.From != 2 || rec.To != 3 {
 		t.Fatalf("bad record: %+v", rec)
 	}
 	if got := rec.TotalMs(); math.Abs(got-21) > 1e-9 {

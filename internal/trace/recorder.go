@@ -44,7 +44,7 @@ const (
 	OpRetx       // controller retransmitted the Stop (A=retry count)
 	OpAbandon    // controller gave up after retry exhaustion (A=retries; B=target segment of a failed federated export)
 	OpClaim      // controller claimed an unowned client overheard above threshold
-	OpExport     // controller exported the client mid-handoff (A=held pkts, B=peer/segment)
+	OpExport     // controller exported the client mid-handoff (A=held pkts, B=destination segment)
 	OpImport     // controller imported the client (A=resume index k)
 	OpRelease    // controller released ownership to the directory's winner (A=stood-down AP or -1, B=new owner segment)
 )

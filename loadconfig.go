@@ -7,16 +7,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-
-	"wgtt/internal/core"
-)
-
-// Audibility values for Config.Audibility / the -audibility flag.
-const (
-	// AudibilityIndex is the spatial audibility index (the default).
-	AudibilityIndex = core.AudibilityIndex
-	// AudibilityScan is the brute-force all-nodes delivery scan.
-	AudibilityScan = core.AudibilityScan
 )
 
 // DeployOptions is the deployment-shaping option surface shared by every
@@ -33,7 +23,6 @@ type DeployOptions struct {
 	Seed                 int64  `json:"seed"`
 	Segments             string `json:"segments"`
 	Channel              string `json:"channel"`
-	Audibility           string `json:"audibility"`
 	ParallelSegments     bool   `json:"parallel-segments"`
 	BoundaryInterference bool   `json:"boundary-interference"`
 	Federation           bool   `json:"federation"`
@@ -59,8 +48,6 @@ func RegisterFlags(fs *flag.FlagSet, o *DeployOptions) {
 		"multi-segment roadway, e.g. 8x7.5,4x15 (NUMxSPACING per segment)")
 	fs.StringVar(&o.Channel, "channel", o.Channel,
 		"channel-model backend: wifi5g (default) | mmwave60g")
-	fs.StringVar(&o.Audibility, "audibility", o.Audibility,
-		"medium receiver lookup: index (default) | scan")
 	fs.BoolVar(&o.ParallelSegments, "parallel-segments", o.ParallelSegments,
 		"run each road segment as its own parallel event-loop domain (multi-segment WGTT, udp/tcp/conference workloads)")
 	fs.BoolVar(&o.BoundaryInterference, "boundary-interference", o.BoundaryInterference,
@@ -82,7 +69,7 @@ func RegisterFlags(fs *flag.FlagSet, o *DeployOptions) {
 // sharedFlagNames must list every flag RegisterFlags registers; the
 // config-file overlay keys off it.
 var sharedFlagNames = []string{
-	"scheme", "seed", "segments", "channel", "audibility",
+	"scheme", "seed", "segments", "channel",
 	"parallel-segments", "boundary-interference",
 	"federation", "ring-trunk", "trunk-faults",
 	"flight-recorder", "handoff-band", "unowned-spike",
@@ -100,8 +87,6 @@ func overlayField(name string, dst, src *DeployOptions) {
 		dst.Segments = src.Segments
 	case "channel":
 		dst.Channel = src.Channel
-	case "audibility":
-		dst.Audibility = src.Audibility
 	case "parallel-segments":
 		dst.ParallelSegments = src.ParallelSegments
 	case "boundary-interference":
@@ -178,10 +163,9 @@ func (o DeployOptions) Config() (Config, error) {
 		if err != nil {
 			return Config{}, err
 		}
-		cfg.HandoffBandLoMs, cfg.HandoffBandHiMs = lo, hi
+		cfg.Controller.HandoffBandLoMs, cfg.Controller.HandoffBandHiMs = lo, hi
 	}
 	cfg.ChannelBackend = o.Channel
-	cfg.Audibility = o.Audibility
 	cfg.BoundaryInterference = o.BoundaryInterference
 	if o.Segments != "" {
 		specs, err := ParseSegments(o.Segments)
@@ -209,21 +193,18 @@ func (o DeployOptions) Config() (Config, error) {
 }
 
 // OverlayDatapath copies the datapath knobs the shared flag surface set
-// in flags (audibility, channel backend, flight recorder, anomaly
-// triggers) onto c, a config compiled from a scenario. Unset knobs
-// leave the scenario's compiled values alone.
+// in flags (channel backend, flight recorder, anomaly triggers) onto c,
+// a config compiled from a scenario. Unset knobs leave the scenario's
+// compiled values alone.
 func OverlayDatapath(c *Config, flags Config) {
-	if flags.Audibility != "" {
-		c.Audibility = flags.Audibility
-	}
 	if flags.ChannelBackend != "" {
 		c.ChannelBackend = flags.ChannelBackend
 	}
 	if flags.FlightRecorder != 0 {
 		c.FlightRecorder = flags.FlightRecorder
 	}
-	if flags.HandoffBandHiMs != 0 {
-		c.HandoffBandLoMs, c.HandoffBandHiMs = flags.HandoffBandLoMs, flags.HandoffBandHiMs
+	if b := flags.Controller; b.HandoffBandHiMs != 0 {
+		c.Controller.HandoffBandLoMs, c.Controller.HandoffBandHiMs = b.HandoffBandLoMs, b.HandoffBandHiMs
 	}
 	if flags.UnownedSpike != 0 {
 		c.UnownedSpike = flags.UnownedSpike

@@ -12,7 +12,7 @@ import (
 // DefaultDeployOptions, and untouched options keep their defaults.
 func TestLoadConfigPrecedence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "opts.json")
-	file := `{"seed": 7, "segments": "4x7.5,4x7.5", "audibility": "scan"}`
+	file := `{"seed": 7, "segments": "4x7.5,4x7.5", "channel": "mmwave60g"}`
 	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +27,8 @@ func TestLoadConfigPrecedence(t *testing.T) {
 	if len(cfg.Segments) != 2 || opts.Segments != "4x7.5,4x7.5" {
 		t.Errorf("file segments not applied: %+v", cfg.Segments)
 	}
-	if cfg.Audibility != AudibilityScan {
-		t.Errorf("file audibility not applied: %q", cfg.Audibility)
+	if cfg.ChannelBackend != "mmwave60g" {
+		t.Errorf("file channel not applied: %q", cfg.ChannelBackend)
 	}
 	if cfg.Scheme != SchemeWGTT {
 		t.Errorf("untouched option lost its default: scheme %v", cfg.Scheme)
@@ -40,12 +40,12 @@ func TestLoadConfigPrecedence(t *testing.T) {
 
 func TestLoadConfigNoFile(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	cfg, _, err := LoadConfig(fs, []string{"-audibility", "scan", "-seed", "3"})
+	cfg, _, err := LoadConfig(fs, []string{"-channel", "mmwave60g", "-seed", "3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Seed != 3 || cfg.Audibility != AudibilityScan {
-		t.Errorf("flags not applied: seed %d audibility %q", cfg.Seed, cfg.Audibility)
+	if cfg.Seed != 3 || cfg.ChannelBackend != "mmwave60g" {
+		t.Errorf("flags not applied: seed %d channel %q", cfg.Seed, cfg.ChannelBackend)
 	}
 }
 

@@ -9,9 +9,11 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 
 # Repo-hygiene gate: no committed file may exceed 1 MB. (A stray
 # compiled wgtt.test once weighed in at 5.7 MB; .gitignore now blocks
-# *.test, this catches everything else before it lands.)
-git ls-files | while IFS= read -r f; do
-    size=$(wc -c < "$f")
+# *.test, this catches everything else before it lands.) Sizes are read
+# from the index's blobs, so the gate checks what is staged, whatever
+# the working tree holds.
+git ls-files -s | while read -r mode blob stage f; do
+    size=$(git cat-file -s "$blob")
     if [ "$size" -gt 1048576 ]; then
         echo "repo-hygiene gate: $f is $size bytes (> 1 MB); do not commit build artifacts"
         exit 1
