@@ -16,6 +16,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -40,15 +41,19 @@ type hello struct {
 	NextRecv int64
 }
 
-func encodeHello(h hello) []byte {
-	b := make([]byte, 0, 4+4+2+2+32+8)
+// helloFrame encodes h as a complete hello frame.
+func helloFrame(h hello) []byte {
+	b := newFrame(1 + 4 + 2 + 2 + 32 + 8)
 	b = append(b, frameHello)
 	b = append(b, magic...)
 	b = binary.BigEndian.AppendUint16(b, version)
 	b = binary.BigEndian.AppendUint16(b, uint16(h.Proc))
 	b = append(b, h.Digest[:]...)
-	return binary.BigEndian.AppendUint64(b, uint64(h.NextRecv))
+	return sealFrame(binary.BigEndian.AppendUint64(b, uint64(h.NextRecv)))
 }
+
+// encodeHello returns h's hello-frame payload.
+func encodeHello(h hello) []byte { return helloFrame(h)[4:] }
 
 func decodeHello(b []byte) (hello, error) {
 	var h hello
@@ -69,7 +74,11 @@ func decodeHello(b []byte) (hello, error) {
 }
 
 // encodeRound serializes one RoundMsg as a round-frame payload.
-func encodeRound(m sim.RoundMsg) []byte {
+func encodeRound(m sim.RoundMsg) []byte { return roundFrame(m)[4:] }
+
+// roundFrame serializes one RoundMsg as a complete round frame, the
+// form the transport retains and writes to every peer.
+func roundFrame(m sim.RoundMsg) []byte {
 	size := 1 + 8 + 1 + 8 + binary.MaxVarintLen64
 	for _, b := range m.Boxes {
 		size += 2*binary.MaxVarintLen64 + len(b.Envelopes)*(8+2+2*binary.MaxVarintLen64)
@@ -77,7 +86,7 @@ func encodeRound(m sim.RoundMsg) []byte {
 			size += len(e.Data)
 		}
 	}
-	b := make([]byte, 0, size)
+	b := newFrame(size)
 	b = append(b, frameRound)
 	b = binary.BigEndian.AppendUint64(b, uint64(m.Seq))
 	var flags byte
@@ -101,7 +110,7 @@ func encodeRound(m sim.RoundMsg) []byte {
 			b = append(b, e.Data...)
 		}
 	}
-	return b
+	return sealFrame(b)
 }
 
 // byteReader walks a payload with bounds checks; any overrun latches
@@ -214,30 +223,76 @@ func decodeRound(b []byte) (sim.RoundMsg, error) {
 	return m, nil
 }
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+// Frames are built in place: an encoder appends its payload to the
+// four length-prefix bytes newFrame reserves, and sealFrame fills the
+// prefix in. A sealed frame is never written to again, so the
+// transport retains one round frame and writes it, as is, to every
+// peer at once.
+func newFrame(size int) []byte { return make([]byte, 4, 4+size) }
+
+func sealFrame(b []byte) []byte {
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+	return b
+}
+
+// writeFrame writes one sealed frame, prefix and payload, in one Write.
+func writeFrame(w io.Writer, frame []byte) error {
+	_, err := w.Write(frame)
 	return err
 }
 
-// readFrame reads one length-prefixed frame.
+// readFrame reads one length-prefixed frame with exact reads, so
+// nothing past the frame is consumed from r.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrameSize {
-		return nil, fmt.Errorf("wire: frame length %d out of range", n)
+	n, err := frameLen(hdr[:])
+	if err != nil {
+		return nil, err
 	}
 	b := make([]byte, n)
 	if _, err := io.ReadFull(r, b); err != nil {
 		return nil, err
 	}
 	return b, nil
+}
+
+// readBuffered reads one length-prefixed frame from br. A frame that
+// fits br's buffer is not copied: its payload aliases the buffer and
+// stays valid until the next read from br. (Discarding bytes already
+// buffered is guaranteed not to read, so it leaves the buffer intact.)
+func readBuffered(br *bufio.Reader) ([]byte, error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		return nil, err
+	}
+	n, err := frameLen(hdr)
+	if err != nil {
+		return nil, err
+	}
+	if 4+n <= br.Size() {
+		b, err := br.Peek(4 + n)
+		if err != nil {
+			return nil, err
+		}
+		br.Discard(4 + n)
+		return b[4:], nil
+	}
+	br.Discard(4)
+	b := make([]byte, n)
+	if _, err := io.ReadFull(br, b); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// frameLen validates a length prefix.
+func frameLen(hdr []byte) (int, error) {
+	n := binary.BigEndian.Uint32(hdr)
+	if n == 0 || n > maxFrameSize {
+		return 0, fmt.Errorf("wire: frame length %d out of range", n)
+	}
+	return int(n), nil
 }

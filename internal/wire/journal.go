@@ -35,16 +35,20 @@ type Record struct {
 	Peers []sim.RoundMsg
 }
 
-func encodeRecord(r Record) []byte {
-	b := binary.BigEndian.AppendUint64(nil, uint64(r.Seq))
+// recordFrame encodes r as a complete journal record frame.
+func recordFrame(r Record) []byte {
+	b := binary.BigEndian.AppendUint64(newFrame(8+binary.MaxVarintLen64), uint64(r.Seq))
 	b = binary.AppendUvarint(b, uint64(len(r.Peers)))
 	for _, m := range r.Peers {
 		enc := encodeRound(m)
 		b = binary.AppendUvarint(b, uint64(len(enc)))
 		b = append(b, enc...)
 	}
-	return b
+	return sealFrame(b)
 }
+
+// encodeRecord returns r's record-frame payload.
+func encodeRecord(r Record) []byte { return recordFrame(r)[4:] }
 
 func decodeRecord(b []byte) (Record, error) {
 	var rec Record
@@ -96,10 +100,10 @@ func CreateJournal(path string, digest [32]byte) (*Journal, error) {
 		return nil, err
 	}
 	j := &Journal{f: f, w: bufio.NewWriter(f)}
-	hdr := append([]byte(journalMagic), make([]byte, 2+32)...)
-	binary.BigEndian.PutUint16(hdr[8:], version)
-	copy(hdr[10:], digest[:])
-	if err := writeFrame(j.w, hdr); err != nil {
+	hdr := append(newFrame(8+2+32), journalMagic...)
+	hdr = binary.BigEndian.AppendUint16(hdr, version)
+	hdr = append(hdr, digest[:]...)
+	if err := writeFrame(j.w, sealFrame(hdr)); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -128,7 +132,7 @@ func OpenJournalAppend(path string, offset int64) (*Journal, error) {
 
 // Append records one exchange. Buffered; call Sync at checkpoints.
 func (j *Journal) Append(rec Record) error {
-	if err := writeFrame(j.w, encodeRecord(rec)); err != nil {
+	if err := writeFrame(j.w, recordFrame(rec)); err != nil {
 		return err
 	}
 	j.appended.Add(1)

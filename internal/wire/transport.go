@@ -1,11 +1,11 @@
 package wire
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -67,23 +67,46 @@ type Transport struct {
 // protocol error, which carries its own message).
 var errClosed = errors.New("wire: transport closed")
 
+// Exchange's I/O sizes. Lockstep leaves at most two of one process's
+// round frames unread on a connection: the peer may still be reading
+// round S-1 when round S is written. Two frames up to maxInlineWrite
+// fit the socket buffers (a Linux unix socket holds about 200 KiB,
+// loopback TCP more), so Exchange writes such a frame itself and never
+// waits on the peer. A larger frame could fill them, and two processes
+// each writing one to the other with nobody reading would wait
+// forever, so broadcast writes those from goroutines while Exchange
+// reads.
+const (
+	readBufSize    = 4 << 10 // per connection
+	maxInlineWrite = 4 << 10
+)
+
 type peer struct {
 	t      *Transport
 	idx    int
 	dialer bool // we dial this peer (idx < cfg.Self)
 
-	// mu guards conn, sent, and nextRecv; never held across network
-	// I/O. wmu serializes writers (Exchange vs. reconnect resend) and
-	// is never held while taking mu... rather, wmu is taken first.
+	// mu guards conn, br, sent, nextRecv and everUp; it is never held
+	// across network I/O. wmu serializes writers (Exchange vs.
+	// reconnect resend) and is taken before mu, never while holding it.
 	mu       sync.Mutex
 	conn     net.Conn
-	sent     map[int64][]byte // retained round frames, by sequence
-	nextRecv int64            // next inbound sequence we will accept
-	everUp   bool             // a connection has been installed before (reconnect counting)
+	br       *bufio.Reader // conn's read buffer; only Exchange reads it
+	sent     []sentFrame   // retained round frames, in sequence order
+	nextRecv int64         // next inbound sequence we will accept
+	everUp   bool          // a connection has been installed before (reconnect counting)
 
 	wmu sync.Mutex
 
-	inbox chan sim.RoundMsg
+	// up wakes an Exchange waiting out a reconnect once install has
+	// published the new connection.
+	up chan struct{}
+}
+
+// sentFrame is a round frame retained until the peer acknowledges it.
+type sentFrame struct {
+	seq   int64
+	frame []byte
 }
 
 // New opens the listener, begins dialing lower-index peers, and
@@ -128,9 +151,8 @@ func New(cfg Config) (*Transport, error) {
 			t:        t,
 			idx:      i,
 			dialer:   i < cfg.Self,
-			sent:     make(map[int64][]byte),
 			nextRecv: cfg.StartSeq,
-			inbox:    make(chan sim.RoundMsg, 4),
+			up:       make(chan struct{}, 1),
 		}
 		t.peers[i] = p
 		if p.dialer {
@@ -179,42 +201,148 @@ func (t *Transport) shutdown(err error) {
 	})
 }
 
+// fail shuts the transport down with err and returns the terminal
+// error, which is err unless another shutdown got there first.
+func (t *Transport) fail(err error) error {
+	t.shutdown(err)
+	return t.err
+}
+
 // Exchange implements sim.PeerBus: broadcast our round message to
-// every peer, then collect one matching-sequence message from each,
-// returned in process-index order.
+// every peer, then read one matching-sequence message from each on
+// the calling goroutine, returned in process-index order.
 func (t *Transport) Exchange(m sim.RoundMsg) ([]sim.RoundMsg, error) {
-	frame := encodeRound(m)
-	for _, p := range t.peers {
-		if p != nil {
-			p.send(m.Seq, frame)
-		}
+	if join := t.broadcast(m.Seq, roundFrame(m)); join != nil {
+		defer join()
 	}
 	t0 := time.Now()
 	defer func() { t.stats.observeExchange(time.Since(t0).Nanoseconds()) }()
-	timer := time.NewTimer(t.timeout)
-	defer timer.Stop()
+	deadline := t0.Add(t.timeout)
 	out := make([]sim.RoundMsg, 0, len(t.peers)-1)
 	for _, p := range t.peers {
 		if p == nil {
 			continue
 		}
-		select {
-		case r := <-p.inbox:
-			if r.Seq != m.Seq {
-				err := fmt.Errorf("wire: peer %d sent round %d during exchange %d", p.idx, r.Seq, m.Seq)
-				t.shutdown(err)
-				return nil, err
-			}
-			out = append(out, r)
-		case <-t.closed:
-			return nil, t.err
-		case <-timer.C:
-			err := fmt.Errorf("wire: exchange %d: no round from peer %d within %v", m.Seq, p.idx, t.timeout)
-			t.shutdown(err)
+		r, err := p.recv(m.Seq, deadline)
+		if err != nil {
 			return nil, err
 		}
+		out = append(out, r)
 	}
 	return out, nil
+}
+
+// broadcast sends frame to every peer. A frame up to maxInlineWrite is
+// written inline. A larger one is written from one goroutine per peer,
+// so that Exchange can read while they write, and broadcast returns
+// the function that waits for them, which Exchange calls before it
+// returns.
+func (t *Transport) broadcast(seq int64, frame []byte) (join func()) {
+	if len(frame) <= maxInlineWrite {
+		for _, p := range t.peers {
+			if p != nil {
+				p.send(seq, frame)
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for _, p := range t.peers {
+		if p != nil {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.send(seq, frame)
+			}()
+		}
+	}
+	return wg.Wait
+}
+
+// recv reads peer p's round seq. It drops duplicates a resend
+// produced, prunes the retained frames the round acknowledges, skips
+// late hellos, and waits out a reconnect, all before deadline.
+func (p *peer) recv(seq int64, deadline time.Time) (sim.RoundMsg, error) {
+	t := p.t
+	for {
+		p.mu.Lock()
+		conn, br := p.conn, p.br
+		p.mu.Unlock()
+		if conn == nil {
+			if err := p.awaitConn(seq, deadline); err != nil {
+				return sim.RoundMsg{}, err
+			}
+			continue
+		}
+		conn.SetReadDeadline(deadline)
+		b, err := readBuffered(br)
+		if err != nil {
+			select {
+			case <-t.closed:
+				return sim.RoundMsg{}, t.err
+			default:
+			}
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				return sim.RoundMsg{}, t.fail(p.noRound(seq))
+			}
+			conn.Close()
+			p.connLost(conn)
+			continue
+		}
+		t.stats.bytesRx.Add(int64(len(b)) + 4)
+		if b[0] == frameHello {
+			continue // late duplicate handshake; harmless
+		}
+		m, err := decodeRound(b)
+		if err != nil {
+			return sim.RoundMsg{}, t.fail(fmt.Errorf("wire: peer %d: %w", p.idx, err))
+		}
+		p.mu.Lock()
+		if m.Seq < p.nextRecv {
+			p.mu.Unlock()
+			t.stats.dedupDrops.Add(1)
+			continue // duplicate after a resend
+		}
+		if m.Seq > p.nextRecv {
+			want := p.nextRecv
+			p.mu.Unlock()
+			return sim.RoundMsg{}, t.fail(fmt.Errorf("wire: peer %d skipped from round %d to %d", p.idx, want, m.Seq))
+		}
+		p.nextRecv++
+		// The peer sending round S proves it completed exchange S-1,
+		// which required our frames below S: drop them.
+		acked := 0
+		for acked < len(p.sent) && p.sent[acked].seq < m.Seq {
+			acked++
+		}
+		n := copy(p.sent, p.sent[acked:])
+		clear(p.sent[n:])
+		p.sent = p.sent[:n]
+		p.mu.Unlock()
+		if m.Seq != seq {
+			return sim.RoundMsg{}, t.fail(fmt.Errorf("wire: peer %d sent round %d during exchange %d", p.idx, m.Seq, seq))
+		}
+		return m, nil
+	}
+}
+
+// awaitConn waits until install publishes a connection, the transport
+// closes, or deadline passes.
+func (p *peer) awaitConn(seq int64, deadline time.Time) error {
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	select {
+	case <-p.up:
+		return nil
+	case <-p.t.closed:
+		return p.t.err
+	case <-timer.C:
+		return p.t.fail(p.noRound(seq))
+	}
+}
+
+func (p *peer) noRound(seq int64) error {
+	return fmt.Errorf("wire: exchange %d: no round from peer %d within %v", seq, p.idx, p.t.timeout)
 }
 
 // send retains the frame for resend and writes it if a connection is
@@ -222,7 +350,7 @@ func (t *Transport) Exchange(m sim.RoundMsg) ([]sim.RoundMsg, error) {
 // retained and the reconnect handshake replays it.
 func (p *peer) send(seq int64, frame []byte) {
 	p.mu.Lock()
-	p.sent[seq] = frame
+	p.sent = append(p.sent, sentFrame{seq, frame})
 	p.mu.Unlock()
 
 	p.wmu.Lock()
@@ -239,7 +367,7 @@ func (p *peer) send(seq int64, frame []byte) {
 		p.connLost(conn)
 		return
 	}
-	p.t.stats.bytesTx.Add(int64(len(frame)) + 4)
+	p.t.stats.bytesTx.Add(int64(len(frame)))
 	if f := p.t.cfg.FaultSeqs; f != nil && f(seq) {
 		p.t.cfg.Logf("wire: fault hook severing peer %d after seq %d", p.idx, seq)
 		conn.Close()
@@ -256,7 +384,7 @@ func (p *peer) connLost(conn net.Conn) {
 		p.mu.Unlock()
 		return
 	}
-	p.conn = nil
+	p.conn, p.br = nil, nil
 	p.mu.Unlock()
 	select {
 	case <-p.t.closed:
@@ -321,7 +449,7 @@ func (p *peer) dialHandshake(conn net.Conn) error {
 	p.mu.Lock()
 	next := p.nextRecv
 	p.mu.Unlock()
-	if err := writeFrame(conn, encodeHello(hello{Proc: p.t.cfg.Self, Digest: p.t.cfg.Digest, NextRecv: next})); err != nil {
+	if err := writeFrame(conn, helloFrame(hello{Proc: p.t.cfg.Self, Digest: p.t.cfg.Digest, NextRecv: next})); err != nil {
 		return err
 	}
 	b, err := readFrame(conn)
@@ -387,7 +515,7 @@ func (t *Transport) handleIncoming(conn net.Conn) {
 	p.mu.Lock()
 	next := p.nextRecv
 	p.mu.Unlock()
-	if err := writeFrame(conn, encodeHello(hello{Proc: t.cfg.Self, Digest: t.cfg.Digest, NextRecv: next})); err != nil {
+	if err := writeFrame(conn, helloFrame(hello{Proc: t.cfg.Self, Digest: t.cfg.Digest, NextRecv: next})); err != nil {
 		conn.Close()
 		return
 	}
@@ -395,94 +523,60 @@ func (t *Transport) handleIncoming(conn net.Conn) {
 	p.install(conn, h.NextRecv)
 }
 
-// install makes conn the peer's live connection, replays retained
-// frames from the peer's requested resume sequence, and starts the
-// read loop. Holding wmu across the replay keeps a concurrent
-// Exchange from interleaving a newer frame ahead of the replayed ones.
+// install makes conn the peer's live connection and replays retained
+// frames from the peer's requested resume sequence. Replays count as
+// resends only on a reconnect: the first connection delivers frames
+// queued before it for the first time. The connection is published,
+// and a waiting Exchange woken, before the replay, so that Exchange
+// reads while it runs: two processes replaying large frames to each
+// other must each have a reader. Holding wmu across the replay keeps a
+// concurrent Exchange from interleaving a newer frame ahead of the
+// replayed ones. The handshake before install reads exactly, so no
+// round bytes precede the connection's read buffer.
 func (p *peer) install(conn net.Conn, resendFrom int64) {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	p.mu.Lock()
+	select {
+	case <-p.t.closed:
+		// shutdown has run and would never close a connection
+		// published now.
+		p.mu.Unlock()
+		conn.Close()
+		return
+	default:
+	}
 	old := p.conn
-	p.conn = conn
-	if p.everUp {
+	p.conn, p.br = conn, bufio.NewReaderSize(conn, readBufSize)
+	reconnect := p.everUp
+	if reconnect {
 		p.t.stats.reconnects.Add(1)
 	}
 	p.everUp = true
-	var seqs []int64
-	for s := range p.sent {
-		if s >= resendFrom {
-			seqs = append(seqs, s)
+	var replay []sentFrame
+	for _, f := range p.sent {
+		if f.seq >= resendFrom {
+			replay = append(replay, f)
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	frames := make([][]byte, len(seqs))
-	for i, s := range seqs {
-		frames[i] = p.sent[s]
-	}
 	p.mu.Unlock()
+	select {
+	case p.up <- struct{}{}:
+	default:
+	}
 	if old != nil {
 		old.Close()
 	}
-	for i, f := range frames {
-		if err := writeFrame(conn, f); err != nil {
-			p.t.cfg.Logf("wire: resend seq %d to peer %d: %v", seqs[i], p.idx, err)
+	for _, f := range replay {
+		if err := writeFrame(conn, f.frame); err != nil {
+			p.t.cfg.Logf("wire: resend seq %d to peer %d: %v", f.seq, p.idx, err)
 			conn.Close()
 			p.connLost(conn)
 			return
 		}
-		p.t.stats.resends.Add(1)
-		p.t.stats.bytesTx.Add(int64(len(f)) + 4)
-	}
-	go p.readLoop(conn)
-}
-
-// readLoop owns inbound frames for one connection: dedup by sequence,
-// implicit-ack pruning of our retained frames, and delivery to the
-// exchange inbox. Exits when the connection breaks (triggering redial
-// on the dialing side) or the transport closes.
-func (p *peer) readLoop(conn net.Conn) {
-	for {
-		b, err := readFrame(conn)
-		if err != nil {
-			conn.Close()
-			p.connLost(conn)
-			return
+		if reconnect {
+			p.t.stats.resends.Add(1)
 		}
-		p.t.stats.bytesRx.Add(int64(len(b)) + 4)
-		if len(b) > 0 && b[0] == frameHello {
-			continue // late duplicate handshake; harmless
-		}
-		m, err := decodeRound(b)
-		if err != nil {
-			p.t.shutdown(fmt.Errorf("wire: peer %d: %w", p.idx, err))
-			return
-		}
-		p.mu.Lock()
-		if m.Seq < p.nextRecv {
-			p.mu.Unlock()
-			p.t.stats.dedupDrops.Add(1)
-			continue // duplicate after a resend
-		}
-		if m.Seq > p.nextRecv {
-			want := p.nextRecv
-			p.mu.Unlock()
-			p.t.shutdown(fmt.Errorf("wire: peer %d skipped from round %d to %d", p.idx, want, m.Seq))
-			return
-		}
-		p.nextRecv++
-		// The peer sending round S proves it completed exchange S-1,
-		// which required our frames below S: drop them.
-		for s := range p.sent {
-			if s < m.Seq {
-				delete(p.sent, s)
-			}
-		}
-		p.mu.Unlock()
-		select {
-		case p.inbox <- m:
-		case <-p.t.closed:
-			return
-		}
+		p.t.stats.bytesTx.Add(int64(len(f.frame)))
 	}
 }

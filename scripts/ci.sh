@@ -38,9 +38,26 @@ go test -race -run 'TestDomain' ./internal/core/
 go test -race -run 'TestDomain' .
 
 # The wire transport carries the cross-process exchange protocol
-# (reconnect, resend, dedup, journal replay); it runs goroutine-heavy,
-# so the whole package goes under the race detector.
-go test -race ./internal/wire/
+# (reconnect, resend, dedup, journal replay). Exchange reads on the
+# caller's goroutine while reconnects install connections and large
+# frames are written from goroutines of their own, so the whole package
+# goes under the race detector five times to shake out rare
+# interleavings.
+go test -race -count=5 ./internal/wire/
+
+# Wire-exchange allocation gate: one lockstep exchange of an empty round
+# between two transports (both sides' Exchange) allocates 4 objects: each
+# side's frame and result slice. Allocation counts repeat exactly, so
+# any extra allocation fails; timings do not, so none is gated.
+go test -run='^$' -bench='^BenchmarkTransportExchange$/^empty$' -benchtime=20000x -benchmem ./internal/wire/ | awk '
+    /^BenchmarkTransportExchange\/empty/ {
+        for (i = 2; i <= NF; i++) if ($i == "allocs/op") allocs = $(i-1)
+    }
+    END {
+        if (allocs == "") { print "wire alloc gate: benchmark output missing"; exit 1 }
+        printf "wire alloc gate: %d allocs/op (budget 4)\n", allocs
+        if (allocs + 0 > 4) { print "wire alloc gate: empty-round exchange allocates more than 4 objects"; exit 1 }
+    }'
 
 # Flight-recorder/stitching gate: the trace package (ring recorder,
 # stitch, Chrome export) races against nothing by design — prove it —
