@@ -430,10 +430,8 @@ func runSingle(sr *wgtt.ServeRun, sched []wgtt.Duration, scenario string, seed i
 				return sr.Net.FlightRecords(), sr.Net.FlightAnomalies()
 			}
 		}
-		if sr.Net.Coord != nil {
-			sr.Net.Coord.EnableWaitStats()
-			hs.waits = sr.Net.Coord.WaitStats
-		}
+		sr.Net.Coord.EnableWaitStats()
+		hs.waits = sr.Net.Coord.WaitStats
 		if err := hs.serve(httpAddr); err != nil {
 			return err
 		}

@@ -428,7 +428,7 @@ func runScenario(out io.Writer, cfg wgtt.Config, parallel bool) (*wgtt.Network, 
 	}
 	r := wgtt.BuildScenarioRun(comp, wgtt.Options{Mutate: func(c *wgtt.Config) {
 		c.Telemetry = cfg.Telemetry
-		if parallel && len(c.Segments) >= 2 {
+		if parallel {
 			c.Domains = core.DomainsParallel
 		}
 		wgtt.OverlayDatapath(c, cfg)

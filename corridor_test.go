@@ -51,17 +51,26 @@ func TestCorridorDomainParity(t *testing.T) {
 
 // TestCorridorSingleSegmentFallback pins the API contract that keeps the
 // golden figures safe: requesting domain execution on a single-segment
-// deployment silently takes the exact serial path (no coordinator), and
-// renders bit-identically to a plain single-loop build.
+// deployment builds the one-domain shape, which keeps the shared medium,
+// runs each Run as one coordinator round, and renders the 15 mph
+// drive-by bit-identically to a plain single-loop build.
 func TestCorridorSingleSegmentFallback(t *testing.T) {
-	cfg := DefaultConfig(SchemeWGTT)
-	cfg.Domains = core.DomainsParallel
-	n := NewNetwork(cfg)
-	if n.Coord != nil {
-		t.Fatal("single-segment deployment built a domain coordinator")
+	ride := func(mode core.DomainMode) (string, *Network) {
+		return driveByUDP(Options{Seed: 1, Mutate: func(c *Config) { c.Domains = mode }}, SchemeWGTT, 15)
+	}
+	want, _ := ride(core.SingleLoop)
+	got, n := ride(core.DomainsParallel)
+	if names := n.DomainNames(); names != nil {
+		t.Fatalf("single-segment deployment split into domains %v", names)
 	}
 	if n.Medium == nil {
 		t.Fatal("single-segment fallback lost the shared medium")
+	}
+	if r := n.Coord.Rounds(); r != 1 {
+		t.Errorf("one Run took %d coordinator rounds, want 1", r)
+	}
+	if got != want {
+		t.Errorf("DomainsParallel drive-by %s, single loop %s", got, want)
 	}
 }
 

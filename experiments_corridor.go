@@ -27,7 +27,7 @@ type CorridorResult struct {
 // three-segment corridor (4 APs per segment at the paper's 7.5 m pitch)
 // and reports per-client UDP goodput. With Options.ParallelSegments the
 // segments execute as parallel event-loop domains; otherwise the ride
-// runs on the exact single-loop path.
+// runs as one domain on one event loop.
 func CorridorThroughput(opt Options) CorridorResult {
 	mode := core.SingleLoop
 	if opt.ParallelSegments {

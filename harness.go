@@ -71,8 +71,8 @@ func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
 // WithParallelSegments runs each multi-segment network's segments as
 // conservative parallel event-loop domains (each sync round's busy
-// segments run on up to GOMAXPROCS goroutines).
-// Single-segment networks ignore it and stay on the exact serial path.
+// segments run on up to GOMAXPROCS goroutines). Single-segment
+// networks run as one domain either way, one round per Run.
 func WithParallelSegments(on bool) Option {
 	return func(o *Options) { o.ParallelSegments = on }
 }
@@ -113,7 +113,14 @@ func throughputSpec(scheme Scheme, opt Options, trajs []Trajectory, dur Duration
 		Metrics:     opt.Metrics,
 	}
 	if opt.ParallelSegments {
-		spec.Domains = core.DomainsParallel
+		// After the caller's Mutate, so the option wins over a mode it set.
+		mutate := opt.Mutate
+		spec.Mutate = func(c *Config) {
+			if mutate != nil {
+				mutate(c)
+			}
+			c.Domains = core.DomainsParallel
+		}
 	}
 	return spec
 }

@@ -63,7 +63,7 @@ type Client struct {
 	// grants, BA responses) to detect that the client has migrated to
 	// another segment domain since the callback was scheduled. The closure
 	// is supplied by the owning domain and must only touch that domain's
-	// state. Nil on the single-loop path.
+	// state. Nil where the client never migrates (a one-domain network).
 	alive func() bool
 	// keepaliveEv is the pending keepalive timer, canceled on Detach.
 	keepaliveEv *sim.Event
@@ -173,7 +173,7 @@ func New(id int, loop *sim.Loop, medium *mac.Medium, traj mobility.Trajectory, c
 func (c *Client) Now() sim.Time { return c.loop.Now() }
 
 // SetAlive installs the owning domain's liveness check (see the alive
-// field). Pass nil on the single-loop path.
+// field). Pass nil where the client never migrates.
 func (c *Client) SetAlive(fn func() bool) { c.alive = fn }
 
 // Detach removes the client from its current loop and medium ahead of a

@@ -20,7 +20,7 @@ type task struct {
 // never run in a domain that no longer owns the client's state.
 //
 // Sched satisfies transport.Sched, as *sim.Loop does; the two are
-// interchangeable on the single-loop path where every timer lands on
+// interchangeable where the client never migrates: every timer lands on
 // the same loop at the same times.
 type Sched struct{ c *Client }
 

@@ -51,8 +51,8 @@ type audBucket struct {
 }
 
 // audIndex implements mac.AudibilityIndex over the deployment geometry of
-// one radio domain (the whole network on the single-loop path, one
-// segment's medium partition in domain mode). Node kinds resolve lazily
+// one execution domain's medium (the whole network in the one-domain
+// shape, one segment's medium partition when split). Node kinds resolve lazily
 // through Network.nodeKind because kinds are recorded just after mac
 // registration; a node whose kind never resolves is simply always marked.
 type audIndex struct {

@@ -62,19 +62,23 @@ func ParseScheme(name string) (Scheme, error) {
 	return 0, fmt.Errorf("unknown scheme %q (want wgtt | 11r | stock11r)", name)
 }
 
-// DomainMode selects how a multi-segment deployment executes.
+// DomainMode selects the shape of a multi-segment deployment's
+// execution domains. Every network runs on a coordinator; a
+// single-segment deployment always runs as one domain.
 type DomainMode int
 
 // Domain modes.
 const (
-	// SingleLoop runs the whole deployment on one event loop — the
-	// classic, exactly-serial path every golden figure pins.
+	// SingleLoop runs the whole deployment as one domain: one event
+	// loop and one shared medium, run to each horizon in one round —
+	// the shape every golden figure pins.
 	SingleLoop DomainMode = iota
-	// DomainsSerial partitions the deployment into per-segment domains
-	// (own loop, own medium partition, mailbox trunks) but executes the
-	// synchronization rounds domain-by-domain on one goroutine.
+	// DomainsSerial splits the deployment into per-segment domains
+	// (own loop, own medium partition, mailbox trunks) plus the wired
+	// server's, and executes the synchronization rounds domain by
+	// domain on one goroutine.
 	DomainsSerial
-	// DomainsParallel is the same partition with each round's active
+	// DomainsParallel is the same split with each round's active
 	// domains spread over up to GOMAXPROCS goroutines; bit-identical to
 	// DomainsSerial by construction.
 	DomainsParallel
@@ -128,7 +132,7 @@ type Config struct {
 	// Domains selects per-segment event-loop domains for multi-segment
 	// deployments (conservative parallel simulation with the trunk
 	// propagation delay as lookahead). Single-segment deployments ignore
-	// it and always take the exact serial path. See DomainMode.
+	// it and always run as one domain. See DomainMode.
 	Domains DomainMode
 
 	// ChannelBackend selects the propagation/PHY model: "" or "wifi5g"

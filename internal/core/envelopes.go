@@ -12,10 +12,11 @@ import (
 	"wgtt/internal/sim"
 )
 
-// This file defines the typed envelope kinds the domain-partitioned
-// network posts across sim.Mailboxes, with wire codecs for every kind
-// that may cross a process boundary. The kinds mirror the four
-// cross-domain interactions of parallel.go/network.go:
+// This file defines the typed envelope kinds a split network posts
+// across sim.Mailboxes, with wire codecs for every kind that may cross a
+// process boundary. The kinds mirror the cross-domain interactions of
+// parallel.go/network.go, each of which is a direct same-loop call when
+// both ends share a domain:
 //
 //   - kindTrunk: one trunk direction's control-plane message (Handoff,
 //     AssocState, federation Routed/DirUpdate/DirQuery, ...), tagged
@@ -183,9 +184,13 @@ func (c *trunkChannel) Post(at sim.Time, msg packet.Message) {
 // OnDeliver implements deploy.TrunkTransport.
 func (c *trunkChannel) OnDeliver(fn func(packet.Message)) { c.fn = fn }
 
-// trunkLink implements deploy.Builder.TrunkLink: a fresh channel per
+// trunkLink implements deploy.Builder.TrunkLink: between segments of
+// one domain, an event on its loop; otherwise a fresh channel per
 // directed trunk, demultiplexed by the per-mailbox kindTrunk handler.
 func (n *Network) trunkLink(from, to int) deploy.TrunkTransport {
+	if n.segs[from] == n.segs[to] {
+		return deploy.NewLoopTransport(n.segs[to].dom.Loop)
+	}
 	mb := n.segs[from].mbTo[to]
 	c := &trunkChannel{mb: mb, ch: len(n.trunkChans)}
 	n.trunkChans = append(n.trunkChans, c)
@@ -200,15 +205,19 @@ func (n *Network) trunkLink(from, to int) deploy.TrunkTransport {
 }
 
 // wireDomainEnvelopes registers the receiving-domain handlers for every
-// typed kind a mailbox can carry. Called from newDomainNetwork once the
-// mailbox graph exists; the server-send handlers need the per-segment
-// backhauls, so those register after deploy.Build.
+// typed kind a split network's mailboxes carry, except the trunk demux
+// (trunkLink) and boundary summaries (wireBoundaryInterference). It runs
+// before deploy.Build; the server-send handler finds its segment's
+// backhaul at delivery.
 func (n *Network) wireDomainEnvelopes() {
 	for _, sd := range n.segs {
 		sd := sd
 		sd.toServer.OnReceive(kindServerTap, func(p any) {
 			tp := p.(*serverTapPayload)
 			n.onServerBackhaul(tp.seg, tp.from, tp.msg)
+		})
+		n.serverToSeg[sd.idx].OnReceive(kindServerSend, func(p any) {
+			n.Deploy.Segments[sd.idx].Backhaul.Send(deploy.NodeServer, deploy.NodeController, p.(*packet.ServerData))
 		})
 		// Migration rides the adjacent chain only (one hop per patrol
 		// tick); register the adopt handler on both directions of it.
@@ -219,16 +228,5 @@ func (n *Network) wireDomainEnvelopes() {
 			to := n.segs[dst]
 			sd.mbTo[dst].OnReceive(kindMigrate, func(p any) { to.adopt(p.(*Client)) })
 		}
-	}
-}
-
-// wireServerSendEnvelopes registers the server→segment downlink
-// handlers; requires the deployment (per-segment backhauls) to exist.
-func (n *Network) wireServerSendEnvelopes() {
-	for i, mb := range n.serverToSeg {
-		bh := n.Deploy.Segments[i].Backhaul
-		mb.OnReceive(kindServerSend, func(p any) {
-			bh.Send(deploy.NodeServer, deploy.NodeController, p.(*packet.ServerData))
-		})
 	}
 }

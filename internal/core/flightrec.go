@@ -72,16 +72,12 @@ func (n *Network) noteUnownedSpike(owned map[string]bool) {
 		if !ok {
 			continue
 		}
-		at := n.Loop.Now()
-		if n.Coord != nil {
-			sd := n.segs[i]
-			if owned != nil && !owned[sd.dom.Name()] {
-				continue
-			}
-			at = sd.dom.Loop.Now()
+		dom := n.segs[i].dom
+		if owned != nil && !owned[dom.Name()] {
+			continue
 		}
 		if u := p.Ctrl.UnownedClients(); u > n.Cfg.UnownedSpike {
-			rec.Anomaly(trace.Anomaly{At: at, Kind: trace.AnomalyUnowned, Value: float64(u)})
+			rec.Anomaly(trace.Anomaly{At: dom.Loop.Now(), Kind: trace.AnomalyUnowned, Value: float64(u)})
 		}
 	}
 }

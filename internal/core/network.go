@@ -36,19 +36,25 @@ func (c *Client) Handle(port uint16, fn func(packet.Packet)) {
 	c.demux[port] = fn
 }
 
-// Network is a fully wired deployment: the shared radio medium and
-// clients on one side, and an ordered chain of road segments (each with
-// its own controller/bridge, APs, and backhaul domain) on the other.
+// Network is a fully wired deployment: the radio medium and clients on
+// one side, and an ordered chain of road segments (each with its own
+// controller/bridge, APs, and backhaul domain) on the other, run as
+// execution domains on one coordinator.
 type Network struct {
-	Cfg  Config
+	Cfg Config
+	// Loop is the wired server's event loop: the only loop of a
+	// one-domain network, the "server" domain's loop when split.
 	Loop *sim.Loop
 
-	// Coord drives per-segment execution domains (Config.Domains on a
-	// multi-segment deployment); nil on the classic single-loop path.
-	// When set, Loop is the wired-server domain's loop and Medium is nil
-	// — the radio medium is partitioned per segment.
+	// Coord runs the network's execution domains; never nil. The shape
+	// follows Config.Domains (see DomainMode): one domain holding every
+	// segment and the wired server, whose coordinator has no mailboxes
+	// and runs each Run to its horizon in one round, or one domain per
+	// segment plus the server's, joined by mailboxes.
 	Coord *sim.Coordinator
 
+	// Medium is the radio medium every segment shares in the one-domain
+	// shape; nil when split, where each segment domain has its own.
 	Medium *mac.Medium
 	// Deploy is the segment chain. Backhaul, Ctrl, APs, Bridge, and
 	// BaseAPs below are convenience views over it: Backhaul/Ctrl/Bridge
@@ -65,8 +71,8 @@ type Network struct {
 	Clients []*Client
 
 	// recs[i] is segment i's flight recorder (Config.FlightRecorder > 0);
-	// entries are nil when disabled or for baseline planes. In domain
-	// mode each recorder is written only by its segment's goroutine.
+	// entries are nil when disabled or for baseline planes. Each
+	// recorder is written only by its segment's domain.
 	recs []*trace.Recorder
 
 	rng        *sim.RNG
@@ -74,8 +80,8 @@ type Network struct {
 	// model is the channel-model backend (Config.ChannelBackend); all
 	// propagation, CSI synthesis, and the MCS ladder come from it.
 	model channel.Model
-	// sdOut is the reusable server-data shell for the single-loop
-	// SendFromServer path (Send serializes synchronously).
+	// sdOut is the reusable server-data shell for SendFromServer into a
+	// segment on the server's loop (Send serializes synchronously).
 	sdOut   packet.ServerData
 	apNodes []*mac.Node
 	// links[clientID][apIdx] is the radio channel realization.
@@ -90,18 +96,21 @@ type Network struct {
 	// server through more than one segment's controller.
 	ServerDuplicates int
 
-	// Domain-partitioned execution (Coord != nil).
-	segs        []*segDomain
+	// segs[i] is segment i's execution domain and server the wired
+	// server's; in the one-domain shape they are all the same domain.
+	segs   []*segDomain
+	server *sim.Domain
+	// Split shape only: the server's mailbox into each segment domain,
+	// and the directed trunk transports numbered in TrunkLink call order
+	// (deterministic — part of the cross-process schedule); trunkWired
+	// marks mailboxes whose kindTrunk demux is registered.
 	serverToSeg []*sim.Mailbox
-	// trunkChans numbers the directed trunk transports in TrunkLink
-	// call order (deterministic — part of the cross-process schedule);
-	// trunkWired marks mailboxes whose kindTrunk demux is registered.
-	trunkChans []*trunkChannel
-	trunkWired map[*sim.Mailbox]bool
+	trunkChans  []*trunkChannel
+	trunkWired  map[*sim.Mailbox]bool
 
 	// Telemetry (Config.Telemetry; nil/empty when disabled). telSegs[i]
-	// is segment i's scope — a root-shard view on the single-loop path,
-	// a per-domain shard in domain mode; telRoot is the wired server's.
+	// is segment i's scope, a view of its domain's shard; telRoot is
+	// the wired server's, on the root shard.
 	tel     *telemetry.Registry
 	telSegs []telemetry.Scope
 	telRoot telemetry.Scope
@@ -123,69 +132,73 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Domains != SingleLoop && len(cfg.segmentGeoms()) > 1 {
-		return newDomainNetwork(cfg, model)
-	}
-	loop := sim.NewLoop()
-	rng := sim.NewRNG(cfg.Seed)
+	geoms := cfg.segmentGeoms()
 	n := &Network{
 		Cfg:         cfg,
-		Loop:        loop,
-		rng:         rng,
+		Coord:       sim.NewCoordinator(cfg.Trunk.PropDelay, cfg.Domains == DomainsParallel),
+		rng:         sim.NewRNG(cfg.Seed),
 		model:       model,
 		nodeKind:    make(map[*mac.Node]nodeRef),
 		serverDemux: make(map[uint16]func(packet.Packet)),
 		route:       make(map[packet.IP]int),
 		serverDedup: make(map[packet.DedupKey]bool),
 	}
-	if cfg.Telemetry {
-		n.initTelemetrySingle(loop, len(cfg.segmentGeoms()))
+	// Both shapes fork their media before any plane or client forks.
+	split := cfg.Domains != SingleLoop && len(geoms) > 1
+	if split {
+		n.splitDomains(len(geoms))
+	} else {
+		sd := n.newSegDomain("net", "medium")
+		for range geoms {
+			n.segs = append(n.segs, sd)
+		}
+		n.server = sd.dom
+		n.Medium = sd.medium
 	}
-	n.Medium = mac.NewMedium(loop, &netChannel{n: n, loop: loop}, rng.Fork("medium"))
-	n.Medium.SetAudibilityIndex(newAudIndex(n, loop))
+	n.Loop = n.server.Loop
+	if cfg.Telemetry {
+		n.initTelemetry(split)
+	}
 	fedTopo := cfg.federationTopology()
 
 	d, err := deploy.Builder{
-		Loop:        loop,
-		Geoms:       cfg.segmentGeoms(),
-		Backhaul:    cfg.Backhaul,
-		Trunk:       cfg.Trunk,
-		ExtraTrunks: cfg.extraTrunks(),
-		FaultSeed:   cfg.Seed,
-		Telemetry:   n.segTel,
-		ServerHandler: func(si int) backhaul.Handler {
-			return func(from backhaul.NodeID, msg packet.Message) {
-				n.onServerBackhaul(si, from, msg)
-			}
-		},
+		Geoms:         geoms,
+		Backhaul:      cfg.Backhaul,
+		Trunk:         cfg.Trunk,
+		ExtraTrunks:   cfg.extraTrunks(),
+		FaultSeed:     cfg.Seed,
+		Telemetry:     n.segTel,
+		SegmentLoop:   func(i int) *sim.Loop { return n.segs[i].dom.Loop },
+		TrunkLink:     n.trunkLink,
+		ServerHandler: n.serverTap,
 		BuildPlane: func(seg *deploy.Segment) deploy.Plane {
+			sd := n.segs[seg.Index]
+			loop := sd.dom.Loop
 			// The only scheme switch in the network: pick the plane.
 			switch cfg.Scheme {
 			case WGTT:
 				rec := trace.NewRecorder(seg.Index, cfg.FlightRecorder)
 				n.recs = append(n.recs, rec)
-				p := deploy.NewWGTTPlane(seg, loop, n.Medium, rec,
-					n.segTel(seg.Index), rng, cfg.AP, cfg.Controller)
+				p := deploy.NewWGTTPlane(seg, loop, sd.medium, rec,
+					n.segTel(seg.Index), n.rng, cfg.AP, cfg.Controller)
 				n.attachFederation(fedTopo, seg.Index, loop, p.Ctrl)
 				if n.Ctrl == nil {
 					n.Ctrl = p.Ctrl
 				}
 				for _, a := range p.APs {
 					n.APs = append(n.APs, a)
-					n.apNodes = append(n.apNodes, a.Node())
-					n.nodeKind[a.Node()] = nodeRef{isAP: true, idx: int(a.ID)}
+					n.addAPNode(a.Node(), int(a.ID))
 				}
 				return p
 			default:
 				n.recs = append(n.recs, nil)
-				p := deploy.NewBaselinePlane(seg, loop, n.Medium, rng, cfg.BaselineAP)
+				p := deploy.NewBaselinePlane(seg, loop, sd.medium, n.rng, cfg.BaselineAP)
 				if n.Bridge == nil {
 					n.Bridge = p.Bridge
 				}
 				for _, a := range p.APs {
 					n.BaseAPs = append(n.BaseAPs, a)
-					n.apNodes = append(n.apNodes, a.Node())
-					n.nodeKind[a.Node()] = nodeRef{isAP: true, idx: int(a.ID)}
+					n.addAPNode(a.Node(), int(a.ID))
 				}
 				return p
 			}
@@ -196,7 +209,20 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	n.Deploy = d
 	n.Backhaul = d.Segments[0].Backhaul
+	if split {
+		// After Build, so each patrol's first tick follows the plane
+		// timers in its loop's event order.
+		for _, sd := range n.segs {
+			sd.dom.Loop.After(patrolInterval, sd.patrol)
+		}
+	}
 	return n, nil
+}
+
+// addAPNode registers an AP's radio node under its global id.
+func (n *Network) addAPNode(node *mac.Node, id int) {
+	n.apNodes = append(n.apNodes, node)
+	n.nodeKind[node] = nodeRef{isAP: true, idx: id}
 }
 
 // buildModel instantiates the configured channel backend and fills the
@@ -261,15 +287,14 @@ func (n *Network) Bridges() []*baseline.Bridge {
 // points.
 func (n *Network) AddClient(traj mobility.Trajectory) *Client {
 	id := len(n.Clients)
-	loop, medium := n.Loop, n.Medium
-	var home *segDomain
-	if n.Coord != nil {
-		// Domain mode: the segment whose AP is nearest the start owns
-		// the client's radio.
-		home = n.segs[n.Deploy.SegmentOfAP(n.nearestAP(traj.Pos(0))).Index]
-		loop, medium = home.dom.Loop, home.medium
-	}
-	cl := client.New(id, loop, medium, traj, n.Cfg.Client, n.rng.Fork(fmt.Sprintf("client%d", id)))
+	// Association: the segment whose AP is nearest the client's start
+	// owns it first; its domain hosts the client's radio, and its plane
+	// registers the state (WGTT replicates sta_info, baselines
+	// force-associate and return the roamer's initial AP).
+	pos := traj.Pos(n.Loop.Now())
+	seg := n.Deploy.SegmentOfAP(n.nearestAP(pos))
+	home := n.segs[seg.Index]
+	cl := client.New(id, home.dom.Loop, home.medium, traj, n.Cfg.Client, n.rng.Fork(fmt.Sprintf("client%d", id)))
 	c := &Client{Client: cl, Traj: traj, demux: make(map[uint16]func(packet.Packet))}
 	cl.OnPacket = func(p packet.Packet) {
 		if fn := c.demux[p.DstPort]; fn != nil {
@@ -285,16 +310,9 @@ func (n *Network) AddClient(traj mobility.Trajectory) *Client {
 		row[i] = n.model.NewLink(n.Cfg.APPosition(i),
 			n.rng.Fork(fmt.Sprintf("link-%d-%d", i, id)))
 	}
-	n.links = append(n.links, nil) // placeholder, replaced below
-	n.links[id] = row
+	n.links = append(n.links, row)
 	n.Clients = append(n.Clients, c)
 
-	// Association: the segment whose AP is nearest the client's start
-	// owns it first; its plane registers the state (WGTT replicates
-	// sta_info, baselines force-associate and return the roamer's
-	// initial AP).
-	pos := traj.Pos(n.Loop.Now())
-	seg := n.Deploy.SegmentOfAP(n.nearestAP(pos))
 	if node := seg.Plane.Associate(id, cl.Addr, cl.IP, pos); node != nil {
 		c.Roamer = baseline.NewRoamer(n.Loop, n.Medium, cl, node, n.Cfg.Roamer)
 	}
@@ -302,7 +320,7 @@ func (n *Network) AddClient(traj mobility.Trajectory) *Client {
 	if n.tel != nil {
 		n.clientGauges(seg.Index, id)
 	}
-	if home != nil {
+	if home.resident != nil {
 		home.acceptResident(c)
 	}
 	return c
@@ -321,11 +339,7 @@ func (n *Network) nearestAP(pos rf.Position) int {
 
 // Run advances the network to the given virtual time.
 func (n *Network) Run(until sim.Duration) {
-	if n.Coord != nil {
-		n.Coord.Run(sim.Time(until))
-	} else {
-		n.Loop.Run(sim.Time(until))
-	}
+	n.Coord.Run(sim.Time(until))
 	n.noteUnownedSpike(nil)
 }
 
@@ -351,18 +365,43 @@ func (n *Network) SendFromServer(p packet.Packet) {
 	if s, ok := n.route[p.Dst]; ok {
 		si = s
 	}
-	if n.Coord != nil {
-		// Cross the server→segment mailbox; the backhaul hop itself runs
-		// in the segment domain (the kindServerSend handler registered in
-		// wireServerSendEnvelopes). The envelope serializes later, so the
-		// message cannot be scratch here.
-		n.serverToSeg[si].Post(n.Loop.Now().Add(n.Cfg.Trunk.PropDelay),
-			sim.Envelope{Kind: kindServerSend, Payload: &packet.ServerData{Inner: p}})
+	if n.segs[si].dom == n.server {
+		// Send serializes synchronously, so reuse a shell.
+		n.sdOut = packet.ServerData{Inner: p}
+		n.Deploy.Segments[si].Backhaul.Send(deploy.NodeServer, deploy.NodeController, &n.sdOut)
 		return
 	}
-	// Single-loop path: Send serializes synchronously, so reuse a shell.
-	n.sdOut = packet.ServerData{Inner: p}
-	n.Deploy.Segments[si].Backhaul.Send(deploy.NodeServer, deploy.NodeController, &n.sdOut)
+	// Cross the server→segment mailbox; the backhaul hop itself runs in
+	// the segment domain (the kindServerSend handler registered in
+	// wireDomainEnvelopes). The envelope serializes later, so the
+	// message cannot be scratch here.
+	n.serverToSeg[si].Post(n.Loop.Now().Add(n.Cfg.Trunk.PropDelay),
+		sim.Envelope{Kind: kindServerSend, Payload: &packet.ServerData{Inner: p}})
+}
+
+// serverTap implements deploy.Builder.ServerHandler: segment si's
+// backhaul tap at the wired server. On the server's loop it is the
+// server's handler itself; from another domain it crosses into the
+// server domain, so route/dedup state stays server-local.
+func (n *Network) serverTap(si int) backhaul.Handler {
+	sd := n.segs[si]
+	if sd.dom == n.server {
+		return func(from backhaul.NodeID, msg packet.Message) { n.onServerBackhaul(si, from, msg) }
+	}
+	return func(from backhaul.NodeID, msg packet.Message) {
+		// ServerData arrives in the backhaul's decode scratch and the
+		// envelope outlives the handler call, so the payload embeds a
+		// copy.
+		tp := &serverTapPayload{seg: si, from: from}
+		if d, ok := msg.(*packet.ServerData); ok {
+			tp.sd = *d
+			tp.msg = &tp.sd
+		} else {
+			tp.msg = msg
+		}
+		sd.toServer.Post(sd.dom.Loop.Now().Add(n.Cfg.Trunk.PropDelay),
+			sim.Envelope{Kind: kindServerTap, Payload: tp})
+	}
 }
 
 // onServerBackhaul receives uplink packets at the wired server's tap on
@@ -442,9 +481,9 @@ func (n *Network) OracleBestAP(clientID int) int {
 }
 
 // netChannel implements mac.Channel over the deployment geometry for one
-// radio domain: the whole network on the single-loop path, or one
-// segment's medium partition in domain mode. Positions are sampled on the
-// domain's own clock so concurrent domains never read another loop.
+// execution domain's medium: the whole network in the one-domain shape,
+// or one segment's medium partition when split. Positions are sampled on
+// the domain's own clock so concurrent domains never read another loop.
 type netChannel struct {
 	n    *Network
 	loop *sim.Loop

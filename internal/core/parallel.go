@@ -4,28 +4,27 @@ import (
 	"fmt"
 	"math"
 
-	"wgtt/internal/backhaul"
-	"wgtt/internal/channel"
 	"wgtt/internal/client"
 	"wgtt/internal/deploy"
 	"wgtt/internal/mac"
-	"wgtt/internal/packet"
 	"wgtt/internal/rf"
 	"wgtt/internal/sim"
-	"wgtt/internal/trace"
 )
 
-// This file builds the domain-partitioned execution of a multi-segment
-// deployment (Config.Domains != SingleLoop): every segment becomes a
-// sim.Domain owning its own event loop, radio-medium partition, backhaul,
-// and control plane; one extra domain hosts the wired server. Domains
-// interact only through sim.Mailboxes whose minimum latency is the trunk
-// propagation delay, which is therefore the conservative-synchronization
-// lookahead. Clients are owned by exactly one segment domain at a time;
-// a per-domain border patrol migrates a client's radio to the adjacent
-// segment when its position says so, and the controllers' existing
-// cross-segment claim/handoff protocol then moves the control-plane state
-// over the trunk exactly as it does on the single-loop path.
+// This file builds the network's execution domains. In the one-domain
+// shape a single sim.Domain owns the event loop, the shared radio
+// medium, every segment and the wired server. In the split shape
+// (Config.Domains on two or more segments) every segment becomes a
+// domain owning its own event loop, radio-medium partition, backhaul,
+// and control plane, and one extra domain hosts the wired server.
+// Split domains interact only through sim.Mailboxes whose minimum
+// latency is the trunk propagation delay, which is therefore the
+// conservative-synchronization lookahead. Clients are owned by exactly
+// one segment domain at a time; a per-domain border patrol migrates a
+// client's radio to the adjacent segment when its position says so, and
+// the controllers' cross-segment claim/handoff protocol then moves the
+// control-plane state over the trunk exactly as it does between
+// segments on one loop.
 
 // patrolInterval paces the per-domain border patrol. It must be long
 // relative to the lookahead (so migration latency is dominated by physics,
@@ -33,18 +32,22 @@ import (
 // adds at most one beacon interval of extra staleness to a crossing.
 const patrolInterval = 5 * sim.Millisecond
 
-// segDomain is one segment's execution domain.
+// segDomain is one execution domain that runs segments: its event loop
+// and the radio medium their APs and resident clients transmit on. The
+// fields from idx on exist only in the split shape, where the domain
+// runs segment idx alone.
 type segDomain struct {
 	n      *Network
-	idx    int
 	dom    *sim.Domain
 	medium *mac.Medium
 
+	idx int
 	// resident maps each owned client to its adoption generation; the
 	// generation distinguishes a client's current residency from a
 	// previous one (a client can leave and come back), so callbacks
 	// scheduled during an old residency can detect they are stale. Only
-	// this domain touches the map.
+	// this domain touches the map. Nil in the one-domain shape, whose
+	// clients never migrate.
 	resident map[*client.Client]uint64
 	nextGen  uint64
 	// order lists owned clients in adoption order, the deterministic
@@ -67,6 +70,72 @@ type segDomain struct {
 	remoteTx        []remoteTx
 	boundaryPosted  int
 	boundaryApplied int
+}
+
+// newSegDomain registers a domain on the coordinator with a radio
+// medium drawing from the RNG fork mediumFork.
+func (n *Network) newSegDomain(name, mediumFork string) *segDomain {
+	d := n.Coord.NewDomain(name)
+	sd := &segDomain{n: n, dom: d}
+	sd.medium = mac.NewMedium(d.Loop, &netChannel{n: n, loop: d.Loop}, n.rng.Fork(mediumFork))
+	sd.medium.SetAudibilityIndex(newAudIndex(n, d.Loop))
+	return sd
+}
+
+// splitDomains builds the split shape: one domain per segment, then the
+// server's, and the mailboxes between them with their receive handlers.
+// The resulting behaviour is NOT bit-identical to the one-domain shape
+// (the medium is partitioned, so cross-segment radio interference
+// disappears and per-segment RNG streams replace the shared one); what
+// IS guaranteed is that DomainsSerial and DomainsParallel are
+// bit-identical to each other, which is what the parity tests pin.
+//
+// Mailboxes link every trunk-linked segment pair (the adjacent chain
+// plus any federation ring/bypass trunks — trunk traffic + client
+// migration) and every segment with the wired server. All share the
+// trunk propagation delay, so one lookahead bounds them all. Trunk
+// jitter is strictly additive on top of PropDelay, so faulted
+// deployments keep the same lookahead.
+func (n *Network) splitDomains(numSegs int) {
+	for i := 0; i < numSegs; i++ {
+		sd := n.newSegDomain(fmt.Sprintf("seg%d", i), fmt.Sprintf("medium%d", i))
+		sd.idx = i
+		sd.resident = make(map[*client.Client]uint64)
+		sd.mbTo = make(map[int]*sim.Mailbox)
+		n.segs = append(n.segs, sd)
+	}
+	n.server = n.Coord.NewDomain("server")
+
+	lookahead := n.Cfg.Trunk.PropDelay
+	var pairs [][2]int
+	for i := 0; i+1 < numSegs; i++ {
+		pairs = append(pairs, [2]int{i, i + 1})
+	}
+	pairs = append(pairs, n.Cfg.extraTrunks()...)
+	for _, e := range pairs {
+		i, j := e[0], e[1]
+		if i > j {
+			i, j = j, i
+		}
+		if n.segs[i].mbTo[j] != nil {
+			continue // duplicate extra pair
+		}
+		n.segs[i].mbTo[j] = n.Coord.Connect(n.segs[i].dom, n.segs[j].dom, lookahead)
+		n.segs[j].mbTo[i] = n.Coord.Connect(n.segs[j].dom, n.segs[i].dom, lookahead)
+	}
+	for i := 0; i+1 < numSegs; i++ {
+		n.segs[i].toNext = n.segs[i].mbTo[i+1]
+		n.segs[i+1].toPrev = n.segs[i+1].mbTo[i]
+	}
+	for _, sd := range n.segs {
+		sd.toServer = n.Coord.Connect(sd.dom, n.server, lookahead)
+		n.serverToSeg = append(n.serverToSeg, n.Coord.Connect(n.server, sd.dom, lookahead))
+	}
+	n.trunkWired = make(map[*sim.Mailbox]bool)
+	n.wireDomainEnvelopes()
+	if n.Cfg.BoundaryInterference {
+		n.wireBoundaryInterference(n.Cfg.segmentGeoms())
+	}
 }
 
 // segBoundary names one adjacent segment and the x coordinate of the
@@ -153,143 +222,6 @@ func (s *segDomain) patrol() {
 // (the one whose AP is nearest). Pure geometry — safe from any domain.
 func (n *Network) segmentForPos(pos rf.Position) int {
 	return n.Deploy.SegmentOfAP(n.nearestAP(pos)).Index
-}
-
-// newDomainNetwork builds the partitioned form of the network. The
-// resulting behaviour is NOT bit-identical to the single-loop path (the
-// medium is partitioned, so cross-segment radio interference disappears
-// and per-segment RNG streams replace the shared one); what IS guaranteed
-// is that DomainsSerial and DomainsParallel are bit-identical to each
-// other, which is what the parity tests pin.
-func newDomainNetwork(cfg Config, model channel.Model) (*Network, error) {
-	geoms := cfg.segmentGeoms()
-	lookahead := cfg.Trunk.PropDelay
-	coord := sim.NewCoordinator(lookahead, cfg.Domains == DomainsParallel)
-	rng := sim.NewRNG(cfg.Seed)
-	n := &Network{
-		Cfg:         cfg,
-		Coord:       coord,
-		rng:         rng,
-		model:       model,
-		nodeKind:    make(map[*mac.Node]nodeRef),
-		serverDemux: make(map[uint16]func(packet.Packet)),
-		route:       make(map[packet.IP]int),
-		serverDedup: make(map[packet.DedupKey]bool),
-	}
-	for i := range geoms {
-		d := coord.NewDomain(fmt.Sprintf("seg%d", i))
-		sd := &segDomain{
-			n: n, idx: i, dom: d,
-			resident: make(map[*client.Client]uint64),
-		}
-		sd.medium = mac.NewMedium(d.Loop, &netChannel{n: n, loop: d.Loop},
-			rng.Fork(fmt.Sprintf("medium%d", i)))
-		sd.medium.SetAudibilityIndex(newAudIndex(n, d.Loop))
-		n.segs = append(n.segs, sd)
-	}
-	server := coord.NewDomain("server")
-	n.Loop = server.Loop
-	if cfg.Telemetry {
-		n.initTelemetryDomains(coord, server)
-	}
-
-	// Mailboxes: every trunk-linked segment pair (the adjacent chain
-	// plus any federation ring/bypass trunks — trunk traffic + client
-	// migration) and every segment's link to the wired server. All share
-	// the trunk propagation delay, so one lookahead bounds them all.
-	// Trunk jitter is strictly additive on top of PropDelay, so faulted
-	// deployments keep the same lookahead.
-	for _, sd := range n.segs {
-		sd.mbTo = make(map[int]*sim.Mailbox)
-	}
-	var pairs [][2]int
-	for i := 0; i+1 < len(n.segs); i++ {
-		pairs = append(pairs, [2]int{i, i + 1})
-	}
-	pairs = append(pairs, cfg.extraTrunks()...)
-	for _, e := range pairs {
-		i, j := e[0], e[1]
-		if i > j {
-			i, j = j, i
-		}
-		if n.segs[i].mbTo[j] != nil {
-			continue // duplicate extra pair
-		}
-		n.segs[i].mbTo[j] = coord.Connect(n.segs[i].dom, n.segs[j].dom, lookahead)
-		n.segs[j].mbTo[i] = coord.Connect(n.segs[j].dom, n.segs[i].dom, lookahead)
-	}
-	for i := 0; i+1 < len(n.segs); i++ {
-		n.segs[i].toNext = n.segs[i].mbTo[i+1]
-		n.segs[i+1].toPrev = n.segs[i+1].mbTo[i]
-	}
-	for _, sd := range n.segs {
-		sd.toServer = coord.Connect(sd.dom, server, lookahead)
-		n.serverToSeg = append(n.serverToSeg, coord.Connect(server, sd.dom, lookahead))
-	}
-	n.trunkWired = make(map[*sim.Mailbox]bool)
-	n.wireDomainEnvelopes()
-	fedTopo := cfg.federationTopology()
-
-	d, err := deploy.Builder{
-		Geoms:       geoms,
-		Backhaul:    cfg.Backhaul,
-		Trunk:       cfg.Trunk,
-		ExtraTrunks: cfg.extraTrunks(),
-		FaultSeed:   cfg.Seed,
-		Telemetry:   n.segTel,
-		SegmentLoop: func(i int) *sim.Loop { return n.segs[i].dom.Loop },
-		TrunkLink:   n.trunkLink,
-		ServerHandler: func(si int) backhaul.Handler {
-			sd := n.segs[si]
-			return func(from backhaul.NodeID, msg packet.Message) {
-				// The segment's server tap crosses into the server
-				// domain; route/dedup state then stays server-local.
-				// ServerData arrives in the backhaul's decode scratch
-				// and the envelope outlives the handler call, so the
-				// payload embeds a copy.
-				tp := &serverTapPayload{seg: si, from: from}
-				if d, ok := msg.(*packet.ServerData); ok {
-					tp.sd = *d
-					tp.msg = &tp.sd
-				} else {
-					tp.msg = msg
-				}
-				sd.toServer.Post(sd.dom.Loop.Now().Add(lookahead),
-					sim.Envelope{Kind: kindServerTap, Payload: tp})
-			}
-		},
-		BuildPlane: func(seg *deploy.Segment) deploy.Plane {
-			sd := n.segs[seg.Index]
-			rec := trace.NewRecorder(seg.Index, cfg.FlightRecorder)
-			n.recs = append(n.recs, rec)
-			p := deploy.NewWGTTPlane(seg, sd.dom.Loop, sd.medium, rec,
-				n.segTel(seg.Index), rng, cfg.AP, cfg.Controller)
-			n.attachFederation(fedTopo, seg.Index, sd.dom.Loop, p.Ctrl)
-			if n.Ctrl == nil {
-				n.Ctrl = p.Ctrl
-			}
-			for _, a := range p.APs {
-				n.APs = append(n.APs, a)
-				n.apNodes = append(n.apNodes, a.Node())
-				n.nodeKind[a.Node()] = nodeRef{isAP: true, idx: int(a.ID)}
-			}
-			return p
-		},
-	}.Build()
-	if err != nil {
-		return nil, err
-	}
-	n.Deploy = d
-	n.Backhaul = d.Segments[0].Backhaul
-	n.wireServerSendEnvelopes()
-	for _, sd := range n.segs {
-		sd := sd
-		sd.dom.Loop.After(patrolInterval, sd.patrol)
-	}
-	if cfg.BoundaryInterference {
-		n.wireBoundaryInterference(geoms)
-	}
-	return n, nil
 }
 
 // wireBoundaryInterference connects adjacent segment domains' media so

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -109,5 +110,41 @@ func TestDomainModeValidation(t *testing.T) {
 	bad.Trunk.PropDelay = 0
 	if bad.Validate() == nil {
 		t.Error("accepted a zero-lookahead trunk in domain mode")
+	}
+}
+
+// TestPartitionNeedsSplitShape pins that only the split shape can be
+// partitioned: a network running as one domain, whether SingleLoop on
+// several segments or any mode on one segment, rejects Resolve and
+// RunPartitioned with an explicit error.
+func TestPartitionNeedsSplitShape(t *testing.T) {
+	p, err := ParsePartition("segs,server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		mode  DomainMode
+		segs  int
+		split bool
+	}{{SingleLoop, 3, false}, {DomainsParallel, 1, false}, {DomainsSerial, 3, true}} {
+		cfg := DefaultConfig(WGTT)
+		for i := 0; i < c.segs; i++ {
+			cfg.Segments = append(cfg.Segments, deploy.SegmentSpec{NumAPs: 4})
+		}
+		cfg.Domains = c.mode
+		n := MustNewNetwork(cfg)
+		_, err := p.Resolve(n)
+		if c.split {
+			if err != nil {
+				t.Errorf("%v on %d segments: Resolve: %v", c.mode, c.segs, err)
+			}
+			continue
+		}
+		if !errors.Is(err, errOneDomain) {
+			t.Errorf("%v on %d segments: Resolve returned %v, want %v", c.mode, c.segs, err, errOneDomain)
+		}
+		if err := n.RunPartitioned(sim.Second, nil, nil); !errors.Is(err, errOneDomain) {
+			t.Errorf("%v on %d segments: RunPartitioned returned %v, want %v", c.mode, c.segs, err, errOneDomain)
+		}
 	}
 }

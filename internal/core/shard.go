@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -17,7 +18,7 @@ import (
 // a Partition is pure bookkeeping: which of the already-identical
 // domains each process executes.
 
-// Partition assigns every execution domain of a domain-mode Network to
+// Partition assigns every execution domain of a split Network to
 // exactly one process: Partition[p] lists the domain names process p
 // owns ("seg0".."segN-1" and "server").
 type Partition [][]string
@@ -50,10 +51,11 @@ func ParsePartition(s string) (Partition, error) {
 	return p, nil
 }
 
-// DomainNames lists the network's execution domains in creation order
-// ("seg0".."segN-1", then "server"); empty on the single-loop path.
+// DomainNames lists a split network's execution domains in creation
+// order ("seg0".."segN-1", then "server"); empty for a network that
+// runs as one domain, which cannot be partitioned.
 func (n *Network) DomainNames() []string {
-	if n.Coord == nil {
+	if n.segs[0].dom == n.server {
 		return nil
 	}
 	names := make([]string, 0, len(n.segs)+1)
@@ -63,12 +65,15 @@ func (n *Network) DomainNames() []string {
 	return append(names, "server")
 }
 
+// errOneDomain rejects partitioning a network that runs as one domain.
+var errOneDomain = errors.New("network runs as one domain; partitioning needs Config.Domains on two or more segments")
+
 // Resolve validates the partition against a network — every domain
 // assigned exactly once, no unknown names — expanding the "segs"
 // shorthand, and returns the per-process ownership sets.
 func (p Partition) Resolve(n *Network) ([]map[string]bool, error) {
-	if n.Coord == nil {
-		return nil, fmt.Errorf("partition: network is not in a domain mode")
+	if n.DomainNames() == nil {
+		return nil, fmt.Errorf("partition: %w", errOneDomain)
 	}
 	valid := make(map[string]bool)
 	for _, name := range n.DomainNames() {
@@ -121,8 +126,8 @@ func (p Partition) Resolve(n *Network) ([]map[string]bool, error) {
 // the same sequence of RunPartitioned calls with the same untils — the
 // exchange schedule is lockstep (see sim.Coordinator.RunPartitioned).
 func (n *Network) RunPartitioned(until sim.Duration, owned map[string]bool, bus sim.PeerBus) error {
-	if n.Coord == nil {
-		return fmt.Errorf("RunPartitioned: network is not in a domain mode")
+	if n.DomainNames() == nil {
+		return fmt.Errorf("RunPartitioned: %w", errOneDomain)
 	}
 	if err := n.Coord.RunPartitioned(sim.Time(until),
 		func(d *sim.Domain) bool { return owned[d.Name()] }, bus); err != nil {
@@ -140,7 +145,7 @@ func (n *Network) RunPartitioned(until sim.Duration, owned map[string]bool, bus 
 // process's export with telemetry.MergeSnapshots reproduces the
 // in-process MetricsSnapshot bit for bit.
 func (n *Network) MetricsSnapshotOwned(owned map[string]bool) *telemetry.Snapshot {
-	if n.tel == nil || n.Coord == nil {
+	if n.tel == nil {
 		return nil
 	}
 	return n.tel.SnapshotShards(n.Coord.Now(), func(shard string) bool {

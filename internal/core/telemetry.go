@@ -7,48 +7,47 @@ import (
 	"wgtt/internal/telemetry"
 )
 
-// This file wires the telemetry registry (Config.Telemetry) into both
-// construction paths. On the single-loop path every scope is a view of
-// the registry's root shard; in domain mode each segment gets its own
-// shard, touched only by that domain's goroutine, and the root shard
-// belongs to the wired-server domain. Snapshot merges the shards at
+// This file wires the telemetry registry (Config.Telemetry) into the
+// network's execution domains. The wired server's domain records into
+// the registry's root shard; every other domain records into a shard of
+// its own, touched only by that domain's goroutine. Segment scopes are
+// views of their domain's shard. Snapshot merges the shards at
 // quiescence (the per-round coordinator barrier is the happens-before
 // edge that makes the plain counters visible).
 
-// initTelemetrySingle builds the registry for the single-loop path:
-// every segment scope shares the root shard, sampled by one 100 ms
-// ticker on the shared loop.
-func (n *Network) initTelemetrySingle(loop *sim.Loop, numSegs int) {
-	n.tel = telemetry.NewRegistry()
-	n.telRoot = n.tel.Scope("server")
-	for i := 0; i < numSegs; i++ {
-		n.telSegs = append(n.telSegs, n.tel.Scope(fmt.Sprintf("seg%d", i)))
-	}
-	n.loopGauges(n.telRoot, loop)
-	n.serverGauges()
-	scheduleSampler(loop, n.telRoot)
-}
-
-// initTelemetryDomains builds the registry for domain mode: one shard
-// per segment plus the root shard for the server domain, each with its
-// own sampler on its own loop. All samplers tick on the same absolute
-// 100 ms grid, so serial and parallel domain execution see identical
-// event schedules and stay bit-identical.
-func (n *Network) initTelemetryDomains(coord *sim.Coordinator, server *sim.Domain) {
+// initTelemetry builds the registry. Each domain samples its series with
+// its own 100 ms ticker, scheduled before any plane arms a timer; all
+// tick on the same absolute grid, so serial and parallel rounds see
+// identical event schedules and stay bit-identical. The sync-round
+// metrics exist only where mailboxes do, in the split shape.
+func (n *Network) initTelemetry(split bool) {
 	n.tel = telemetry.NewRegistry()
 	n.telRoot = n.tel.Scope("server")
 	for i, sd := range n.segs {
-		sc := n.tel.NewShard(fmt.Sprintf("seg%d", i))
+		name := fmt.Sprintf("seg%d", i)
+		if sd.dom == n.server {
+			n.telSegs = append(n.telSegs, n.tel.Scope(name))
+			continue
+		}
+		sc := n.tel.NewShard(name)
 		n.telSegs = append(n.telSegs, sc)
-		n.loopGauges(sc, sd.dom.Loop)
-		n.domainIntrospection(sc, coord, sd.dom)
-		scheduleSampler(sd.dom.Loop, sc)
+		n.domainTelemetry(sc, sd.dom, split)
 	}
-	n.loopGauges(n.telRoot, server.Loop)
 	n.serverGauges()
-	n.telRoot.GaugeFunc("coord_rounds", func() float64 { return float64(coord.Rounds()) })
-	n.domainIntrospection(n.telRoot, coord, server)
-	scheduleSampler(server.Loop, n.telRoot)
+	if split {
+		n.telRoot.GaugeFunc("coord_rounds", func() float64 { return float64(n.Coord.Rounds()) })
+	}
+	n.domainTelemetry(n.telRoot, n.server, split)
+}
+
+// domainTelemetry exposes one domain's loop occupancy under sc, with
+// the sync-round view when it has mailboxes, and arms its sampler.
+func (n *Network) domainTelemetry(sc telemetry.Scope, dom *sim.Domain, mailboxes bool) {
+	n.loopGauges(sc, dom.Loop)
+	if mailboxes {
+		n.domainIntrospection(sc, dom)
+	}
+	scheduleSampler(dom.Loop, sc)
 }
 
 // domainIntrospection exposes the sync-round view from inside one
@@ -57,11 +56,11 @@ func (n *Network) initTelemetryDomains(coord *sim.Coordinator, server *sim.Domai
 // series grid. Both read only virtual-schedule state — never wall
 // clock — so serial, parallel, and partitioned runs sample identical
 // values and the merged snapshots stay bit-identical.
-func (n *Network) domainIntrospection(sc telemetry.Scope, coord *sim.Coordinator, dom *sim.Domain) {
+func (n *Network) domainIntrospection(sc telemetry.Scope, dom *sim.Domain) {
 	loop := dom.Loop
-	la := coord.Lookahead()
+	la := n.Coord.Lookahead()
 	sc.Series("envelope_queue_100ms", func() float64 {
-		return float64(coord.PendingEnvelopesFrom(dom))
+		return float64(n.Coord.PendingEnvelopesFrom(dom))
 	})
 	// Slack = how long the domain could idle before its next local
 	// event, capped at the sync horizon (a domain with no work for the
@@ -145,9 +144,5 @@ func (n *Network) MetricsSnapshot() *telemetry.Snapshot {
 	if n.tel == nil {
 		return nil
 	}
-	at := n.Loop.Now()
-	if n.Coord != nil {
-		at = n.Coord.Now()
-	}
-	return n.tel.Snapshot(at)
+	return n.tel.Snapshot(n.Coord.Now())
 }

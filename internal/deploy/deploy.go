@@ -1,11 +1,11 @@
 // Package deploy composes road segments into a deployment: each Segment
 // owns one controller (or baseline bridge), its APs, and its own
 // backhaul domain, while the Deployment chains segments along the road
-// behind a shared sim loop, radio medium, and wired server. Adjacent
-// segments are linked by point-to-point trunks over which the
-// controllers run the cross-segment client handoff (the paper's §3.1.2
-// stop/start/ack generalized across controller domains) and the
-// baseline bridges run bridge-to-bridge re-association.
+// behind one wired server. Adjacent segments are linked by
+// point-to-point trunks over which the controllers run the
+// cross-segment client handoff (the paper's §3.1.2 stop/start/ack
+// generalized across controller domains) and the baseline bridges run
+// bridge-to-bridge re-association.
 package deploy
 
 import (
@@ -137,19 +137,15 @@ func (d *Deployment) SegmentOfAP(global int) *Segment {
 	return nil
 }
 
-// Builder assembles a Deployment. The two callbacks keep scheme
-// knowledge out of this package: ServerHandler returns the wired
+// Builder assembles a Deployment. The callbacks keep scheme and
+// execution knowledge out of this package: SegmentLoop names the event
+// loop each segment runs on, TrunkLink carries each trunk direction's
+// messages to the receiving segment, ServerHandler returns the wired
 // server's receive handler for a segment's backhaul tap, and BuildPlane
 // constructs the scheme-specific plane (it runs after the segment's
 // backhaul and server tap exist, preserving the single-segment
-// construction order bit-for-bit). The optional SegmentLoop/TrunkLink
-// hooks partition the deployment into per-segment event-loop domains;
-// when unset, everything shares Loop and trunks schedule directly on
-// it, which is the exact serial path the golden figures pin.
+// construction order bit-for-bit).
 type Builder struct {
-	// Loop is the shared event loop for single-domain deployments; it
-	// is ignored when SegmentLoop is set.
-	Loop *sim.Loop
 	// Geoms is the resolved per-segment geometry chain.
 	Geoms []Geometry
 	// Backhaul configures every segment's intra-segment backhaul.
@@ -161,17 +157,16 @@ type Builder struct {
 	ServerHandler func(seg int) backhaul.Handler
 	// BuildPlane constructs the scheme-specific plane for a segment.
 	BuildPlane func(seg *Segment) Plane
-	// SegmentLoop, when set, gives each segment its own event loop
-	// (conservative parallel domains). The segment's backhaul and plane
-	// are built on that loop.
+	// SegmentLoop gives segment seg's event loop; several segments may
+	// share one. The segment's backhaul and plane are built on it.
 	SegmentLoop func(seg int) *sim.Loop
-	// TrunkLink, when set, returns a fresh cross-domain transport for
-	// one trunk direction from segment from into segment to (typically
-	// a typed-envelope channel over the sim.Mailbox bound to that
-	// directed edge). Each call must return a NEW transport: two trunks
-	// sharing a directed segment pair (adjacent chain plus a ring
-	// bypass) need distinct channels to demultiplex on. Must be set
-	// whenever SegmentLoop is.
+	// TrunkLink returns a fresh transport for one trunk direction from
+	// segment from into segment to: a LoopTransport when both share a
+	// loop, otherwise typically a typed-envelope channel over the
+	// sim.Mailbox bound to that directed edge. Each call must return a
+	// NEW transport: two trunks sharing a directed segment pair
+	// (adjacent chain plus a ring bypass) need distinct channels to
+	// demultiplex on.
 	TrunkLink func(from, to int) TrunkTransport
 	// Telemetry, when set, returns segment seg's telemetry scope. Build
 	// instruments each segment's backhaul under <scope>/backhaul and its
@@ -198,14 +193,8 @@ func (b Builder) Build() (*Deployment, error) {
 	if len(b.Geoms) == 0 {
 		return nil, fmt.Errorf("deploy: a deployment needs at least one segment")
 	}
-	if b.SegmentLoop != nil && b.TrunkLink == nil && len(b.Geoms) > 1 {
-		return nil, fmt.Errorf("deploy: SegmentLoop without TrunkLink cannot link segments")
-	}
-	loopFor := func(i int) *sim.Loop {
-		if b.SegmentLoop != nil {
-			return b.SegmentLoop(i)
-		}
-		return b.Loop
+	if b.SegmentLoop == nil || b.TrunkLink == nil {
+		return nil, fmt.Errorf("deploy: a Builder needs SegmentLoop and TrunkLink")
 	}
 	telFor := func(i int) telemetry.Scope {
 		if b.Telemetry == nil {
@@ -220,7 +209,7 @@ func (b Builder) Build() (*Deployment, error) {
 			return nil, fmt.Errorf("segment %d: %w", i, err)
 		}
 		seg := &Segment{Index: i, APBase: apBase, Geom: g}
-		seg.Backhaul = backhaul.New(loopFor(i), b.Backhaul)
+		seg.Backhaul = backhaul.New(b.SegmentLoop(i), b.Backhaul)
 		seg.Backhaul.SetTelemetry(telFor(i).Sub("backhaul"))
 		seg.Backhaul.AddNode(NodeServer, b.ServerHandler(i))
 		seg.Plane = b.BuildPlane(seg)
@@ -228,14 +217,8 @@ func (b Builder) Build() (*Deployment, error) {
 		apBase += g.NumAPs
 	}
 	trunkPair := func(i, j int) (fwd, rev *Trunk) {
-		li, lj := loopFor(i), loopFor(j)
-		if b.TrunkLink != nil {
-			fwd = NewTrunkTransport(li.Now, b.TrunkLink(i, j), b.Trunk)
-			rev = NewTrunkTransport(lj.Now, b.TrunkLink(j, i), b.Trunk)
-		} else {
-			fwd = NewTrunk(li.Now, func(at sim.Time, fn func()) { lj.At(at, fn) }, b.Trunk)
-			rev = NewTrunk(lj.Now, func(at sim.Time, fn func()) { li.At(at, fn) }, b.Trunk)
-		}
+		fwd = NewTrunkTransport(b.SegmentLoop(i).Now, b.TrunkLink(i, j), b.Trunk)
+		rev = NewTrunkTransport(b.SegmentLoop(j).Now, b.TrunkLink(j, i), b.Trunk)
 		// Each trunk direction's counters live in the SENDING segment's
 		// scope: Deliver runs on the sender's loop, so the handles stay
 		// inside that domain's shard.
@@ -304,17 +287,15 @@ func DefaultTrunkConfig() TrunkConfig {
 const trunkEncapOverhead = 66
 
 // Trunk is one direction of an inter-segment link: reliable, FIFO,
-// serialization at the line rate plus fixed propagation. It is a
-// cross-domain channel: now reads the sending side's clock and the
-// arrival is scheduled on the receiving side — directly on the shared
-// loop (serial) or as a typed envelope over a TrunkTransport crossing
-// domains (and, partitioned, processes). Because the arrival
-// is always at least PropDelay after the sender's now, PropDelay lower-
-// bounds the trunk's latency and serves as the conservative-sync
-// lookahead.
+// serialization at the line rate plus fixed propagation. now reads the
+// sending side's clock and a TrunkTransport carries each message to the
+// receiving side: one event on a loop both ends share, or a typed
+// envelope crossing domains (and, partitioned, processes). Because the
+// arrival is always at least PropDelay after the sender's now,
+// PropDelay lower-bounds the trunk's latency and serves as the
+// conservative-sync lookahead.
 type Trunk struct {
 	now     func() sim.Time
-	post    func(at sim.Time, fn func())
 	link    TrunkTransport
 	cfg     TrunkConfig
 	free    sim.Time // egress availability
@@ -339,29 +320,39 @@ type Trunk struct {
 	metFaultDrops  *telemetry.Counter
 }
 
-// NewTrunk builds one trunk direction from a sender clock and a
-// receiver scheduler (the single-loop path: both ends share one event
-// loop, so the arrival schedules directly).
-func NewTrunk(now func() sim.Time, post func(at sim.Time, fn func()), cfg TrunkConfig) *Trunk {
-	return &Trunk{now: now, post: post, cfg: cfg}
-}
-
-// TrunkTransport carries one trunk direction's messages across a domain
-// (and possibly process) boundary as data: Post ships a message for
-// arrival at the receiving domain at the given virtual time, and
-// OnDeliver registers the receiving side's callback. Implementations
-// route over typed sim.Mailbox envelopes; each transport instance is
-// one demultiplexing channel.
+// TrunkTransport carries one trunk direction's messages to the
+// receiving segment: Post ships a message for arrival there at the
+// given virtual time, and OnDeliver registers the receiving side's
+// callback. Between segments on one loop it is a LoopTransport; across
+// a domain (and possibly process) boundary each instance is one
+// demultiplexing channel of typed sim.Mailbox envelopes.
 type TrunkTransport interface {
 	Post(at sim.Time, msg packet.Message)
 	OnDeliver(fn func(msg packet.Message))
 }
 
-// NewTrunkTransport builds one trunk direction whose arrivals cross a
-// domain boundary over a TrunkTransport (the partitioned path). The
-// transport's delivery callback reads the trunk's deliver hook at call
-// time, so planes may wire it after construction exactly as on the
-// single-loop path.
+// LoopTransport is the TrunkTransport between two segments that run on
+// one event loop: each message is one event on that loop at its arrival
+// time.
+type LoopTransport struct {
+	loop *sim.Loop
+	fn   func(msg packet.Message)
+}
+
+// NewLoopTransport returns a transport delivering on loop.
+func NewLoopTransport(loop *sim.Loop) *LoopTransport { return &LoopTransport{loop: loop} }
+
+// Post implements TrunkTransport.
+func (l *LoopTransport) Post(at sim.Time, msg packet.Message) {
+	l.loop.At(at, func() { l.fn(msg) })
+}
+
+// OnDeliver implements TrunkTransport.
+func (l *LoopTransport) OnDeliver(fn func(msg packet.Message)) { l.fn = fn }
+
+// NewTrunkTransport builds one trunk direction whose arrivals travel
+// over link. The transport's delivery callback reads the trunk's
+// deliver hook at call time, so planes may wire it after construction.
 func NewTrunkTransport(now func() sim.Time, link TrunkTransport, cfg TrunkConfig) *Trunk {
 	t := &Trunk{now: now, link: link, cfg: cfg}
 	link.OnDeliver(func(m packet.Message) { t.deliver(m) })
@@ -438,9 +429,5 @@ func (t *Trunk) Deliver(m packet.Message) {
 		}
 		t.lastArrive = arrive
 	}
-	if t.link != nil {
-		t.link.Post(arrive, m)
-		return
-	}
-	t.post(arrive, func() { t.deliver(m) })
+	t.link.Post(arrive, m)
 }

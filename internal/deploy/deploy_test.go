@@ -72,7 +72,7 @@ func TestSegmentAPOwnership(t *testing.T) {
 // with back-to-back messages queuing behind each other's serialization.
 func TestTrunkFIFO(t *testing.T) {
 	loop := sim.NewLoop()
-	tr := NewTrunk(loop.Now, func(at sim.Time, fn func()) { loop.At(at, fn) },
+	tr := NewTrunkTransport(loop.Now, NewLoopTransport(loop),
 		TrunkConfig{LinkMbps: 1000, PropDelay: 200 * sim.Microsecond})
 	var got []uint32
 	var times []sim.Time
@@ -109,8 +109,8 @@ func TestMixedSchemePanics(t *testing.T) {
 		}
 	}()
 	loop := sim.NewLoop()
-	post := func(at sim.Time, fn func()) { loop.At(at, fn) }
 	cfg := DefaultTrunkConfig()
 	(&WGTTPlane{}).ConnectNext(&BaselinePlane{},
-		NewTrunk(loop.Now, post, cfg), NewTrunk(loop.Now, post, cfg))
+		NewTrunkTransport(loop.Now, NewLoopTransport(loop), cfg),
+		NewTrunkTransport(loop.Now, NewLoopTransport(loop), cfg))
 }

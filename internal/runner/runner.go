@@ -31,8 +31,9 @@ type Exec struct {
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// ParallelSegments runs each multi-segment network's segments as
-	// conservative parallel domains (core.DomainsParallel); see
-	// RunSpec.Domains. Single-segment networks ignore it.
+	// conservative parallel domains (core.DomainsParallel). Callers
+	// apply it to the Config they build; single-segment networks run as
+	// one domain either way.
 	ParallelSegments bool
 }
 

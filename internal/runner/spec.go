@@ -57,10 +57,6 @@ type RunSpec struct {
 	OfferedMbps float64
 	// Warmup delays flow start; zero means DefaultWarmup.
 	Warmup sim.Duration
-	// Domains, when not SingleLoop, partitions a multi-segment network
-	// into per-segment event-loop domains (serial rounds or one
-	// goroutine per segment). Applied after Mutate.
-	Domains core.DomainMode
 	// Metrics, when non-nil, enables Config.Telemetry on the run's
 	// network and folds the end-of-run snapshot into the collector under
 	// MetricsLabel (falling back to Label, then "<scheme> <transport>").
@@ -81,9 +77,6 @@ func Run(spec RunSpec) float64 {
 	cfg.Seed = spec.Seed
 	if spec.Mutate != nil {
 		spec.Mutate(&cfg)
-	}
-	if spec.Domains != core.SingleLoop {
-		cfg.Domains = spec.Domains
 	}
 	if spec.Metrics != nil {
 		cfg.Telemetry = true

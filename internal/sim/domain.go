@@ -152,7 +152,8 @@ func (m *Mailbox) deliver(at Time, env Envelope, trace uint64) {
 // in it, claimed one at a time by the calling goroutine and a pool of
 // GOMAXPROCS−1 helpers (see roundPool); idle domains just have their
 // clocks advanced. Both modes produce bit-identical results (see the
-// package comment above).
+// package comment above). Domains that share no mailbox need no
+// barrier, so without one each Run is a single round to its horizon.
 type Coordinator struct {
 	lookahead Duration
 	parallel  bool
@@ -173,12 +174,10 @@ type Coordinator struct {
 }
 
 // NewCoordinator returns a coordinator advancing time in rounds of width
-// lookahead. Panics if lookahead is not positive: a zero lookahead admits
-// no conservative parallelism.
+// lookahead. Domains that share no mailbox cannot affect each other, so
+// until the first Connect every Run is one round straight to its
+// horizon and the lookahead is unused; Connect requires it positive.
 func NewCoordinator(lookahead Duration, parallel bool) *Coordinator {
-	if lookahead <= 0 {
-		panic("sim: coordinator lookahead must be positive")
-	}
 	return &Coordinator{lookahead: lookahead, parallel: parallel}
 }
 
@@ -201,10 +200,15 @@ func (c *Coordinator) NewDomain(name string) *Domain {
 	return d
 }
 
-// Connect creates a mailbox from one domain to another. minDelay must be at
-// least the coordinator's lookahead; mailbox drain order follows Connect
-// call order, which is part of the deterministic schedule.
+// Connect creates a mailbox from one domain to another. The lookahead
+// must be positive, as a zero one admits no conservative parallelism,
+// and minDelay must be at least the lookahead; mailbox drain order
+// follows Connect call order, which is part of the deterministic
+// schedule.
 func (c *Coordinator) Connect(from, to *Domain, minDelay Duration) *Mailbox {
+	if c.lookahead <= 0 {
+		panic("sim: coordinator lookahead must be positive to connect domains")
+	}
 	if minDelay < c.lookahead {
 		panic(fmt.Sprintf("sim: mailbox min delay %v below coordinator lookahead %v",
 			minDelay, c.lookahead))
@@ -270,21 +274,8 @@ func (c *Coordinator) Run(until Time) {
 	}
 
 	for c.now < until {
-		end := c.now.Add(c.lookahead)
-		if ne, ok := c.nextEventAt(); !ok {
-			// Nothing pending anywhere and all mailboxes are drained:
-			// no event can materialize, so jump straight to the horizon.
-			end = until
-		} else if s := ne.Add(-c.lookahead); s > end {
-			// The earliest event is more than a round away. Advance in
-			// one idle round to ne-L so the next round (ne-L, ne]
-			// contains it. Identical in serial and parallel mode, so
-			// the fast-forward preserves bit-identity.
-			end = s
-		}
-		if end > until {
-			end = until
-		}
+		next, hasNext := c.nextEventAt()
+		end := c.roundEnd(next, hasNext, until)
 		if p != nil {
 			p.round(end)
 		} else {
@@ -296,6 +287,24 @@ func (c *Coordinator) Run(until Time) {
 		c.now = end
 		c.rounds++
 	}
+}
+
+// roundEnd returns where the round after c.now ends, given the earliest
+// pending event: one lookahead on, clamped to until. With no mailbox, or
+// nothing pending anywhere and every mailbox drained, no domain can
+// receive an event from another, so the round runs straight to until.
+// When the earliest event is more than a round away, an idle round
+// advances to next-L so that the round after it, (next-L, next],
+// contains the event. Every input is identical in serial, parallel and
+// partitioned runs, so the round schedule preserves bit-identity.
+func (c *Coordinator) roundEnd(next Time, hasNext bool, until Time) Time {
+	end := c.now.Add(c.lookahead)
+	if !hasNext || len(c.boxes) == 0 {
+		end = until
+	} else if s := next.Add(-c.lookahead); s > end {
+		end = s
+	}
+	return min(end, until)
 }
 
 // Rounds returns the number of synchronization rounds executed so far —

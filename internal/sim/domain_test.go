@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -200,4 +201,80 @@ func TestCoordinatorConstructionPosts(t *testing.T) {
 	if len(got) != 2 || got[0] != Time(200*Microsecond) || got[1] != Time(5*Millisecond) {
 		t.Fatalf("construction posts delivered at %v", got)
 	}
+}
+
+// tickLog arms a self-rescheduling event on l that logs each firing with
+// a draw from its own RNG stream, plus one event exactly on the first
+// horizon of TestCoordinatorWithoutMailboxes.
+func tickLog(l *Loop, seed int64, i int, log *[]string) {
+	rng := NewRNG(seed).Fork(fmt.Sprintf("dom%d", i))
+	var tick func()
+	tick = func() {
+		*log = append(*log, fmt.Sprintf("tick @%v r%d", l.Now(), rng.Intn(1000)))
+		l.After(Duration(50+rng.Intn(900))*Microsecond, tick)
+	}
+	l.After(Duration(10+rng.Intn(50))*Microsecond, tick)
+	l.At(Time(3*Millisecond), func() { *log = append(*log, fmt.Sprintf("edge @%v", l.Now())) })
+}
+
+// TestCoordinatorWithoutMailboxes pins the one-round run: domains that
+// share no mailbox cannot affect each other, so each Run is exactly one
+// round straight to its horizon, and every domain fires the events a
+// bare Loop.Run to the same horizons fires, at the same times, serially
+// or on the pool at GOMAXPROCS 1 and 8. Only Connect needs a positive
+// lookahead.
+func TestCoordinatorWithoutMailboxes(t *testing.T) {
+	const (
+		seed = 7
+		nDom = 4
+	)
+	horizons := []Time{Time(3 * Millisecond), Time(3*Millisecond + 1), Time(40 * Millisecond), Time(41 * Millisecond)}
+	want := make([][]string, nDom)
+	for i := range want {
+		l := NewLoop()
+		tickLog(l, seed, i, &want[i])
+		for _, h := range horizons {
+			l.Run(h)
+		}
+	}
+	for _, procs := range []int{1, 8} {
+		for _, parallel := range []bool{false, true} {
+			t.Run(fmt.Sprintf("procs%d/parallel=%v", procs, parallel), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				c := NewCoordinator(200*Microsecond, parallel)
+				got := make([][]string, nDom)
+				doms := make([]*Domain, nDom)
+				for i := range doms {
+					doms[i] = c.NewDomain(fmt.Sprintf("d%d", i))
+					tickLog(doms[i].Loop, seed, i, &got[i])
+				}
+				for k, h := range horizons {
+					c.Run(h)
+					if c.Rounds() != int64(k+1) {
+						t.Fatalf("after Run(%v), %d: %d rounds, want one per call", h, k+1, c.Rounds())
+					}
+					for _, d := range doms {
+						if d.Loop.Now() != h {
+							t.Fatalf("domain %s at %v after Run(%v)", d.Name(), d.Loop.Now(), h)
+						}
+					}
+				}
+				for i := range got {
+					if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+						t.Errorf("domain %d fired\n%v\nbare loop fired\n%v", i, got[i], want[i])
+					}
+				}
+			})
+		}
+	}
+
+	c := NewCoordinator(0, false)
+	a, b := c.NewDomain("a"), c.NewDomain("b")
+	c.Run(Time(Millisecond))
+	defer func() {
+		if recover() == nil {
+			t.Error("Connect on a zero-lookahead coordinator did not panic")
+		}
+	}()
+	c.Connect(a, b, Millisecond)
 }

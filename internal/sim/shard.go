@@ -124,15 +124,7 @@ func (c *Coordinator) RunPartitioned(until Time, owned func(*Domain) bool, bus P
 		if err != nil {
 			return err
 		}
-		end := c.now.Add(c.lookahead)
-		if !hasNext {
-			end = until
-		} else if s := next.Add(-c.lookahead); s > end {
-			end = s
-		}
-		if end > until {
-			end = until
-		}
+		end := c.roundEnd(next, hasNext, until)
 		for _, d := range c.domains {
 			if own[d.id] {
 				d.Loop.Run(end)

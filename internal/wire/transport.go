@@ -347,15 +347,14 @@ func (p *peer) noRound(seq int64) error {
 
 // send retains the frame for resend and writes it if a connection is
 // up. A write failure is not an Exchange error: the frame stays
-// retained and the reconnect handshake replays it.
+// retained and the reconnect handshake replays it. The frame is
+// retained under wmu, so an install either replays it or publishes its
+// connection before send writes it, never both.
 func (p *peer) send(seq int64, frame []byte) {
-	p.mu.Lock()
-	p.sent = append(p.sent, sentFrame{seq, frame})
-	p.mu.Unlock()
-
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	p.mu.Lock()
+	p.sent = append(p.sent, sentFrame{seq, frame})
 	conn := p.conn
 	p.mu.Unlock()
 	if conn == nil {

@@ -222,6 +222,38 @@ func TestTransportDigestMismatch(t *testing.T) {
 	}
 }
 
+// TestTransportFirstConnectWritesOnce starts many fresh two-process
+// meshes at once and exchanges on each straight away, so that some
+// first handshakes land while an Exchange is sending. A frame must then
+// reach the peer once, written either by the send or by the handshake's
+// replay, never by both: a side that never reconnected has nothing to
+// drop as a duplicate and nothing to resend.
+func TestTransportFirstConnectWritesOnce(t *testing.T) {
+	const batches, meshes, rounds = 8, 32, 4
+	for b := 0; b < batches; b++ {
+		all := make([][]*Transport, meshes)
+		var wg sync.WaitGroup
+		for i := range all {
+			all[i] = startMesh(t, 2, nil)
+			wg.Add(1)
+			go func(ts []*Transport) {
+				defer wg.Done()
+				runExchanges(t, ts, rounds)
+			}(all[i])
+		}
+		wg.Wait()
+		for i, ts := range all {
+			for p, tr := range ts {
+				if st := tr.Stats(); st.Reconnects == 0 && (st.DedupDrops != 0 || st.Resends != 0) {
+					t.Errorf("batch %d mesh %d proc %d: dedup drops %d, resends %d without a reconnect; want 0 and 0",
+						b, i, p, st.DedupDrops, st.Resends)
+				}
+				tr.Close()
+			}
+		}
+	}
+}
+
 // newTransport starts process self of addrs on its own and closes it
 // at cleanup.
 func newTransport(t *testing.T, self int, addrs []string, timeout time.Duration) *Transport {

@@ -29,6 +29,9 @@ go build ./...
 # all four under the race detector first. The TestDomain* parity tests
 # then exercise full corridor rides (including fault-injected and
 # workload-bearing ones) on the parallel coordinator's goroutine pool.
+# Every network runs through Coordinator.Run, so one seed of the
+# one-domain pins and the one-domain DomainsParallel fallback (a pool
+# with no helpers) go under the race detector too.
 # The sim package's round-dispatch tests (sparse meshes at GOMAXPROCS
 # 1, 2 and 8, sliced runs, helper lifetime) repeat ten times to shake
 # out rare interleavings of the claiming helpers.
@@ -36,6 +39,8 @@ go test -race ./internal/runner/ ./internal/deploy/ ./internal/federation/
 go test -race -count=10 ./internal/sim/
 go test -race -run 'TestDomain' ./internal/core/
 go test -race -run 'TestDomain' .
+go test -race -run 'TestSingleLoopPins/seed1' .
+go test -race -run 'TestCorridorSingleSegmentFallback' .
 
 # The wire transport carries the cross-process exchange protocol
 # (reconnect, resend, dedup, journal replay). Exchange reads on the
@@ -135,12 +140,17 @@ go run ./cmd/wgtt-sim -segments 4x7.5,4x7.5,4x7.5,4x7.5 -federation -clients 2 -
     }'
 
 # wgtt-sim smoke gate: the flight recorder's text view (-trace) prints
-# under -parallel-segments, a scenario run writes -trace-out and its CPU
-# profile, -trace-out - leaves stdout pure JSON (the summary moves to
-# stderr), and the federation ride above reports its trunk drops
-# without -metrics.
+# for a multi-segment ride on one loop and under -parallel-segments, a
+# scenario run writes -trace-out and its CPU profile, -trace-out -
+# leaves stdout pure JSON (the summary moves to stderr), and the
+# federation ride above reports its trunk drops without -metrics.
 sim_tmp=$(mktemp -d)
 go build -o "$sim_tmp/wgtt-sim" ./cmd/wgtt-sim
+"$sim_tmp/wgtt-sim" -segments 4x7.5,4x7.5 -mph 25 -trace 20 > "$sim_tmp/single.txt"
+if ! grep -q ' trace=0x' "$sim_tmp/single.txt"; then
+    echo "wgtt-sim gate: -trace printed no records for a multi-segment ride on one loop"
+    exit 1
+fi
 "$sim_tmp/wgtt-sim" -segments 4x7.5,4x7.5 -parallel-segments -mph 25 -trace 20 > "$sim_tmp/par.txt"
 if ! grep -q ' trace=0x' "$sim_tmp/par.txt"; then
     echo "wgtt-sim gate: -trace printed no records under -parallel-segments"

@@ -35,14 +35,9 @@ type ServeRun struct {
 }
 
 // Now returns the scenario's current virtual time: the coordinator
-// clock in a domain-mode network (the only clock that advances on
-// every process of a partitioned run), the event loop otherwise.
-func (r *ServeRun) Now() Time {
-	if r.Net.Coord != nil {
-		return r.Net.Coord.Now()
-	}
-	return r.Net.Loop.Now()
-}
+// clock, the only clock that advances on every process of a partitioned
+// run.
+func (r *ServeRun) Now() Time { return r.Net.Coord.Now() }
 
 // ServeClient is one client's goodput figure in a ServeReport.
 type ServeClient struct {
@@ -144,11 +139,8 @@ func BuildServeScenario(name string, opt Options) (*ServeRun, error) {
 		inner := opt.Mutate
 		opt.Mutate = func(c *Config) {
 			c.Telemetry = true
-			// Domain mode needs a multi-segment deployment; a
-			// single-segment scenario serves on the classic loop.
-			if len(c.Segments) >= 2 {
-				c.Domains = core.DomainsSerial
-			}
+			// A single-segment scenario runs as one domain either way.
+			c.Domains = core.DomainsSerial
 			if inner != nil {
 				inner(c)
 			}

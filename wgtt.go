@@ -101,15 +101,15 @@ type (
 func ParseFaultSchedule(s string) (FaultSchedule, error) { return deploy.ParseFaultSchedule(s) }
 
 // DomainMode selects how a multi-segment deployment executes
-// (Config.Domains): one event loop, or per-segment domains run serially
-// or in parallel. See core.DomainMode.
+// (Config.Domains): as one domain on one event loop, or split into
+// per-segment domains run serially or in parallel. See core.DomainMode.
 type DomainMode = core.DomainMode
 
 // Domain modes.
 const (
-	// SingleLoop is the classic exactly-serial execution.
+	// SingleLoop runs the whole deployment as one domain on one loop.
 	SingleLoop = core.SingleLoop
-	// DomainsSerial partitions per segment but runs on one goroutine.
+	// DomainsSerial splits per segment but runs on one goroutine.
 	DomainsSerial = core.DomainsSerial
 	// DomainsParallel spreads each round's active segment domains over
 	// up to GOMAXPROCS goroutines; bit-identical to DomainsSerial by
@@ -120,7 +120,8 @@ const (
 // DefaultConfig returns the paper's eight-AP testbed configuration.
 func DefaultConfig(s Scheme) Config { return core.DefaultConfig(s) }
 
-// Network is a fully wired deployment.
+// Network is a fully wired deployment, run as execution domains on its
+// Coord: one domain, or one per segment (see core.Network).
 type Network = core.Network
 
 // NewNetwork builds a deployment; it panics if the configuration fails
