@@ -281,31 +281,25 @@ func runFlags(out io.Writer, cfg wgtt.Config, parallel bool) (*wgtt.Network, []m
 // anomalies, -metrics, and the -series throughput of client 0.
 func report(out io.Writer, n *wgtt.Network, meters []meterer) error {
 	if n.Cfg.Scheme == wgtt.SchemeWGTT {
-		var issued, acked, dups, exported, imported int
+		dups := 0
 		for _, ctrl := range n.Controllers() {
-			issued += ctrl.SwitchesIssued
-			acked += ctrl.SwitchesAcked
 			dups += ctrl.UplinkDuplicates
-			exported += ctrl.HandoffsExported
-			imported += ctrl.HandoffsImported
 		}
 		fmt.Fprintf(out, "\nswitches: %d issued, %d completed; uplink dups removed: %d\n",
-			issued, acked, dups)
+			n.ProtocolCount(trace.OpIssue), n.ProtocolCount(trace.OpAck), dups)
 		if len(n.Controllers()) > 1 {
-			fmt.Fprintf(out, "cross-segment handoffs: %d exported, %d imported\n", exported, imported)
+			fmt.Fprintf(out, "cross-segment handoffs: %d exported, %d imported\n",
+				n.ProtocolCount(trace.OpExport), n.ProtocolCount(trace.OpImport))
 		}
 		if nodes := n.FederationNodes(); len(nodes) > 0 {
-			var rel, abandoned, releases int
+			var rel, abandoned int
 			for _, f := range nodes {
 				rel += f.Relocates
 				abandoned += f.RelocatesAbandoned
 			}
-			for _, ctrl := range n.Controllers() {
-				releases += ctrl.FedReleases
-			}
 			outage, random := n.TrunkFaultDrops()
 			fmt.Fprintf(out, "federation: %d re-locates (%d abandoned), %d releases; trunk drops: %d outage, %d random; lost clients: %d\n",
-				rel, abandoned, releases, outage, random, len(n.LostClients()))
+				rel, abandoned, n.ProtocolCount(trace.OpRelease), outage, random, len(n.LostClients()))
 		}
 	}
 	if *traceN > 0 {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"wgtt"
+	"wgtt/internal/trace"
 )
 
 func main() {
@@ -36,7 +37,8 @@ func main() {
 	fmt.Println()
 	fmt.Printf("goodput:        %.1f Mbit/s of 30 offered\n", flow.Mbps(n.Loop.Now()))
 	fmt.Printf("loss rate:      %.3f\n", flow.Sink.LossRate())
-	fmt.Printf("switches:       %d issued, %d completed\n", n.Ctrl.SwitchesIssued, n.Ctrl.SwitchesAcked)
+	fmt.Printf("switches:       %d issued, %d completed\n",
+		n.ProtocolCount(trace.OpIssue), n.ProtocolCount(trace.OpAck))
 	fmt.Printf("uplink dedup:   %d duplicates removed\n", n.Ctrl.UplinkDuplicates)
 	forwarded, recovered := 0, 0
 	for _, a := range n.APs {

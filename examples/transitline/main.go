@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"wgtt"
+	"wgtt/internal/trace"
 )
 
 func main() {
@@ -55,9 +56,10 @@ func main() {
 
 	fmt.Println()
 	fmt.Printf("goodput over the ride: %.1f Mbit/s\n", flow.Mbps(n.Loop.Now()))
-	for i, ctrl := range n.Controllers() {
+	for i := range n.Controllers() {
+		rec := n.FlightRecorder(i)
 		fmt.Printf("segment %d: %d switches issued, %d acked, handed off %d out / %d in\n",
-			i, ctrl.SwitchesIssued, ctrl.SwitchesAcked,
-			ctrl.HandoffsExported, ctrl.HandoffsImported)
+			i, rec.Count(-1, trace.OpIssue), rec.Count(-1, trace.OpAck),
+			rec.Count(-1, trace.OpExport), rec.Count(-1, trace.OpImport))
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"wgtt/internal/phy"
 	"wgtt/internal/rf"
 	"wgtt/internal/sim"
+	"wgtt/internal/telemetry"
+	"wgtt/internal/trace"
 )
 
 // Fig2Result reproduces the motivating observation: in the overlap zone
@@ -263,9 +265,9 @@ func Table1SwitchTime(opt Options, rates []float64) Table1Result {
 			f := NewUDPDownlink(n, c, rate)
 			startAfterWarmup(n, f.Start)
 			n.Run(dur)
-			lats := n.Ctrl.SwitchLatencies
-			m, s := meanStdMs(lats)
-			return outcome{meanMs: m, stdMs: s, switches: len(lats)}
+			done := n.FlightRecorder(0).Spans().Completed()
+			m, s := meanStdMs(done)
+			return outcome{meanMs: m, stdMs: s, switches: len(done)}
 		}
 	}
 	for _, o := range runAll(opt, jobs) {
@@ -426,7 +428,7 @@ func Fig22Hysteresis(opt Options, hystMs []float64) Fig22Result {
 			f := NewTCPDownlink(n, c, 0)
 			startAfterWarmup(n, f.Start)
 			n.Run(dur)
-			return outcome{mbps: f.Mbps(n.Loop.Now()), switches: n.Ctrl.SwitchesAcked}
+			return outcome{mbps: f.Mbps(n.Loop.Now()), switches: n.ProtocolCount(trace.OpAck)}
 		}
 	}
 	for _, o := range runAll(opt, jobs) {
@@ -531,19 +533,21 @@ func mean(v []float64) float64 {
 	return s / float64(len(v))
 }
 
-// meanStdMs converts durations to mean/std in milliseconds.
-func meanStdMs(d []sim.Duration) (m, s float64) {
-	if len(d) == 0 {
+// meanStdMs returns the mean and standard deviation of completed
+// handoffs' issue→ack latency, in milliseconds.
+func meanStdMs(hs []telemetry.SpanRecord) (m, s float64) {
+	if len(hs) == 0 {
 		return 0, 0
 	}
-	for _, v := range d {
-		m += float64(v)
+	for _, h := range hs {
+		m += float64(h.AckedAt.Sub(h.IssuedAt))
 	}
-	m /= float64(len(d))
-	for _, v := range d {
-		s += (float64(v) - m) * (float64(v) - m)
+	m /= float64(len(hs))
+	for _, h := range hs {
+		d := float64(h.AckedAt.Sub(h.IssuedAt)) - m
+		s += d * d
 	}
-	s = math.Sqrt(s / float64(len(d)))
+	s = math.Sqrt(s / float64(len(hs)))
 	return m / float64(Millisecond), s / float64(Millisecond)
 }
 

@@ -3,6 +3,8 @@ package wgtt
 import (
 	"fmt"
 	"strings"
+
+	"wgtt/internal/trace"
 )
 
 // CorridorMMWaveResult is the picocell corridor: the same three-segment
@@ -72,10 +74,8 @@ func CorridorMMWave(opt Options) CorridorMMWaveResult {
 		res.PerClientMbps = append(res.PerClientMbps, m.MeanMbps(now))
 	}
 	res.MeanMbps = mean(res.PerClientMbps)
-	for _, ctrl := range n.Controllers() {
-		res.SwitchesIssued += ctrl.SwitchesIssued
-		res.SwitchesAcked += ctrl.SwitchesAcked
-	}
+	res.SwitchesIssued = n.ProtocolCount(trace.OpIssue)
+	res.SwitchesAcked = n.ProtocolCount(trace.OpAck)
 	if snap := n.MetricsSnapshot(); snap != nil {
 		for _, sp := range snap.Spans {
 			if sp.Name == "handoff" || strings.HasSuffix(sp.Name, "/handoff") {

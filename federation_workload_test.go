@@ -56,8 +56,11 @@ func TestDomainClientWorkloadParity(t *testing.T) {
 
 // TestFederationReleaseRecords rides a ring-federated corridor whose
 // trunk faults make the replicated directory hand clients to another
-// segment, and requires exactly one release record per FedReleases
-// increment in each controller's domain, naming the new owner.
+// segment. Each controller's domain must hold exactly one release
+// record per release its recorder counted, naming the new owner, and
+// every stitched issue must end in ack, abandon or export unless that
+// client's switch is still pending: a release mid-switch abandons the
+// switch it stands down.
 func TestFederationReleaseRecords(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three four-segment federated rides")
@@ -84,7 +87,8 @@ func TestFederationReleaseRecords(t *testing.T) {
 		n.Run(Duration((hi - lo + 10) / trajs[0].SpeedMps() * 1e9))
 
 		recs := n.FlightRecords()
-		for seg, ctrl := range n.Controllers() {
+		ctrls := n.Controllers()
+		for seg, ctrl := range ctrls {
 			// lastMove holds each client's final ownership-moving record
 			// in this domain: export, import, or release.
 			lastMove := map[packet.MAC]TraceRecord{}
@@ -110,10 +114,15 @@ func TestFederationReleaseRecords(t *testing.T) {
 						seed, seg, r.Client, r.B, ctrl.ExportedTo(r.Client))
 				}
 			}
-			if releases != ctrl.FedReleases {
-				t.Errorf("seed %d seg %d: %d release records for %d releases", seed, seg, releases, ctrl.FedReleases)
+			if want := n.FlightRecorder(seg).Count(-1, trace.OpRelease); releases != want {
+				t.Errorf("seed %d seg %d: %d release records for %d releases", seed, seg, releases, want)
 			}
-			total += ctrl.FedReleases
+			total += releases
+		}
+		for _, h := range trace.Handoffs(recs) {
+			if h.HasIssue && !h.HasAck && !h.Abandoned && !h.Exported && !ctrls[h.Domain].SwitchPending(h.Client) {
+				t.Errorf("seed %d: switch %#x of %s (seg %d, issued %v) never ended", seed, h.Trace, h.Client, h.Domain, h.Issue)
+			}
 		}
 	}
 	if total == 0 {

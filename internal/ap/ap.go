@@ -113,17 +113,14 @@ type AP struct {
 	cfg    Config
 	rng    *sim.RNG
 
-	// Rec, when set, is the domain's flight recorder: the AP writes its
-	// stop/start protocol steps into it under the causal trace id the
-	// controller's Stop/Start delivery carried.
+	// Rec is the segment's recorder, shared with its controller: each of
+	// the AP's stop/start protocol steps is one Record call under the
+	// causal trace id the controller's Stop/Start delivery carried.
 	Rec *trace.Recorder
 
 	// met holds telemetry handles resolved once by SetTelemetry; all
-	// fields are nil (free no-ops) when telemetry is off. spans is the
-	// segment-shared handoff tracker: this AP marks the start phase
-	// and flush counts on spans its controller opened.
-	met   apMetrics
-	spans *telemetry.Spans
+	// fields are nil (free no-ops) when telemetry is off.
+	met apMetrics
 
 	// Send-side scratch reused across bh.Send calls (which serialize
 	// synchronously): one CSI report and one uplink tunnel shell.
@@ -136,9 +133,7 @@ type AP struct {
 	busy    bool
 	await   *awaitBA
 
-	// Stats.
-	Switches     int // start(c,k) handoffs accepted
-	StopsHandled int
+	// Data-plane stats; the switch protocol's are Rec's counts.
 	// RateMPDUs counts transmitted MPDUs per MCS (Fig. 16's link
 	// bit-rate distribution).
 	RateMPDUs   [phy.NumRates]int
@@ -175,43 +170,38 @@ func New(id uint16, pos rf.Position, loop *sim.Loop, medium *mac.Medium, bh *bac
 
 // apMetrics are the AP's resolved registry handles.
 type apMetrics struct {
-	stops       *telemetry.Counter
-	switches    *telemetry.Counter
 	aggregates  *telemetry.Counter
 	mpdus       *telemetry.Counter
 	mpdusRetx   *telemetry.Counter
 	mpdusDrop   *telemetry.Counter
 	flushedPkts *telemetry.Counter
 	fwdBytes    *telemetry.Counter
-	baForwarded *telemetry.Counter
-	baRecovered *telemetry.Counter
 	uplinkMPDUs *telemetry.Counter
 	csiReports  *telemetry.Counter
 }
 
 // SetTelemetry resolves this AP's metric handles under sc (e.g.
-// "seg0/ap3") and attaches the segment's shared handoff span tracker.
-// Call once at build time; a zero scope leaves telemetry off at zero
-// hot-path cost.
-func (a *AP) SetTelemetry(sc telemetry.Scope, spans *telemetry.Spans) {
-	a.spans = spans
+// "seg0/ap3") and registers views of its BA stats and of Rec's stop and
+// start-rx counts at this AP. Call once at build time; a zero scope
+// leaves telemetry off at zero hot-path cost.
+func (a *AP) SetTelemetry(sc telemetry.Scope) {
 	if !sc.Enabled() {
 		return
 	}
 	a.met = apMetrics{
-		stops:       sc.Counter("stops"),
-		switches:    sc.Counter("switches"),
 		aggregates:  sc.Counter("aggregates"),
 		mpdus:       sc.Counter("mpdus"),
 		mpdusRetx:   sc.Counter("mpdus_retx"),
 		mpdusDrop:   sc.Counter("mpdus_dropped"),
 		flushedPkts: sc.Counter("flushed_pkts"),
 		fwdBytes:    sc.Counter("forward_bytes"),
-		baForwarded: sc.Counter("ba_forwarded"),
-		baRecovered: sc.Counter("ba_recovered"),
 		uplinkMPDUs: sc.Counter("uplink_mpdus"),
 		csiReports:  sc.Counter("csi_reports"),
 	}
+	sc.CounterFunc("ba_forwarded", func() int64 { return int64(a.BAForwarded) })
+	sc.CounterFunc("ba_recovered", func() int64 { return int64(a.BARecovered) })
+	sc.CounterFunc("stops", func() int64 { return int64(a.Rec.Count(int(a.ID), trace.OpStop)) })
+	sc.CounterFunc("switches", func() int64 { return int64(a.Rec.Count(int(a.ID), trace.OpStartRx)) })
 	depth := func() float64 {
 		total := 0
 		for _, addr := range a.order {
@@ -297,8 +287,6 @@ func (a *AP) OnBackhaul(from backhaul.NodeID, msg packet.Message) {
 // off to the next AP with start(c,k).
 func (a *AP) onStop(m *packet.Stop) {
 	cs := a.stateFor(m.Client)
-	a.StopsHandled++
-	a.met.stops.Inc()
 	cs.serving = false
 	newAP := int32(m.NewAPID)
 	if m.NewAPID == packet.RemoteAPID {
@@ -329,7 +317,6 @@ func (a *AP) onStop(m *packet.Stop) {
 			// remaining backlog up the backhaul so the next segment's
 			// APs can buffer it. The Start rides the control class and
 			// overtakes the drained data frames.
-			a.spans.MarkStart(m.SwitchID, a.loop.Now())
 			a.Rec.Record(trace.Record{At: a.loop.Now(), Trace: a.loop.Trace(), SwitchID: m.SwitchID,
 				Node: int16(a.ID), Op: trace.OpStart, Client: m.Client, A: int32(k), B: -1})
 			a.bh.Send(a.self, a.fabric.Controller(), &packet.Start{
@@ -350,7 +337,6 @@ func (a *AP) onStop(m *packet.Stop) {
 			}
 			return
 		}
-		a.spans.MarkStart(m.SwitchID, a.loop.Now())
 		a.Rec.Record(trace.Record{At: a.loop.Now(), Trace: a.loop.Trace(), SwitchID: m.SwitchID,
 			Node: int16(a.ID), Op: trace.OpStart, Client: m.Client, A: int32(k), B: int32(m.NewAPID)})
 		a.bh.Send(a.self, a.fabric.APNode(m.NewAPID), &packet.Start{
@@ -377,8 +363,6 @@ func (a *AP) onStart(m *packet.Start) {
 		cs.rates.Seed(cs.lastESNR)
 	}
 	cs.serving = true
-	a.Switches++
-	a.met.switches.Inc()
 	a.Rec.Record(trace.Record{At: a.loop.Now(), Trace: a.loop.Trace(), SwitchID: m.SwitchID,
 		Node: int16(a.ID), Op: trace.OpStartRx, Client: m.Client, A: int32(flushed)})
 	a.bh.Send(a.self, a.fabric.Controller(), &packet.SwitchAck{
@@ -398,7 +382,6 @@ func (a *AP) onForwardedBA(m *packet.BAForward) {
 		return
 	}
 	a.BARecovered++
-	a.met.baRecovered.Inc()
 	a.finishAggregate(aw, mac.BAInfo{StartSeq: m.StartSeq, Bitmap: m.Bitmap})
 }
 
@@ -533,7 +516,6 @@ func (ar *apReceiver) OnReceive(t *mac.Transmission, det mac.Detection) {
 			a.reportCSI(t.Tx.Addr, det)
 			if a.cfg.ForwardBAs {
 				a.BAForwarded++
-				a.met.baForwarded.Inc()
 				a.bh.Send(a.self, dst, &packet.BAForward{
 					Client:   t.Tx.Addr,
 					FromAPID: a.ID,

@@ -9,6 +9,7 @@ import (
 	"wgtt/internal/phy"
 	"wgtt/internal/rf"
 	"wgtt/internal/sim"
+	"wgtt/internal/trace"
 )
 
 const (
@@ -88,6 +89,7 @@ type apRig struct {
 	bh     *backhaul.Net
 	medium *mac.Medium
 	aps    []*AP
+	rec    *trace.Recorder // shared by every AP, as in a segment
 	cli    *clientSink
 	// ctrlMsgs records messages the controller node received.
 	ctrlMsgs []packet.Message
@@ -102,9 +104,11 @@ func newAPRig(t *testing.T, numAPs int, cfg Config, ackBack bool) *apRig {
 	})
 	r.medium = mac.NewMedium(r.loop, flatChannel{snr: 30}, sim.NewRNG(5))
 	fab := fakeFabric{numAPs: numAPs}
+	r.rec = trace.NewRecorder(0, 0)
 	for i := 0; i < numAPs; i++ {
 		a := New(uint16(i), rf.Position{X: float64(i) * 7.5, Y: 18},
 			r.loop, r.medium, r.bh, nodeAP0+backhaul.NodeID(i), fab, cfg, sim.NewRNG(int64(i+10)))
+		a.Rec = r.rec
 		r.aps = append(r.aps, a)
 	}
 	r.cli = newClientSink(r.loop, r.medium, ackBack)
@@ -200,7 +204,7 @@ func TestAPStopReportsFirstUnsent(t *testing.T) {
 		}
 		seen[p.Index] = true
 	}
-	if r.aps[0].StopsHandled != 1 || r.aps[1].Switches == 0 {
+	if r.rec.Count(0, trace.OpStop) != 1 || r.rec.Count(1, trace.OpStartRx) == 0 {
 		t.Error("switch counters wrong")
 	}
 }
@@ -416,8 +420,8 @@ func TestAggStatsConsistentAcrossHandoff(t *testing.T) {
 	if st0.Pending != 0 {
 		t.Errorf("ap0 still has %d pending retries after its stop", st0.Pending)
 	}
-	if r.aps[1].Switches != 1 {
-		t.Errorf("ap1 switches = %d, want 1", r.aps[1].Switches)
+	if n := r.rec.Count(1, trace.OpStartRx); n != 1 {
+		t.Errorf("ap1 switches = %d, want 1", n)
 	}
 	// The same law must hold on a clean (acked) link too.
 	r2 := newAPRig(t, 2, cfg, true)

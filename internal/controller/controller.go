@@ -150,16 +150,12 @@ type Controller struct {
 	trunks []trunk
 	fed    *federation.Node
 
-	// Rec, when set, is the domain's flight recorder: the controller
-	// writes structured switch-protocol records into it and originates
-	// the causal trace ids that thread a handoff's events together.
+	// Rec is the segment's recorder, shared with its APs: each
+	// switch-protocol step is one Record call, which counts the step and
+	// folds the handoff spans (see trace.Recorder). The controller also
+	// originates the causal trace ids that thread a handoff's records
+	// together.
 	Rec *trace.Recorder
-
-	// met holds the controller's telemetry counters; spans tracks one
-	// span per stop/start/ack handoff. Both are nil-safe no-ops until
-	// SetTelemetry installs them.
-	met   ctrlMetrics
-	spans *telemetry.Spans
 
 	clients  map[packet.MAC]*clientState
 	ipToMAC  map[packet.IP]packet.MAC
@@ -172,20 +168,11 @@ type Controller struct {
 	dlOut packet.DownlinkData
 	sdOut packet.ServerData
 
-	// Stats.
-	SwitchesIssued  int
-	SwitchesAcked   int
-	StopRetransmits int
-	// SwitchLatencies records the stop→ack execution time of every
-	// completed switch (Table 1's measurement).
-	SwitchLatencies  []sim.Duration
+	// Data-plane stats; the switch protocol's are Rec's counts.
+	UplinkDelivered  int // de-duplicated uplink packets sent to the server
 	UplinkDuplicates int
 	DownlinkFanout   int // DownlinkData messages emitted
 	DownlinkPackets  int // distinct packets admitted
-	// Cross-segment handoff stats.
-	HandoffsExported int // clients handed to an adjacent segment
-	HandoffsImported int // clients adopted from an adjacent segment
-	FedReleases      int // ownerships relinquished to a converging directory
 }
 
 // New creates the controller and attaches it to the backhaul at node
@@ -210,44 +197,27 @@ func New(loop *sim.Loop, bh *backhaul.Net, self backhaul.NodeID, fabric Fabric, 
 	return c
 }
 
-// ctrlMetrics are the controller's telemetry handles. Nil handles (the
-// zero value, telemetry disabled) make every increment a no-op.
-type ctrlMetrics struct {
-	switchesIssued  *telemetry.Counter
-	switchesAcked   *telemetry.Counter
-	stopRetx        *telemetry.Counter
-	switchAbandoned *telemetry.Counter
-	uplinkDelivered *telemetry.Counter
-	uplinkDups      *telemetry.Counter
-	downlinkPkts    *telemetry.Counter
-	downlinkFanout  *telemetry.Counter
-	handoffClaims   *telemetry.Counter
-	handoffExports  *telemetry.Counter
-	handoffImports  *telemetry.Counter
-}
-
-// SetTelemetry installs the controller's metric handles under sc and the
-// segment-shared handoff span tracker. Call once, before the simulation
-// runs; with a disabled scope only the span tracker (which may still be
-// nil) is retained.
-func (c *Controller) SetTelemetry(sc telemetry.Scope, spans *telemetry.Spans) {
-	c.spans = spans
+// SetTelemetry registers the controller's metrics under sc: views of
+// its data-plane stats and of Rec's switch-protocol counts at the
+// controller (node -1). Call once, before the simulation runs.
+func (c *Controller) SetTelemetry(sc telemetry.Scope) {
 	if !sc.Enabled() {
 		return
 	}
-	c.met = ctrlMetrics{
-		switchesIssued:  sc.Counter("switches_issued"),
-		switchesAcked:   sc.Counter("switches_acked"),
-		stopRetx:        sc.Counter("stop_retx"),
-		switchAbandoned: sc.Counter("switches_abandoned"),
-		uplinkDelivered: sc.Counter("uplink_delivered"),
-		uplinkDups:      sc.Counter("uplink_dups"),
-		downlinkPkts:    sc.Counter("downlink_pkts"),
-		downlinkFanout:  sc.Counter("downlink_fanout"),
-		handoffClaims:   sc.Counter("handoff_claims"),
-		handoffExports:  sc.Counter("handoffs_exported"),
-		handoffImports:  sc.Counter("handoffs_imported"),
+	sc.CounterFunc("uplink_delivered", func() int64 { return int64(c.UplinkDelivered) })
+	sc.CounterFunc("uplink_dups", func() int64 { return int64(c.UplinkDuplicates) })
+	sc.CounterFunc("downlink_pkts", func() int64 { return int64(c.DownlinkPackets) })
+	sc.CounterFunc("downlink_fanout", func() int64 { return int64(c.DownlinkFanout) })
+	view := func(name string, op trace.Op) {
+		sc.CounterFunc(name, func() int64 { return int64(c.Rec.Count(-1, op)) })
 	}
+	view("switches_issued", trace.OpIssue)
+	view("switches_acked", trace.OpAck)
+	view("stop_retx", trace.OpRetx)
+	view("switches_abandoned", trace.OpAbandon)
+	view("handoff_claims", trace.OpClaim)
+	view("handoffs_exported", trace.OpExport)
+	view("handoffs_imported", trace.OpImport)
 	sc.GaugeFunc("clients", func() float64 { return float64(len(c.clients)) })
 	sc.GaugeFunc("switches_inflight", func() float64 {
 		n := 0
@@ -456,13 +426,6 @@ func (c *Controller) issueSwitch(cs *clientState, to int) {
 	cs.sw = sw
 	cs.lastInit = c.loop.Now()
 	cs.everInit = true
-	c.SwitchesIssued++
-	c.met.switchesIssued.Inc()
-	if sw.from >= 0 {
-		// Only real handoffs (with a stop leg) get a span — the same
-		// rule SwitchLatencies applies.
-		c.spans.Begin(sw.id, c.loop.Now(), c.traceAP(sw.from), c.traceAP(sw.to))
-	}
 	c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.traceID(sw.id), SwitchID: sw.id,
 		Node: -1, Op: trace.OpIssue, Client: cs.addr,
 		A: int32(c.traceAP(sw.from)), B: int32(c.traceAP(sw.to))})
@@ -545,8 +508,6 @@ func (c *Controller) stopTimeout(cs *clientState, sw *switchState) {
 	}
 	if sw.retries >= c.cfg.MaxStopRetries {
 		cs.sw = nil
-		c.met.switchAbandoned.Inc()
-		c.spans.Drop(sw.id)
 		c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.traceID(sw.id), SwitchID: sw.id,
 			Node: -1, Op: trace.OpAbandon, Client: cs.addr, A: int32(sw.retries)})
 		// An abandoned cross-segment handoff re-admits the downlink
@@ -561,8 +522,6 @@ func (c *Controller) stopTimeout(cs *clientState, sw *switchState) {
 		return
 	}
 	sw.retries++
-	c.StopRetransmits++
-	c.met.stopRetx.Inc()
 	c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.traceID(sw.id), SwitchID: sw.id,
 		Node: -1, Op: trace.OpRetx, Client: cs.addr, A: int32(sw.retries)})
 	c.sendStop(cs, sw)
@@ -579,17 +538,12 @@ func (c *Controller) onSwitchAck(m *packet.SwitchAck) {
 	cs.serving = int(m.APID) - c.apBase
 	cs.hasAdoptAt = false
 	cs.sw = nil
-	c.SwitchesAcked++
-	c.met.switchesAcked.Inc()
 	c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.traceID(sw.id), SwitchID: sw.id,
 		Node: -1, Op: trace.OpAck, Client: cs.addr, A: int32(m.APID)})
 	if sw.from >= 0 {
 		// Only real handoffs count toward the protocol's execution
 		// time; initial adoptions skip the stop leg.
-		lat := c.loop.Now().Sub(sw.issued)
-		c.SwitchLatencies = append(c.SwitchLatencies, lat)
-		c.spans.End(sw.id, c.loop.Now())
-		ms := float64(lat) / float64(sim.Millisecond)
+		ms := float64(c.loop.Now().Sub(sw.issued)) / float64(sim.Millisecond)
 		if hi := c.cfg.HandoffBandHiMs; hi > 0 && (ms < c.cfg.HandoffBandLoMs || ms > hi) {
 			c.Rec.Anomaly(trace.Anomaly{At: c.loop.Now(), Kind: trace.AnomalyLatency,
 				Trace: c.traceID(sw.id), Value: ms})
@@ -624,7 +578,6 @@ func (c *Controller) Downlink(p packet.Packet) {
 	p.Index = cs.nextIndex
 	cs.nextIndex = (cs.nextIndex + 1) & (packet.IndexMod - 1)
 	c.DownlinkPackets++
-	c.met.downlinkPkts.Inc()
 	c.fanOut(cs, p)
 }
 
@@ -637,7 +590,6 @@ func (c *Controller) fanOut(cs *clientState, p packet.Packet) {
 			continue
 		}
 		c.DownlinkFanout++
-		c.met.downlinkFanout.Inc()
 		c.dlOut = packet.DownlinkData{Client: cs.addr, Inner: p}
 		c.bh.Send(c.self, c.fabric.APNode(uint16(c.apBase+ap)), &c.dlOut)
 	}
@@ -675,7 +627,6 @@ func (c *Controller) maybeClaim(cs *clientState) {
 		return
 	}
 	cs.lastClaim, cs.everClaim = now, true
-	c.met.handoffClaims.Inc()
 	// Claims precede any switch transaction, so there is no trace id
 	// yet; the record rides whatever causal context is active (usually
 	// none) and shows up as a standalone instant.
@@ -743,14 +694,8 @@ func (c *Controller) onClaim(src int, m *packet.Handoff) {
 	defer c.loop.SetTrace(prev)
 	cs.sw = sw
 	cs.lastInit, cs.everInit = now, true
-	c.SwitchesIssued++
-	c.met.switchesIssued.Inc()
-	if sw.from >= 0 {
-		// A cross-segment handoff's span never completes here — the
-		// importer finishes the protocol — so it is begun and then
-		// dropped at export, keeping begun/completed/dropped balanced.
-		c.spans.Begin(sw.id, now, c.traceAP(sw.from), -1)
-	}
+	// A cross-segment handoff's span never completes here — the importer
+	// finishes the protocol — so the export record drops it.
 	c.Rec.Record(trace.Record{At: now, Trace: c.traceID(sw.id), SwitchID: sw.id,
 		Node: -1, Op: trace.OpIssue, Client: cs.addr, A: int32(c.traceAP(sw.from)), B: -1})
 	if cs.serving < 0 {
@@ -846,8 +791,6 @@ func (c *Controller) importClient(src int, m *packet.Handoff) {
 	// can bounce the client straight back (tracked separately from
 	// lastInit so the adoption switch below fires immediately).
 	cs.importedAt, cs.everImport = c.loop.Now(), true
-	c.HandoffsImported++
-	c.met.handoffImports.Inc()
 	// The trunk envelope carried the exporter's trace id across the
 	// boundary; the import stitches onto that timeline.
 	c.Rec.Record(trace.Record{At: c.loop.Now(), Trace: c.loop.Trace(), SwitchID: m.SwitchID,
@@ -872,7 +815,6 @@ func (c *Controller) onUplink(m *packet.UplinkData) {
 		k := m.Inner.DedupKey()
 		if c.dedup[k] {
 			c.UplinkDuplicates++
-			c.met.uplinkDups.Inc()
 			return
 		}
 		c.dedup[k] = true
@@ -882,7 +824,7 @@ func (c *Controller) onUplink(m *packet.UplinkData) {
 			c.dedupQ = c.dedupQ[1:]
 		}
 	}
-	c.met.uplinkDelivered.Inc()
+	c.UplinkDelivered++
 	c.sdOut = packet.ServerData{Inner: m.Inner}
 	c.bh.Send(c.self, c.fabric.Server(), &c.sdOut)
 }

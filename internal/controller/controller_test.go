@@ -7,6 +7,7 @@ import (
 	"wgtt/internal/packet"
 	"wgtt/internal/rf"
 	"wgtt/internal/sim"
+	"wgtt/internal/trace"
 )
 
 const (
@@ -35,6 +36,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 	r := &rig{loop: sim.NewLoop()}
 	r.bh = backhaul.New(r.loop, backhaul.DefaultConfig())
 	r.ctrl = New(r.loop, r.bh, nodeCtrl, fakeFabric{}, 0, 4, cfg)
+	r.ctrl.Rec = trace.NewRecorder(0, 0)
 	for i := 0; i < 4; i++ {
 		i := i
 		r.bh.AddNode(nodeAP0+backhaul.NodeID(i), func(_ backhaul.NodeID, m packet.Message) {
@@ -175,8 +177,8 @@ func TestStopRetransmission(t *testing.T) {
 	if stops < 2 {
 		t.Errorf("stop sent %d times, want ≥2 (retransmission)", stops)
 	}
-	if r.ctrl.StopRetransmits == 0 {
-		t.Error("StopRetransmits not counted")
+	if r.ctrl.Rec.Count(-1, trace.OpRetx) == 0 {
+		t.Error("stop retransmissions not counted")
 	}
 }
 
@@ -196,8 +198,8 @@ func TestOneOutstandingSwitch(t *testing.T) {
 	if _, ok := lastOf[*packet.Stop](r, 1); ok {
 		t.Fatal("second switch issued while first outstanding")
 	}
-	if r.ctrl.SwitchesIssued != 2 { // adoption + one switch
-		t.Errorf("SwitchesIssued = %d, want 2", r.ctrl.SwitchesIssued)
+	if n := r.ctrl.Rec.Count(-1, trace.OpIssue); n != 2 { // adoption + one switch
+		t.Errorf("switches issued = %d, want 2", n)
 	}
 }
 
@@ -323,15 +325,16 @@ func TestSwitchLatencyRecorded(t *testing.T) {
 	r.run(12 * sim.Millisecond)
 	r.bh.Send(nodeAP0+1, nodeCtrl, &packet.SwitchAck{Client: cli, APID: 1, SwitchID: stop.SwitchID})
 	r.run(5 * sim.Millisecond)
-	if len(r.ctrl.SwitchLatencies) != 1 {
-		t.Fatalf("latencies recorded: %d", len(r.ctrl.SwitchLatencies))
+	done := r.ctrl.Rec.Spans().Completed()
+	if len(done) != 1 {
+		t.Fatalf("latencies recorded: %d", len(done))
 	}
-	if l := r.ctrl.SwitchLatencies[0]; l < 12*sim.Millisecond || l > 25*sim.Millisecond {
+	if l := done[0].AckedAt.Sub(done[0].IssuedAt); l < 12*sim.Millisecond || l > 25*sim.Millisecond {
 		t.Errorf("latency %v, want ≈12-18 ms", l)
 	}
 	// Adoption (from = -1) must not be counted.
-	if r.ctrl.SwitchesAcked != 2 {
-		t.Errorf("acked = %d", r.ctrl.SwitchesAcked)
+	if n := r.ctrl.Rec.Count(-1, trace.OpAck); n != 2 {
+		t.Errorf("acked = %d", n)
 	}
 }
 

@@ -66,9 +66,6 @@ func (c *Controller) exportOutcome(cs *clientState, sw *switchState, ok bool) {
 		cs.exportedSeg = dst
 		cs.serving = -1
 		cs.hasAdoptAt = false
-		c.HandoffsExported++
-		c.met.handoffExports.Inc()
-		c.spans.Drop(sw.id)
 		if c.fed != nil {
 			c.fed.NoteExported(cs.addr, dst)
 		}
@@ -87,8 +84,6 @@ func (c *Controller) exportOutcome(cs *clientState, sw *switchState, ok bool) {
 	// the local datapath. Selection re-adopts the client if its radio
 	// is still audible; otherwise the next claim from wherever it
 	// surfaces re-locates it.
-	c.met.switchAbandoned.Inc()
-	c.spans.Drop(sw.id)
 	c.fed.Announce(cs.addr)
 	c.Rec.Record(trace.Record{At: now, Trace: c.traceID(sw.id), SwitchID: sw.id,
 		Node: -1, Op: trace.OpAbandon, Client: cs.addr, A: int32(sw.retries), B: int32(sw.remote)})
@@ -118,7 +113,10 @@ func (c *Controller) Release(addr packet.MAC, owner int) {
 		if sw.remote >= 0 {
 			c.fed.AbortExport(addr, sw.id)
 		}
-		c.spans.Drop(sw.id)
+		// Standing down abandons the in-flight switch: the abandon
+		// record ends its timeline and drops its handoff span.
+		c.Rec.Record(trace.Record{At: now, Trace: c.traceID(sw.id), SwitchID: sw.id,
+			Node: -1, Op: trace.OpAbandon, Client: addr, A: int32(sw.retries), B: int32(owner)})
 		cs.sw = nil
 		for _, d := range sw.heldData {
 			c.fed.Send(owner, d)
@@ -147,6 +145,5 @@ func (c *Controller) Release(addr packet.MAC, owner int) {
 		c.loop.SetTrace(prev)
 		cs.serving = -1
 	}
-	c.FedReleases++
 	c.Rec.Record(rel)
 }

@@ -165,8 +165,9 @@ func TestCrossSegmentHandoff(t *testing.T) {
 			if s0.ctrl.Owns(cli) || !s1.ctrl.Owns(cli) {
 				t.Fatalf("after export: segment 0 owns %v, segment 1 owns %v", s0.ctrl.Owns(cli), s1.ctrl.Owns(cli))
 			}
-			if s0.ctrl.HandoffsExported != 1 || s1.ctrl.HandoffsImported != 1 {
-				t.Fatalf("exported %d, imported %d; want 1, 1", s0.ctrl.HandoffsExported, s1.ctrl.HandoffsImported)
+			exported, imported := s0.rec.Count(-1, trace.OpExport), s1.rec.Count(-1, trace.OpImport)
+			if exported != 1 || imported != 1 {
+				t.Fatalf("exported %d, imported %d; want 1, 1", exported, imported)
 			}
 			if got := r.links[1].count(packet.HandoffAck); got != 1 {
 				t.Errorf("importer sent %d acks, want 1", got)
@@ -211,8 +212,8 @@ func TestCrossSegmentHandoff(t *testing.T) {
 			if got := r.links[1].count(packet.HandoffAck); got != 2 {
 				t.Errorf("%d acks after a duplicate export, want 2", got)
 			}
-			if s1.ctrl.HandoffsImported != 1 {
-				t.Errorf("duplicate export imported again: %d imports", s1.ctrl.HandoffsImported)
+			if n := s1.rec.Count(-1, trace.OpImport); n != 1 {
+				t.Errorf("duplicate export imported again: %d imports", n)
 			}
 
 			// The exporter still hears the client at 30 dB. Over direct

@@ -6,6 +6,7 @@ import (
 	"wgtt/internal/mobility"
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
+	"wgtt/internal/trace"
 	"wgtt/internal/transport"
 )
 
@@ -103,10 +104,12 @@ func TestMultiClientFairness(t *testing.T) {
 
 func TestSwitchLatencyDistribution(t *testing.T) {
 	n, _ := drive(t, nil)
-	if len(n.Ctrl.SwitchLatencies) < 10 {
-		t.Fatalf("only %d switches measured", len(n.Ctrl.SwitchLatencies))
+	done := n.FlightRecorder(0).Spans().Completed()
+	if len(done) < 10 {
+		t.Fatalf("only %d switches measured", len(done))
 	}
-	for _, l := range n.Ctrl.SwitchLatencies {
+	for _, h := range done {
+		l := h.AckedAt.Sub(h.IssuedAt)
 		// Table 1's regime plus slack: every switch completes within
 		// the 30 ms stop-retransmit timeout (possibly with one
 		// retransmission round).
@@ -123,8 +126,8 @@ func TestKeepalivesSustainSelectionWithoutTraffic(t *testing.T) {
 	n := MustNewNetwork(cfg)
 	n.AddClient(mobility.Drive(-5, 0, 15))
 	n.Run(9 * sim.Second)
-	if n.Ctrl.SwitchesAcked < 5 {
-		t.Errorf("only %d switches with idle client; keepalive CSI not driving selection", n.Ctrl.SwitchesAcked)
+	if acked := n.ProtocolCount(trace.OpAck); acked < 5 {
+		t.Errorf("only %d switches with idle client; keepalive CSI not driving selection", acked)
 	}
 	if got := n.ServingAP(0); got < 5 {
 		t.Errorf("serving AP %d at end of drive; expected to have reached the far end", got)

@@ -162,11 +162,12 @@ type Config struct {
 	Client     client.Config
 	Backhaul   backhaul.Config
 
-	// FlightRecorder, when positive, enables the causal flight recorder:
-	// one fixed ring of this many structured switch-protocol records per
-	// domain shard (internal/trace.Recorder). It is legal in every
-	// domain mode — each domain records into its own ring — and it never
-	// perturbs the event schedule.
+	// FlightRecorder, when positive, gives every WGTT segment's recorder
+	// (internal/trace.Recorder) a ring of this many structured
+	// switch-protocol records; at 0 the recorders keep only their step
+	// counts and handoff spans. It is legal in every domain mode — each
+	// segment records into its own ring — and it never perturbs the
+	// event schedule.
 	FlightRecorder int
 	// UnownedSpike, when positive, notes an unowned-spike anomaly when a
 	// controller tracks more than this many clients it does not own,

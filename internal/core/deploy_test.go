@@ -7,6 +7,7 @@ import (
 	"wgtt/internal/mobility"
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
+	"wgtt/internal/trace"
 	"wgtt/internal/transport"
 )
 
@@ -46,12 +47,8 @@ func TestCrossSegmentHandoffTCP(t *testing.T) {
 	if rcv.InOrderSegments() == 0 {
 		t.Fatal("TCP delivered nothing across the deployment")
 	}
-	imported := 0
-	for _, ctrl := range n.Controllers() {
-		imported += ctrl.HandoffsImported
-	}
-	if imported < 2 {
-		t.Errorf("HandoffsImported = %d, want ≥ 2 (one per boundary crossed)", imported)
+	if imported := n.ProtocolCount(trace.OpImport); imported < 2 {
+		t.Errorf("handoffs imported = %d, want ≥ 2 (one per boundary crossed)", imported)
 	}
 	// The client must end up served by the last segment.
 	if ap := n.ServingAP(0); !n.Deploy.Segments[2].ContainsAP(ap) {

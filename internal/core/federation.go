@@ -47,7 +47,8 @@ func (n *Network) attachFederation(topo *federation.Topology, seg int, loop *sim
 	}
 	node := federation.NewNode(loop, seg, topo, n.Cfg.Federation)
 	sc := n.segTel(seg)
-	node.SetTelemetry(sc.Sub("fed"), sc.Spans("relocate"))
+	node.SetTelemetry(sc.Sub("fed"))
+	sc.Spans("relocate", node.Relocations)
 	ctrl.SetFederation(node)
 }
 

@@ -7,21 +7,32 @@ import (
 	"wgtt/internal/trace"
 )
 
-// This file exposes the per-domain flight recorders
-// (Config.FlightRecorder) at the network level: shard access for the
-// serve layer, stitched export for wgtt-sim, and the network-wide
-// anomaly triggers that need cross-controller state (the per-handoff
-// latency band lives inside the controller, which sees each ack).
+// This file exposes the per-segment switch-protocol recorders at the
+// network level: their counts for the run summaries, shard access for
+// the serve layer, the stitched ring (Config.FlightRecorder) for
+// wgtt-sim, and the network-wide anomaly triggers that need
+// cross-controller state (the per-handoff latency band lives inside the
+// controller, which sees each ack).
 
-// FlightRecorder returns segment i's flight recorder; nil when
-// recording is disabled, the segment runs a baseline plane, or i is out
-// of range. In a partitioned run, recorders of segments this process
-// does not own stay empty — their domains never execute here.
+// FlightRecorder returns segment i's recorder; nil only when the
+// segment runs a baseline plane or i is out of range. In a partitioned
+// run, recorders of segments this process does not own stay empty —
+// their domains never execute here.
 func (n *Network) FlightRecorder(i int) *trace.Recorder {
 	if i < 0 || i >= len(n.recs) {
 		return nil
 	}
 	return n.recs[i]
+}
+
+// ProtocolCount sums op's count at every segment's controller (node -1):
+// switches issued or acked, clients exported or imported, and so on.
+func (n *Network) ProtocolCount(op trace.Op) int {
+	total := 0
+	for _, r := range n.recs {
+		total += r.Count(-1, op)
+	}
+	return total
 }
 
 // FlightRecords stitches every local shard into one deterministic
@@ -60,14 +71,10 @@ func (n *Network) WriteChromeTrace(w io.Writer) error {
 // remote controllers hold construction-time state and would read as
 // spikes; nil means every domain ran locally.
 func (n *Network) noteUnownedSpike(owned map[string]bool) {
-	if n.Cfg.UnownedSpike <= 0 || len(n.recs) == 0 {
-		return
+	if n.Cfg.UnownedSpike <= 0 || n.Cfg.FlightRecorder <= 0 {
+		return // anomalies need a ring
 	}
 	for i, s := range n.Deploy.Segments {
-		rec := n.recs[i]
-		if rec == nil {
-			continue
-		}
 		p, ok := s.Plane.(*deploy.WGTTPlane)
 		if !ok {
 			continue
@@ -77,7 +84,7 @@ func (n *Network) noteUnownedSpike(owned map[string]bool) {
 			continue
 		}
 		if u := p.Ctrl.UnownedClients(); u > n.Cfg.UnownedSpike {
-			rec.Anomaly(trace.Anomaly{At: dom.Loop.Now(), Kind: trace.AnomalyUnowned, Value: float64(u)})
+			n.recs[i].Anomaly(trace.Anomaly{At: dom.Loop.Now(), Kind: trace.AnomalyUnowned, Value: float64(u)})
 		}
 	}
 }

@@ -70,8 +70,8 @@ type Network struct {
 
 	Clients []*Client
 
-	// recs[i] is segment i's flight recorder (Config.FlightRecorder > 0);
-	// entries are nil when disabled or for baseline planes. Each
+	// recs[i] is segment i's switch-protocol recorder, with a ring of
+	// Config.FlightRecorder records; nil for baseline planes. Each
 	// recorder is written only by its segment's domain.
 	recs []*trace.Recorder
 
@@ -179,6 +179,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 			case WGTT:
 				rec := trace.NewRecorder(seg.Index, cfg.FlightRecorder)
 				n.recs = append(n.recs, rec)
+				n.segTel(seg.Index).Spans("handoff", rec.Spans())
 				p := deploy.NewWGTTPlane(seg, loop, sd.medium, rec,
 					n.segTel(seg.Index), n.rng, cfg.AP, cfg.Controller)
 				n.attachFederation(fedTopo, seg.Index, loop, p.Ctrl)

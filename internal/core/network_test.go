@@ -6,6 +6,7 @@ import (
 	"wgtt/internal/mobility"
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
+	"wgtt/internal/trace"
 	"wgtt/internal/transport"
 )
 
@@ -54,8 +55,8 @@ func TestWGTTDrivingClientSwitchesAndDelivers(t *testing.T) {
 	if gotMbps < 5 {
 		t.Errorf("driving UDP goodput = %.2f Mbit/s of 10 offered", gotMbps)
 	}
-	if n.Ctrl.SwitchesAcked < 8 {
-		t.Errorf("only %d switches acked during a full drive-by", n.Ctrl.SwitchesAcked)
+	if acked := n.ProtocolCount(trace.OpAck); acked < 8 {
+		t.Errorf("only %d switches acked during a full drive-by", acked)
 	}
 	// The controller must have fanned packets out to more than one AP
 	// per packet on average.

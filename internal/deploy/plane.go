@@ -83,26 +83,23 @@ type WGTTPlane struct {
 // NewWGTTPlane builds the segment's controller and APs on its backhaul.
 // AP ids (and their MACs, node names, and per-AP RNG streams) are
 // global, so a one-segment deployment forks the root RNG in exactly the
-// order the monolithic network did. tel, when enabled, hangs the
-// segment's controller and per-AP metrics under it and creates the
-// segment-shared "handoff" span tracker linking the controller's
-// issue/ack to the APs' stop/start marks. rec, when non-nil, is the
-// domain's flight recorder, shared by the controller and every AP of
-// the segment (they all run on the segment's loop).
+// order the monolithic network did. rec is the segment's recorder,
+// shared by the controller and every AP of the segment (they all run on
+// the segment's loop). tel, when enabled, hangs the controller's and
+// per-AP metrics under it.
 func NewWGTTPlane(seg *Segment, loop *sim.Loop, medium *mac.Medium, rec *trace.Recorder,
 	tel telemetry.Scope, rng *sim.RNG, apCfg ap.Config, ctrlCfg controller.Config) *WGTTPlane {
 	fab := &segFabric{apBase: seg.APBase, numAPs: seg.Geom.NumAPs}
 	p := &WGTTPlane{seg: seg}
 	p.Ctrl = controller.New(loop, seg.Backhaul, NodeController, fab, seg.APBase, seg.Geom.NumAPs, ctrlCfg)
 	p.Ctrl.Rec = rec
-	spans := tel.Spans("handoff")
-	p.Ctrl.SetTelemetry(tel.Sub("ctrl"), spans)
+	p.Ctrl.SetTelemetry(tel.Sub("ctrl"))
 	for i := 0; i < seg.Geom.NumAPs; i++ {
 		g := seg.APBase + i
 		a := ap.New(uint16(g), seg.APPosition(i), loop, medium, seg.Backhaul,
 			NodeFirstAP+backhaul.NodeID(i), fab, apCfg, rng.Fork(fmt.Sprintf("ap%d", g)))
 		a.Rec = rec
-		a.SetTelemetry(tel.Sub(fmt.Sprintf("ap%d", g)), spans)
+		a.SetTelemetry(tel.Sub(fmt.Sprintf("ap%d", g)))
 		p.APs = append(p.APs, a)
 	}
 	return p

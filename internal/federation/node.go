@@ -92,8 +92,6 @@ type fedMetrics struct {
 	dirMisses     *telemetry.Counter
 	dirUpdates    *telemetry.Counter
 	dirQueries    *telemetry.Counter
-	relocates     *telemetry.Counter
-	relocatesDrop *telemetry.Counter
 	claimRetx     *telemetry.Counter
 	exportRetx    *telemetry.Counter
 	routedFwd     *telemetry.Counter
@@ -118,8 +116,9 @@ type Node struct {
 	claims  map[packet.MAC]*pendingClaim
 	exports map[exportKey]*pendingExport
 
-	met   fedMetrics
-	spans *telemetry.Spans
+	met fedMetrics
+	// Relocations tracks each re-locate as a span, claim to import.
+	Relocations *telemetry.Spans
 
 	// Relocates counts completed re-locates (claim → import observed).
 	Relocates int
@@ -138,6 +137,8 @@ func NewNode(loop *sim.Loop, self int, topo *Topology, cfg Config) *Node {
 		links:   make(map[int]Link),
 		claims:  make(map[packet.MAC]*pendingClaim),
 		exports: make(map[exportKey]*pendingExport),
+
+		Relocations: telemetry.NewSpans(),
 	}
 }
 
@@ -147,9 +148,9 @@ func (n *Node) Bind(h Handler) { n.h = h }
 // AddLink registers the outgoing trunk direction toward neighbour seg.
 func (n *Node) AddLink(seg int, l Link) { n.links[seg] = l }
 
-// SetTelemetry hangs the node's counters under sc and records
-// re-locates as spans on tracker sp (both may be zero/nil).
-func (n *Node) SetTelemetry(sc telemetry.Scope, sp *telemetry.Spans) {
+// SetTelemetry hangs the node's counters under sc, with views of its
+// re-locate stats. A zero scope leaves telemetry off.
+func (n *Node) SetTelemetry(sc telemetry.Scope) {
 	if !sc.Enabled() {
 		return
 	}
@@ -158,15 +159,14 @@ func (n *Node) SetTelemetry(sc telemetry.Scope, sp *telemetry.Spans) {
 		dirMisses:     sc.Counter("dir_misses"),
 		dirUpdates:    sc.Counter("dir_updates"),
 		dirQueries:    sc.Counter("dir_queries"),
-		relocates:     sc.Counter("relocates"),
-		relocatesDrop: sc.Counter("relocates_abandoned"),
 		claimRetx:     sc.Counter("claim_retx"),
 		exportRetx:    sc.Counter("export_retx"),
 		routedFwd:     sc.Counter("routed_fwd"),
 		routedExpired: sc.Counter("routed_expired"),
 		routedNoLink:  sc.Counter("routed_no_link"),
 	}
-	n.spans = sp
+	sc.CounterFunc("relocates", func() int64 { return int64(n.Relocates) })
+	sc.CounterFunc("relocates_abandoned", func() int64 { return int64(n.RelocatesAbandoned) })
 }
 
 // Self returns the node's segment index.
@@ -252,7 +252,7 @@ func (n *Node) Claim(c packet.MAC, score float64) {
 	n.spanSeq++
 	pc := &pendingClaim{client: c, score: score, spanID: n.spanSeq}
 	n.claims[c] = pc
-	n.spans.Begin(pc.spanID, n.loop.Now(), n.self, -1)
+	n.Relocations.Begin(pc.spanID, n.loop.Now(), n.self, -1)
 	n.sendClaim(pc)
 }
 
@@ -283,8 +283,7 @@ func (n *Node) claimTimeout(pc *pendingClaim) {
 	if pc.attempts >= n.cfg.MaxRetries {
 		delete(n.claims, pc.client)
 		n.RelocatesAbandoned++
-		n.met.relocatesDrop.Inc()
-		n.spans.Drop(pc.spanID)
+		n.Relocations.Drop(pc.spanID)
 		return
 	}
 	pc.attempts++
@@ -304,8 +303,7 @@ func (n *Node) ClaimResolved(c packet.MAC) {
 		n.loop.Cancel(pc.timer)
 	}
 	n.Relocates++
-	n.met.relocates.Inc()
-	n.spans.End(pc.spanID, n.loop.Now())
+	n.Relocations.End(pc.spanID, n.loop.Now())
 }
 
 // SendReliable transfers an export to dst, retransmitting until the

@@ -30,7 +30,8 @@ func TestMergePermutationDeterminism(t *testing.T) {
 		se := sc.Series("load", func() float64 { return float64(i) })
 		_ = se
 		sc.Sample(sim.Time(100 * sim.Millisecond))
-		sp := sc.Spans("handoff")
+		sp := NewSpans()
+		sc.Spans("handoff", sp)
 		sp.Begin(uint32(i+1), sim.Time(sim.Millisecond), 0, 1)
 		sp.MarkStart(uint32(i+1), sim.Time(3*sim.Millisecond))
 		sp.End(uint32(i+1), sim.Time(sim.Duration(5+i)*sim.Millisecond))

@@ -26,19 +26,14 @@ func (r SpanRecord) TotalMs() float64 {
 	return float64(r.AckedAt.Sub(r.IssuedAt)) / float64(sim.Millisecond)
 }
 
-type activeSpan struct {
-	rec SpanRecord
-}
-
-// Spans tracks in-flight handoff spans keyed by switch id and
-// aggregates completed ones into phase-latency histograms. One Spans
-// instance is shared by a segment's controller and its APs (the
-// controller opens and closes spans; the stopped AP marks the start
-// phase). All methods are nil-safe and O(1); the per-handoff cost when
-// enabled is one map insert and one delete.
+// Spans tracks in-flight spans keyed by id and aggregates completed ones
+// into phase-latency histograms. A tracker is built with NewSpans
+// whether or not telemetry is on — its owner feeds it unconditionally —
+// and Scope.Spans registers it for export when telemetry is on. Every
+// method is O(1); the per-span cost is one map insert and one delete.
 type Spans struct {
 	name      string
-	active    map[uint32]*activeSpan
+	active    map[uint32]SpanRecord
 	completed []SpanRecord
 	begun     int64
 	dropped   int64
@@ -47,85 +42,71 @@ type Spans struct {
 	ack       *Histogram // start→ack (queue head move + ack delivery), ms
 }
 
-// Spans registers (or finds) a span tracker. Three histograms named
-// <name>/total_ms, <name>/stop_ms and <name>/ack_ms are registered with
-// it and appear in snapshots alongside the tracker's SpanStat.
-func (s Scope) Spans(name string) *Spans {
+// NewSpans returns an empty tracker with HandoffBoundsMs histograms.
+func NewSpans() *Spans {
+	mk := func() *Histogram {
+		return &Histogram{
+			bounds: append([]float64(nil), HandoffBoundsMs...),
+			counts: make([]int64, len(HandoffBoundsMs)+1),
+		}
+	}
+	return &Spans{active: make(map[uint32]SpanRecord), total: mk(), stop: mk(), ack: mk()}
+}
+
+// Spans registers sp under the scope as name. Its three histograms are
+// named <name>/total_ms, <name>/stop_ms and <name>/ack_ms and appear in
+// snapshots alongside the tracker's SpanStat. A disabled scope leaves
+// sp unregistered (it still tracks).
+func (s Scope) Spans(name string, sp *Spans) {
 	if s.sh == nil {
-		return nil
+		return
 	}
 	m := s.sh.lookup(s.join(name), kindSpans)
-	if m.spans == nil {
-		mk := func(suffix string) *Histogram {
-			return &Histogram{
-				name:   m.name + "/" + suffix,
-				bounds: append([]float64(nil), HandoffBoundsMs...),
-				counts: make([]int64, len(HandoffBoundsMs)+1),
-			}
-		}
-		m.spans = &Spans{
-			name:   m.name,
-			active: make(map[uint32]*activeSpan),
-			total:  mk("total_ms"),
-			stop:   mk("stop_ms"),
-			ack:    mk("ack_ms"),
-		}
-	}
-	return m.spans
+	m.spans = sp
+	sp.name = m.name
+	sp.total.name, sp.stop.name, sp.ack.name = m.name+"/total_ms", m.name+"/stop_ms", m.name+"/ack_ms"
 }
 
 func (sp *Spans) histograms() []*Histogram {
 	return []*Histogram{sp.total, sp.stop, sp.ack}
 }
 
-// Begin opens a span for switch id at the moment the Stop is issued.
+// Begin opens a span for id at the moment the Stop is issued.
 func (sp *Spans) Begin(id uint32, now sim.Time, from, to int) {
-	if sp == nil {
-		return
-	}
 	sp.begun++
-	sp.active[id] = &activeSpan{rec: SpanRecord{ID: id, From: from, To: to, IssuedAt: now}}
+	sp.active[id] = SpanRecord{ID: id, From: from, To: to, IssuedAt: now}
 }
 
 // MarkStart records the old AP sending its Start (radio ioctl done).
 // Stop retransmissions can re-trigger it; the first mark wins.
 func (sp *Spans) MarkStart(id uint32, now sim.Time) {
-	if sp == nil {
-		return
-	}
-	if a, ok := sp.active[id]; ok && !a.rec.HasStart {
-		a.rec.StartAt = now
-		a.rec.HasStart = true
+	if a, ok := sp.active[id]; ok && !a.HasStart {
+		a.StartAt, a.HasStart = now, true
+		sp.active[id] = a
 	}
 }
 
 // End closes the span at SwitchAck time and folds its phase latencies
 // into the histograms.
 func (sp *Spans) End(id uint32, now sim.Time) {
-	if sp == nil {
-		return
-	}
 	a, ok := sp.active[id]
 	if !ok {
 		return
 	}
 	delete(sp.active, id)
-	a.rec.AckedAt = now
-	sp.completed = append(sp.completed, a.rec)
+	a.AckedAt = now
+	sp.completed = append(sp.completed, a)
 	ms := func(d sim.Duration) float64 { return float64(d) / float64(sim.Millisecond) }
-	sp.total.Observe(ms(now.Sub(a.rec.IssuedAt)))
-	if a.rec.HasStart {
-		sp.stop.Observe(ms(a.rec.StartAt.Sub(a.rec.IssuedAt)))
-		sp.ack.Observe(ms(now.Sub(a.rec.StartAt)))
+	sp.total.Observe(ms(now.Sub(a.IssuedAt)))
+	if a.HasStart {
+		sp.stop.Observe(ms(a.StartAt.Sub(a.IssuedAt)))
+		sp.ack.Observe(ms(now.Sub(a.StartAt)))
 	}
 }
 
-// Drop abandons an in-flight span (stop retry exhaustion, or the client
-// was exported to a neighbouring segment mid-switch).
+// Drop abandons an in-flight span (the switch was given up, or the
+// client was exported to a neighbouring segment mid-switch).
 func (sp *Spans) Drop(id uint32) {
-	if sp == nil {
-		return
-	}
 	if _, ok := sp.active[id]; ok {
 		delete(sp.active, id)
 		sp.dropped++
@@ -134,9 +115,6 @@ func (sp *Spans) Drop(id uint32) {
 
 // Completed returns the completed span records in completion order.
 func (sp *Spans) Completed() []SpanRecord {
-	if sp == nil {
-		return nil
-	}
 	return append([]SpanRecord(nil), sp.completed...)
 }
 

@@ -6,11 +6,14 @@
 // Design rules, in order of importance:
 //
 //  1. Zero allocation on the hot path. Handles (*Counter, *Gauge,
-//     *Histogram, *Series, *Spans) are resolved once at build time;
-//     recording is a plain field update. Every handle method is
-//     nil-receiver safe, so code instruments unconditionally and a
-//     disabled registry (nil handles from a zero Scope) costs one
-//     predictable branch per record.
+//     *Histogram, *Series) are resolved once at build time; recording
+//     is a plain field update. Every handle method is nil-receiver
+//     safe, so code instruments unconditionally and a disabled registry
+//     (nil handles from a zero Scope) costs one predictable branch per
+//     record. State a component keeps anyway — a struct stat, the
+//     flight recorder's per-step counts and handoff spans — is
+//     registered as a view (CounterFunc, GaugeFunc, Spans) instead of
+//     being counted twice.
 //
 //  2. Deterministic. Metrics carry sim.Time only — never wall clock —
 //     and no registry operation consults maps in iteration order at
@@ -30,9 +33,9 @@
 //     DomainsSerial and DomainsParallel stay bit-identical.
 //
 // Registration (Scope.Counter etc.) is build-time only: single
-// goroutine, before the simulation runs. GaugeFunc callbacks run only
-// during Snapshot (quiescent) or Scope.Sample on the owning domain's
-// loop, never on the record path.
+// goroutine, before the simulation runs. CounterFunc and GaugeFunc
+// callbacks run only during Snapshot (quiescent) or Scope.Sample on the
+// owning domain's loop, never on the record path.
 package telemetry
 
 import (
@@ -191,6 +194,7 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
+	kindCounterFunc
 	kindGauge
 	kindGaugeFunc
 	kindHistogram
@@ -202,6 +206,8 @@ func (k metricKind) String() string {
 	switch k {
 	case kindCounter:
 		return "counter"
+	case kindCounterFunc:
+		return "counterfunc"
 	case kindGauge:
 		return "gauge"
 	case kindGaugeFunc:
@@ -221,6 +227,7 @@ type metric struct {
 	kind    metricKind
 	counter *Counter
 	gauge   *Gauge
+	cfn     func() int64
 	fn      func() float64
 	hist    *Histogram
 	series  *Series
@@ -325,6 +332,16 @@ func (s Scope) Counter(name string) *Counter {
 	return m.counter
 }
 
+// CounterFunc registers a counter evaluated lazily, like GaugeFunc, and
+// exported as a counter: the view of a count its owner keeps anyway.
+// Re-registering a name replaces the callback.
+func (s Scope) CounterFunc(name string, fn func() int64) {
+	if s.sh == nil {
+		return
+	}
+	s.sh.lookup(s.join(name), kindCounterFunc).cfn = fn
+}
+
 // Gauge registers (or finds) a gauge under the scope.
 func (s Scope) Gauge(name string) *Gauge {
 	if s.sh == nil {
@@ -427,6 +444,9 @@ func (r *Registry) SnapshotShards(at sim.Time, keep func(shard string) bool) *Sn
 			case kindCounter:
 				snap.Counters = append(snap.Counters,
 					CounterPoint{Name: m.name, Value: m.counter.v})
+			case kindCounterFunc:
+				snap.Counters = append(snap.Counters,
+					CounterPoint{Name: m.name, Value: m.cfn()})
 			case kindGauge:
 				snap.Gauges = append(snap.Gauges,
 					GaugePoint{Name: m.name, Value: m.gauge.v})

@@ -19,8 +19,7 @@ func TestDisabledScopeIsInert(t *testing.T) {
 	g := sc.Gauge("y")
 	h := sc.Histogram("z", []float64{1})
 	se := sc.Series("w", func() float64 { return 1 })
-	sp := sc.Spans("s")
-	if c != nil || g != nil || h != nil || se != nil || sp != nil {
+	if c != nil || g != nil || h != nil || se != nil {
 		t.Fatal("zero Scope returned non-nil handles")
 	}
 	// All nil-receiver operations must be no-ops, not panics.
@@ -29,14 +28,19 @@ func TestDisabledScopeIsInert(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(4)
-	sp.Begin(1, 0, 0, 1)
-	sp.MarkStart(1, 0)
-	sp.End(1, 0)
-	sp.Drop(2)
 	sc.Sample(0)
 	sc.GaugeFunc("f", func() float64 { return 0 })
+	sc.CounterFunc("n", func() int64 { return 0 })
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || se.Len() != 0 {
 		t.Fatal("nil handles accumulated state")
+	}
+	// A span tracker registered on a disabled scope still tracks.
+	sp := NewSpans()
+	sc.Spans("s", sp)
+	sp.Begin(1, 0, 0, 1)
+	sp.End(1, 0)
+	if len(sp.Completed()) != 1 {
+		t.Fatal("unregistered span tracker dropped a span")
 	}
 }
 
@@ -106,7 +110,8 @@ func TestSeriesWindowAndSampling(t *testing.T) {
 
 func TestSpansLifecycle(t *testing.T) {
 	r := NewRegistry()
-	sp := r.Scope("seg0").Spans("handoff")
+	sp := NewSpans()
+	r.Scope("seg0").Spans("handoff", sp)
 	ms := func(x int) sim.Time { return sim.Time(x) * sim.Time(sim.Millisecond) }
 
 	sp.Begin(7, ms(100), 2, 3)
@@ -228,10 +233,12 @@ func TestExportFormats(t *testing.T) {
 	sc := r.Scope("seg0")
 	sc.Counter("trunk/tx_bytes").Add(1234)
 	sc.GaugeFunc("ap3/queue_depth", func() float64 { return 7 })
+	sc.CounterFunc("ctrl/switches_issued", func() int64 { return 5 })
 	h := sc.Histogram("rtt_ms", []float64{1, 10})
 	h.Observe(0.5)
 	h.Observe(50)
-	sp := sc.Spans("handoff")
+	sp := NewSpans()
+	sc.Spans("handoff", sp)
 	sp.Begin(1, 0, 0, 1)
 	sp.End(1, sim.Time(20*sim.Millisecond))
 	depth := 3.0
@@ -246,6 +253,7 @@ func TestExportFormats(t *testing.T) {
 	checkProm(t, prom.String())
 	for _, want := range []string{
 		"wgtt_seg0_trunk_tx_bytes_total 1234",
+		"wgtt_seg0_ctrl_switches_issued_total 5",
 		"wgtt_seg0_ap3_queue_depth 7",
 		`wgtt_seg0_handoff_total_ms_bucket{le="+Inf"} 1`,
 		"wgtt_seg0_handoff_completed_total 1",
@@ -315,7 +323,8 @@ func TestCollectorMergesCommutatively(t *testing.T) {
 		sc := r.Scope("seg0")
 		sc.Counter("trunk/tx_bytes").Add(bytes)
 		sc.Counter("ctrl/switches_issued").Inc()
-		sp := sc.Spans("handoff")
+		sp := NewSpans()
+		sc.Spans("handoff", sp)
 		sp.Begin(1, 0, 0, 1)
 		sp.End(1, sim.Time(latMs*float64(sim.Millisecond)))
 		return r.Snapshot(0)

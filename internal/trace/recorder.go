@@ -12,17 +12,21 @@ import (
 
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
+	"wgtt/internal/telemetry"
 )
 
-// This file is the causal flight recorder: a fixed-size ring of
-// structured, value-typed records — one Recorder per domain shard, so
+// This file is the causal flight recorder — one Recorder per WGTT
+// segment, written only by the domain that runs the segment, so
 // recording never shares state across domains and stays legal in every
-// execution mode: single loop, domains, and sharded processes.
+// execution mode: one domain, split domains, and sharded processes.
+// Record is the only instrumentation call a switch-protocol step makes;
+// telemetry's switch counters and handoff histograms are views of the
+// recorder's counts and span fold.
 //
 // Records are written synchronously from existing protocol handlers:
 // recording schedules no events and draws no randomness, so the event
-// schedule — and every golden pin — is bit-identical with the recorder
-// on or off. Causality comes from the sim layer's trace register
+// schedule — and every golden pin — is bit-identical whatever the ring
+// capacity. Causality comes from the sim layer's trace register
 // (sim.Loop.SetTrace): the controller stamps each switch transaction
 // with a globally unique trace id at the issue site, the register
 // flows through timers, backhaul deliveries and cross-process
@@ -42,7 +46,7 @@ const (
 	OpStartRx    // new AP received the Start (A=stale packets flushed)
 	OpAck        // controller saw the SwitchAck (A=serving AP)
 	OpRetx       // controller retransmitted the Stop (A=retry count)
-	OpAbandon    // controller gave up after retry exhaustion (A=retries; B=target segment of a failed federated export)
+	OpAbandon    // controller gave up the switch: retry exhaustion (A=retries), a failed federated export (B=its target segment), or a release mid-switch (B=the new owner)
 	OpClaim      // controller claimed an unowned client overheard above threshold
 	OpExport     // controller exported the client mid-handoff (A=held pkts, B=destination segment)
 	OpImport     // controller imported the client (A=resume index k)
@@ -79,14 +83,16 @@ type Record struct {
 	B        int32      `json:"b"`
 }
 
-// Recorder is a fixed-capacity ring of Records for one domain shard.
-// All methods are nil-safe; a nil Recorder records nothing and is the
-// disabled state, so instrumentation sites need no gating. Not
-// goroutine-safe: each Recorder belongs to one domain and is written
-// only from that domain's loop callbacks.
+// Recorder is one segment's switch-protocol recorder: per-(node, op)
+// counts, the handoff span fold, and an optional fixed-capacity ring of
+// Records. A nil Recorder (a baseline plane has none) records nothing.
+// Not goroutine-safe: it is written only from its segment's loop
+// callbacks.
 type Recorder struct {
 	domain  int16
-	recs    []Record
+	counts  map[nodeOp]int
+	spans   *telemetry.Spans
+	recs    []Record // the ring; empty at capacity 0
 	next    int
 	filled  bool
 	total   uint64
@@ -94,20 +100,50 @@ type Recorder struct {
 	maxAnom int
 }
 
-// NewRecorder returns a recorder for one domain shard (segment index,
-// or -1 for the server domain) holding the last capacity records.
-// capacity <= 0 returns nil — the disabled recorder.
-func NewRecorder(domain int, capacity int) *Recorder {
-	if capacity <= 0 {
-		return nil
-	}
-	return &Recorder{domain: int16(domain), recs: make([]Record, capacity), maxAnom: 64}
+type nodeOp struct {
+	node int16
+	op   Op
 }
 
-// Record appends one record, stamping the recorder's domain. The ring
-// overwrites oldest-first; no allocation on any path.
+// NewRecorder returns the recorder of segment seg (its records' Domain)
+// with a ring holding the last capacity records; capacity <= 0 keeps
+// the counts and the span fold but no ring.
+func NewRecorder(seg int, capacity int) *Recorder {
+	return &Recorder{
+		domain:  int16(seg),
+		counts:  make(map[nodeOp]int),
+		spans:   telemetry.NewSpans(),
+		recs:    make([]Record, max(capacity, 0)),
+		maxAnom: 64,
+	}
+}
+
+// Record takes one protocol step. It counts the step under (Node, Op)
+// and folds it into the handoff spans: an issue with a from-AP (A >= 0)
+// begins a span keyed by switch id, the first start marks it, ack ends
+// it, and abandon or export drops it. With a ring it then appends the
+// record, stamped with the recorder's domain, overwriting oldest-first.
+// Apart from a first-seen (node, op) pair and map growth, only a step
+// that completes a span allocates: the fold's list of completed
+// handoffs grows.
 func (r *Recorder) Record(rec Record) {
 	if r == nil {
+		return
+	}
+	r.counts[nodeOp{rec.Node, rec.Op}]++
+	switch rec.Op {
+	case OpIssue:
+		if rec.A >= 0 {
+			r.spans.Begin(rec.SwitchID, rec.At, int(rec.A), int(rec.B))
+		}
+	case OpStart:
+		r.spans.MarkStart(rec.SwitchID, rec.At)
+	case OpAck:
+		r.spans.End(rec.SwitchID, rec.At)
+	case OpAbandon, OpExport:
+		r.spans.Drop(rec.SwitchID)
+	}
+	if len(r.recs) == 0 {
 		return
 	}
 	rec.Domain = r.domain
@@ -120,8 +156,20 @@ func (r *Recorder) Record(rec Record) {
 	}
 }
 
-// Total returns the number of records ever written (including ones the
-// ring has since overwritten).
+// Count returns how many op steps node has recorded: node -1 is the
+// segment's controller, an AP counts under its global id.
+func (r *Recorder) Count(node int, op Op) int {
+	if r == nil {
+		return 0
+	}
+	return r.counts[nodeOp{int16(node), op}]
+}
+
+// Spans returns the segment's handoff span fold.
+func (r *Recorder) Spans() *telemetry.Spans { return r.spans }
+
+// Total returns the number of records ever written to the ring
+// (including ones it has since overwritten).
 func (r *Recorder) Total() uint64 {
 	if r == nil {
 		return 0
@@ -184,11 +232,12 @@ type Anomaly struct {
 	Value float64     `json:"value"`
 }
 
-// Anomaly notes a trigger firing. Bounded (the first 64 per recorder)
-// so a pathological run cannot grow memory; the flight-recorder window
-// around each is cut lazily at export time, not here.
+// Anomaly notes a trigger firing on a recorder with a ring. Bounded
+// (the first 64 per recorder) so a pathological run cannot grow memory;
+// the flight-recorder window around each is cut lazily at export time,
+// not here.
 func (r *Recorder) Anomaly(a Anomaly) {
-	if r == nil || len(r.anoms) >= r.maxAnom {
+	if r == nil || len(r.recs) == 0 || len(r.anoms) >= r.maxAnom {
 		return
 	}
 	r.anoms = append(r.anoms, a)

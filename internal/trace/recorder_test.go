@@ -12,6 +12,7 @@ import (
 
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
+	"wgtt/internal/telemetry"
 )
 
 func rec(at sim.Time, trace uint64, op Op, node int16) Record {
@@ -25,8 +26,8 @@ func TestRecorderNilSafe(t *testing.T) {
 	if r.Len() != 0 || r.Total() != 0 || r.Records() != nil || r.Anomalies() != nil {
 		t.Fatal("nil recorder must be inert")
 	}
-	if got := NewRecorder(0, 0); got != nil {
-		t.Fatalf("NewRecorder(capacity=0) = %v, want nil", got)
+	if r.Count(-1, OpIssue) != 0 {
+		t.Fatal("nil recorder counted a step")
 	}
 }
 
@@ -49,17 +50,112 @@ func TestRecorderRingWrap(t *testing.T) {
 	}
 }
 
-// TestRecordZeroAlloc pins the hot-path contract: recording into a live
-// ring — and the disabled nil path — never allocates.
+// TestRecordZeroAlloc pins the hot-path contract: recording a step
+// already counted once — into a live ring, a ring-less recorder, or the
+// nil one — never allocates.
 func TestRecordZeroAlloc(t *testing.T) {
 	live := NewRecorder(0, 128)
+	ringless := NewRecorder(0, 0)
 	var off *Recorder
 	sample := rec(5, 9, OpStop, 3)
 	if n := testing.AllocsPerRun(1000, func() { live.Record(sample) }); n != 0 {
 		t.Errorf("enabled Record allocates %v/op, want 0", n)
 	}
+	if n := testing.AllocsPerRun(1000, func() { ringless.Record(sample) }); n != 0 {
+		t.Errorf("ring-less Record allocates %v/op, want 0", n)
+	}
 	if n := testing.AllocsPerRun(1000, func() { off.Record(sample) }); n != 0 {
 		t.Errorf("disabled Record allocates %v/op, want 0", n)
+	}
+}
+
+// TestRecorderFoldWithoutRing replays one segment's scripted
+// switch-protocol records at ring capacities 0 and 64. The per-node
+// counts, the handoff span fold and its phase histograms must be the
+// same at both, and only the ring-backed recorder keeps records and
+// anomalies.
+func TestRecorderFoldWithoutRing(t *testing.T) {
+	mac := packet.ClientMAC(1)
+	ms := func(x int) sim.Time { return sim.Time(x) * sim.Time(sim.Millisecond) }
+	script := []Record{
+		// Adoption onto AP 4: no from-AP, so no span.
+		{At: ms(1), SwitchID: 1, Node: -1, Op: OpIssue, A: -1, B: 4},
+		{At: ms(2), SwitchID: 1, Node: 4, Op: OpStartRx},
+		{At: ms(3), SwitchID: 1, Node: -1, Op: OpAck, A: 4},
+		// Local handoff 4 → 5 whose first stop is retransmitted.
+		{At: ms(10), SwitchID: 2, Node: -1, Op: OpIssue, A: 4, B: 5},
+		{At: ms(11), SwitchID: 2, Node: 4, Op: OpStop, A: 5},
+		{At: ms(40), SwitchID: 2, Node: -1, Op: OpRetx, A: 1},
+		{At: ms(41), SwitchID: 2, Node: 4, Op: OpStop, A: 5},
+		{At: ms(58), SwitchID: 2, Node: 4, Op: OpStart, A: 9, B: 5},
+		{At: ms(59), SwitchID: 2, Node: 5, Op: OpStartRx, A: 3},
+		{At: ms(60), SwitchID: 2, Node: -1, Op: OpAck, A: 5},
+		// Handoff 5 → 6 abandoned after retry exhaustion.
+		{At: ms(100), SwitchID: 3, Node: -1, Op: OpIssue, A: 5, B: 6},
+		{At: ms(101), SwitchID: 3, Node: 5, Op: OpStop, A: 6},
+		{At: ms(400), SwitchID: 3, Node: -1, Op: OpAbandon, A: 10},
+		// Cross-segment handoff: the span is begun, marked and dropped.
+		{At: ms(500), SwitchID: 4, Node: -1, Op: OpIssue, A: 5, B: -1},
+		{At: ms(501), SwitchID: 4, Node: 5, Op: OpStop, A: -1},
+		{At: ms(518), SwitchID: 4, Node: 5, Op: OpStart, A: 12, B: -1},
+		{At: ms(520), SwitchID: 4, Node: -1, Op: OpExport, A: 0, B: 2},
+		// A release's stand-down stop: its start matches no span.
+		{At: ms(600), SwitchID: 5, Node: 5, Op: OpStart, A: 12, B: -1},
+	}
+	for i := range script {
+		script[i].Client = mac
+		script[i].Trace = uint64(5)<<32 | uint64(script[i].SwitchID)
+	}
+	replay := func(capacity int) (*Recorder, *telemetry.Snapshot) {
+		r := NewRecorder(1, capacity)
+		reg := telemetry.NewRegistry()
+		reg.Scope("seg1").Spans("handoff", r.Spans())
+		for _, rec := range script {
+			r.Record(rec)
+		}
+		r.Anomaly(Anomaly{At: ms(60), Kind: AnomalyLatency, Value: 50})
+		return r, reg.Snapshot(ms(700))
+	}
+	off, offSnap := replay(0)
+	on, onSnap := replay(64)
+
+	counts := []struct {
+		node int
+		op   Op
+		want int
+	}{
+		{-1, OpIssue, 4}, {-1, OpAck, 2}, {-1, OpRetx, 1}, {-1, OpAbandon, 1}, {-1, OpExport, 1},
+		{4, OpStop, 2}, {4, OpStart, 1}, {4, OpStartRx, 1},
+		{5, OpStop, 2}, {5, OpStart, 2}, {5, OpStartRx, 1},
+		{6, OpStop, 0},
+	}
+	for _, c := range counts {
+		if got := off.Count(c.node, c.op); got != c.want {
+			t.Errorf("capacity 0: node %d %s = %d, want %d", c.node, c.op, got, c.want)
+		}
+		if got := on.Count(c.node, c.op); got != c.want {
+			t.Errorf("capacity 64: node %d %s = %d, want %d", c.node, c.op, got, c.want)
+		}
+	}
+	st, ok := offSnap.Span("handoff")
+	if !ok || st.Begun != 3 || st.Completed != 1 || st.Dropped != 2 || st.Active != 0 {
+		t.Fatalf("span fold = %+v, want begun 3, completed 1, dropped 2, active 0", st)
+	}
+	for name, want := range map[string]float64{"total_ms": 50, "stop_ms": 48, "ack_ms": 2} {
+		h, ok := offSnap.Histogram("seg1/handoff/" + name)
+		if !ok || h.Count != 1 || h.Sum != want {
+			t.Errorf("%s = %+v, want one %g ms observation", name, h, want)
+		}
+	}
+	if !reflect.DeepEqual(offSnap, onSnap) {
+		t.Errorf("fold differs with the ring on:\n  off %+v\n  on  %+v", offSnap, onSnap)
+	}
+	if len(off.Records()) != 0 || len(off.Anomalies()) != 0 || off.Total() != 0 {
+		t.Errorf("capacity 0 kept %d records, %d anomalies", len(off.Records()), len(off.Anomalies()))
+	}
+	if len(on.Records()) != len(script) || len(on.Anomalies()) != 1 {
+		t.Errorf("capacity 64 kept %d records, %d anomalies; want %d, 1",
+			len(on.Records()), len(on.Anomalies()), len(script))
 	}
 }
 

@@ -59,7 +59,7 @@ func RegisterFlags(fs *flag.FlagSet, o *DeployOptions) {
 	fs.StringVar(&o.TrunkFaults, "trunk-faults", o.TrunkFaults,
 		"trunk fault schedule, e.g. drop=0.01,jitter=50us,outage=1-2@2s-3s,outage=all@5s-5.1s")
 	fs.IntVar(&o.FlightRecorder, "flight-recorder", o.FlightRecorder,
-		"causal flight recorder: retain the last N structured switch-protocol records per domain")
+		"causal flight recorder: retain the last N structured switch-protocol records per segment")
 	fs.StringVar(&o.HandoffBand, "handoff-band", o.HandoffBand,
 		"expected handoff latency band in ms, e.g. 17,21; completed handoffs outside it note an anomaly")
 	fs.IntVar(&o.UnownedSpike, "unowned-spike", o.UnownedSpike,

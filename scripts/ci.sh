@@ -142,8 +142,10 @@ go run ./cmd/wgtt-sim -segments 4x7.5,4x7.5,4x7.5,4x7.5 -federation -clients 2 -
 # wgtt-sim smoke gate: the flight recorder's text view (-trace) prints
 # for a multi-segment ride on one loop and under -parallel-segments, a
 # scenario run writes -trace-out and its CPU profile, -trace-out -
-# leaves stdout pure JSON (the summary moves to stderr), and the
-# federation ride above reports its trunk drops without -metrics.
+# leaves stdout pure JSON (the summary moves to stderr), the federation
+# ride above reports its trunk drops without -metrics, and the switch
+# summary of a two-segment ride reports switches and cross-segment
+# handoffs with telemetry and the flight-recorder ring both off.
 sim_tmp=$(mktemp -d)
 go build -o "$sim_tmp/wgtt-sim" ./cmd/wgtt-sim
 "$sim_tmp/wgtt-sim" -segments 4x7.5,4x7.5 -mph 25 -trace 20 > "$sim_tmp/single.txt"
@@ -174,6 +176,15 @@ echo "wgtt-sim gate: trunk drops (outage random) = $drops"
 set -- $drops
 if [ "${1:-0}" -eq 0 ] || [ "${2:-0}" -eq 0 ]; then
     echo "wgtt-sim gate: federation ride without -metrics reports no trunk drops"
+    exit 1
+fi
+"$sim_tmp/wgtt-sim" -segments 4x7.5,4x7.5 -mph 25 > "$sim_tmp/summary.txt"
+switches=$(sed -n 's/^switches: \([0-9]*\) issued, \([0-9]*\) completed.*/\1 \2/p' "$sim_tmp/summary.txt")
+handoffs=$(sed -n 's/^cross-segment handoffs: \([0-9]*\) exported, \([0-9]*\) imported.*/\1 \2/p' "$sim_tmp/summary.txt")
+echo "wgtt-sim gate: switches (issued completed) = $switches; handoffs (exported imported) = $handoffs"
+set -- $switches $handoffs
+if [ "${1:-0}" -eq 0 ] || [ "${2:-0}" -eq 0 ] || [ "${3:-0}" -lt 1 ] || [ "${4:-0}" -lt 1 ]; then
+    echo "wgtt-sim gate: switch summary without -metrics or a flight-recorder ring reports no switches or handoffs"
     exit 1
 fi
 rm -rf "$sim_tmp"

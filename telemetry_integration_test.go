@@ -129,14 +129,17 @@ func TestTelemetryPromExposition(t *testing.T) {
 
 // TestHandoffSpanCDF reproduces the Fig. 9-style switching-latency
 // distribution from the span tracker and cross-checks it against the
-// controller's own SwitchLatencies record: every completed span is one
-// measured switch, and the median sits in the millisecond band Table 1
-// reports (17–21 ms at the paper's offered loads; the simulated ioctl
-// takes 17 ms ± jitter, so anything in 5–40 ms is a sane realization
-// while a seconds-scale or zero median means broken span bookkeeping).
+// flight recorder's ring as trace.Handoffs folds it (code independent
+// of the recorder's span fold): every completed span is one completed
+// handoff with a stop leg in the ring, and the median sits in the
+// millisecond band Table 1 reports (17–21 ms at the paper's offered
+// loads; the simulated ioctl takes 17 ms ± jitter, so anything in 5–40
+// ms is a sane realization while a seconds-scale or zero median means
+// broken span bookkeeping).
 func TestHandoffSpanCDF(t *testing.T) {
 	cfg := DefaultConfig(SchemeWGTT)
 	cfg.Telemetry = true
+	cfg.FlightRecorder = flightRecCap
 	n := NewNetwork(cfg)
 	lo, _ := cfg.RoadSpanX()
 	c := n.AddClient(Drive(lo-5, 0, 15))
@@ -157,11 +160,13 @@ func TestHandoffSpanCDF(t *testing.T) {
 		t.Fatalf("only %d handoff spans completed over a full drive", st.Completed)
 	}
 	var measured int64
-	for _, ctrl := range n.Controllers() {
-		measured += int64(len(ctrl.SwitchLatencies))
+	for _, h := range TraceHandoffs(n.FlightRecords()) {
+		if h.Completed() && h.From >= 0 {
+			measured++
+		}
 	}
 	if st.Completed != measured {
-		t.Errorf("span tracker completed %d handoffs, controller measured %d",
+		t.Errorf("span tracker completed %d handoffs, the ring shows %d",
 			st.Completed, measured)
 	}
 	if st.Begun != st.Completed+st.Dropped+st.Active {

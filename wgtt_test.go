@@ -237,7 +237,7 @@ func TestTraceCapturesSwitchRounds(t *testing.T) {
 				h.Trace, h.Issue, h.Stop, h.Start, h.StartRx, h.Ack)
 		}
 	}
-	if want := len(n.Ctrl.SwitchLatencies); completed != want || want == 0 {
-		t.Errorf("recorder shows %d completed switches, controller completed %d", completed, want)
+	if want := len(n.FlightRecorder(0).Spans().Completed()); completed != want || want == 0 {
+		t.Errorf("ring shows %d completed switches, the span fold %d", completed, want)
 	}
 }
