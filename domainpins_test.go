@@ -2,11 +2,9 @@ package wgtt
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"wgtt/internal/core"
-	"wgtt/internal/trace"
 )
 
 // goldenDomains pins the three-segment corridor split into one domain
@@ -46,15 +44,7 @@ func TestDomainPins(t *testing.T) {
 				r := corridorSetup(opt, m.mode, 3, 0)
 				r.Net.Run(r.Dur)
 				fig := fmt.Sprintf("%#v", r.Figures(nil))
-				var metrics, records strings.Builder
-				if err := r.Net.MetricsSnapshot().Write(&metrics, MetricsText); err != nil {
-					t.Fatal(err)
-				}
-				if err := trace.Dump(&records, r.Net.FlightRecords()); err != nil {
-					t.Fatal(err)
-				}
-				got := fmt.Sprintf("figure=%s metrics=%s trace=%s",
-					digest16(fig), digest16(metrics.String()), digest16(records.String()))
+				got := pinDigests(t, fig, r.Net)
 				if want := goldenDomains[seed]; got != want {
 					t.Errorf("%s drifted (figure %s)\n  want %s\n  got  %s", m.name, fig, want, got)
 				}

@@ -33,7 +33,7 @@ func (f fakeFabric) APByMAC(m packet.MAC) (backhaul.NodeID, bool) {
 // flatChannel gives every pair a fixed good SNR.
 type flatChannel struct{ snr float64 }
 
-func (f flatChannel) SubcarrierSNRs(tx, rx *mac.Node, dst []float64) bool {
+func (f flatChannel) SubcarrierSNRs(tx, rx *mac.Node, _ float64, dst []float64) bool {
 	for i := range dst {
 		dst[i] = f.snr
 	}

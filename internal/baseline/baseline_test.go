@@ -45,7 +45,7 @@ func (f *flatChannel) snrOf(tx *mac.Node) float64 {
 	return f.snr
 }
 
-func (f *flatChannel) SubcarrierSNRs(tx, rx *mac.Node, dst []float64) bool {
+func (f *flatChannel) SubcarrierSNRs(tx, rx *mac.Node, _ float64, dst []float64) bool {
 	s := f.snrOf(tx)
 	if s < -50 {
 		return false

@@ -44,6 +44,11 @@ type Link interface {
 	// SubcarrierSNRsDB fills dst (rf.NumSubcarriers long) with the
 	// instantaneous per-subcarrier SNR in dB at the client position.
 	SubcarrierSNRsDB(now sim.Time, cliPos rf.Position, dst []float64)
+	// FillSubcarrierSNRsDB is SubcarrierSNRsDB for a caller that
+	// already holds mean = MeanSNRdB(now, cliPos): it applies the
+	// instantaneous fading to mean instead of evaluating it again.
+	// SubcarrierSNRsDB is MeanSNRdB followed by this fill.
+	FillSubcarrierSNRsDB(now sim.Time, cliPos rf.Position, mean float64, dst []float64)
 	// MeanSNRdB is the large-scale SNR (no fast fading) at the client
 	// position; blockage, being a large-scale obstruction, is included.
 	MeanSNRdB(now sim.Time, cliPos rf.Position) float64
@@ -78,7 +83,8 @@ func (b Box) Contains(p rf.Position) bool {
 
 // Model is one propagation/PHY backend. A Model is built once per
 // network and shared read-only by every domain; NewLink is called from
-// the construction goroutine only.
+// the construction goroutine only. State every link of the model shares,
+// such as the fading's delay-rotation table, lives on the Model.
 type Model interface {
 	// Name returns the backend's registry name.
 	Name() string
@@ -101,6 +107,9 @@ type Model interface {
 	MaxSNRAPToBoxDB(apPos rf.Position, box Box) float64
 	// MaxSNRClientToAPDB bounds the large-scale SNR from a client at
 	// cliPos to the AP at apPos (the uplink reciprocal, exact positions).
+	// It must dominate every link's MeanSNRdB(now, cliPos) from that AP
+	// in float arithmetic, with no slack: the medium's threshold checks
+	// trust it before the exact value (DESIGN.md §10).
 	MaxSNRClientToAPDB(cliPos, apPos rf.Position) float64
 	// ClientClientSNRdB is the flat vehicle-to-vehicle budget at
 	// distance d (clamped to the 1 m reference inside). No fading is

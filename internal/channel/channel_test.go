@@ -274,3 +274,115 @@ func ExampleNames() {
 	fmt.Println(Names())
 	// Output: [mmwave60g wifi5g]
 }
+
+// TestClientToAPBoundDominatesMean pins the zero-slack contract the
+// medium's threshold short-cuts rely on (DESIGN.md §10): for both
+// backends, MaxSNRClientToAPDB(cliPos, apPos) ≥ link.MeanSNRdB(now,
+// cliPos) as an exact float comparison. The grid covers d < 1 m, both
+// sides of the parabolic main-lobe/side-lobe edge, both sides of the
+// mmWave cell radius, and instants inside and outside blockage. With
+// shadowing off the bound and an unblocked mean are the same expression,
+// so they must agree bit for bit: an operation reordered on either side
+// shows up as a one-ulp deficit.
+func TestClientToAPBoundDominatesMean(t *testing.T) {
+	apPos := rf.Position{X: 0, Y: 18}
+	var grid []rf.Position
+	for x := -40.0; x <= 40; x += 0.25 {
+		for _, y := range []float64{-3, 0, 9, 17.5} {
+			grid = append(grid, rf.Position{X: x, Y: y})
+		}
+	}
+	// Inside the 1 m reference distance, and across it.
+	for _, d := range []float64{0, 1e-9, 0.3, 0.999999, 1, 1.000001, 1.5} {
+		for _, deg := range []float64{-90, -45, 0, 135} {
+			rad := deg * math.Pi / 180
+			grid = append(grid, rf.Position{X: apPos.X + d*math.Cos(rad), Y: apPos.Y + d*math.Sin(rad)})
+		}
+	}
+	// Both sides of the parabolic main-lobe edge, where the quadratic
+	// roll-off meets the side-lobe floor, in both lanes.
+	ant := rf.DefaultParabolic(-90)
+	edge := ant.BeamwidthDeg * math.Sqrt(-ant.SideLobeDB/12) * math.Pi / 180
+	for _, y := range []float64{-3, 0} {
+		xe := (apPos.Y - y) * math.Tan(edge)
+		for _, dx := range []float64{-0.01, -1e-9, 0, 1e-9, 0.01} {
+			grid = append(grid, rf.Position{X: xe + dx, Y: y}, rf.Position{X: -xe - dx, Y: y})
+		}
+	}
+	// Both sides of the mmWave cell radius.
+	radius := DefaultMMWaveParams().CellRadiusM
+	for _, dr := range []float64{-0.01, -1e-9, 0, 1e-9, 0.01} {
+		grid = append(grid, rf.Position{X: apPos.X, Y: apPos.Y - radius - dr},
+			rf.Position{X: apPos.X + radius + dr, Y: apPos.Y})
+	}
+
+	for _, tc := range []struct {
+		backend  string
+		noShadow bool
+	}{{"wifi5g", false}, {"wifi5g", true}, {"mmwave60g", false}, {"mmwave60g", true}} {
+		cfg := wifiCfg()
+		if tc.backend == "mmwave60g" {
+			cfg = mmCfg()
+		}
+		name := tc.backend
+		if tc.noShadow {
+			cfg.RF.ShadowSigmaDB, cfg.MMWave.ShadowSigmaDB = 0, 0
+			name += "-no-shadowing"
+		}
+		t.Run(name, func(t *testing.T) {
+			m, err := New(tc.backend, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var checked, equal, blocked, dead, sideLobe, mainLobe int
+			for seed := int64(1); seed <= 8; seed++ {
+				link := m.NewLink(apPos, sim.NewRNG(seed))
+				instants := []sim.Time{0}
+				mm, isMM := link.(*mmLink)
+				if isMM {
+					// The first blockage interval's edges and middle,
+					// and clear instants around it.
+					ev := mm.blocks[0]
+					instants = append(instants, ev.start-1, ev.start, (ev.start+ev.end)/2, ev.end-1, ev.end)
+				}
+				for _, now := range instants {
+					for _, pos := range grid {
+						bound := m.MaxSNRClientToAPDB(pos, apPos)
+						mean := link.MeanSNRdB(now, pos)
+						checked++
+						if bound < mean {
+							t.Fatalf("seed %d t=%v pos %v: bound %v < mean %v", seed, now, pos, bound, mean)
+						}
+						unblocked := !isMM || mm.blockageDB(now) == 0
+						if isMM && !unblocked {
+							blocked++
+						}
+						if tc.noShadow && unblocked && bound != mean {
+							t.Fatalf("seed %d t=%v pos %v: shadowing off, bound %v != mean %v", seed, now, pos, bound, mean)
+						}
+						if bound == mean {
+							equal++
+						}
+						if isMM && apPos.Distance(pos) > radius {
+							dead++
+						}
+						if !isMM {
+							if ant.GainDB(apPos.AngleTo(pos)) == ant.PeakGain+ant.SideLobeDB {
+								sideLobe++
+							} else {
+								mainLobe++
+							}
+						}
+					}
+				}
+			}
+			if tc.backend == "mmwave60g" && (blocked == 0 || dead == 0) {
+				t.Errorf("grid missed a regime: %d blocked, %d beyond the cell radius", blocked, dead)
+			}
+			if tc.backend == "wifi5g" && (sideLobe == 0 || mainLobe == 0) {
+				t.Errorf("grid missed a lobe: %d main-lobe, %d side-lobe points", mainLobe, sideLobe)
+			}
+			t.Logf("%d checks, %d exactly tight", checked, equal)
+		})
+	}
+}

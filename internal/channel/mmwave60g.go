@@ -127,6 +127,8 @@ type mmwave struct {
 	tbl        *phy.Table
 	cliLossDB  float64
 	headroomDB float64
+	// rot is the fading's delay-rotation table, shared by every link.
+	rot *rf.DelayRotations
 	// deadSNRdB is what the budget reports outside the cell radius:
 	// far below any detect threshold.
 	deadSNRdB float64
@@ -142,6 +144,7 @@ func newMMWave(cfg ModelConfig) (*mmwave, error) {
 		tbl:        mmwaveRates(),
 		cliLossDB:  cfg.ClientClientLossDB,
 		headroomDB: rf.MaxFadeDB(p.Fading) + 0.2,
+		rot:        rf.NewDelayRotations(p.Fading),
 		deadSNRdB:  -200,
 	}, nil
 }
@@ -158,7 +161,7 @@ func (m *mmwave) NewLink(apPos rf.Position, rng *sim.RNG) Link {
 	l := &mmLink{
 		m:      m,
 		apPos:  apPos,
-		fader:  rf.NewFader(m.p.Fading, rng.Fork("fading")),
+		fader:  rf.NewFaderWith(m.rot, m.p.Fading, rng.Fork("fading")),
 		shadow: rf.NewShadowing(m.p.ShadowSigmaDB, m.p.ShadowCorrDistM, rng.Fork("shadow")),
 	}
 	l.blocks = drawBlockage(m.p, rng.Fork("blockage"))
@@ -235,10 +238,15 @@ func (l *mmLink) MeanSNRdB(now sim.Time, cliPos rf.Position) float64 {
 
 // SubcarrierSNRsDB implements Link.
 func (l *mmLink) SubcarrierSNRsDB(now sim.Time, cliPos rf.Position, dst []float64) {
+	l.FillSubcarrierSNRsDB(now, cliPos, l.meanSNRdB(now, cliPos), dst)
+}
+
+// FillSubcarrierSNRsDB implements Link. Blockage is already in mean;
+// the fading depends on position only.
+func (l *mmLink) FillSubcarrierSNRsDB(_ sim.Time, cliPos rf.Position, mean float64, dst []float64) {
 	if len(dst) != rf.NumSubcarriers {
 		panic("channel: SubcarrierSNRsDB dst must have rf.NumSubcarriers elements")
 	}
-	mean := l.meanSNRdB(now, cliPos)
 	if l.fadeOff {
 		for i := range dst {
 			dst[i] = mean
@@ -298,7 +306,9 @@ func (m *mmwave) MaxSNRAPToBoxDB(apPos rf.Position, box Box) float64 {
 }
 
 // MaxSNRClientToAPDB implements Model (reciprocal budget, exact
-// positions).
+// positions). It is meanSNRdB's expression in the same operation order
+// with maxShadowDB for the shadowing and the blockage term (≥ 0)
+// dropped, so it dominates meanSNRdB in float arithmetic.
 func (m *mmwave) MaxSNRClientToAPDB(cliPos, apPos rf.Position) float64 {
 	d := apPos.Distance(cliPos)
 	if d > m.p.CellRadiusM {

@@ -27,6 +27,8 @@ type wifi5g struct {
 	cliLossDB  float64 // client↔client extra penetration loss
 	boresight  float64
 	headroomDB float64
+	// rot is the fading's delay-rotation table, shared by every link.
+	rot *rf.DelayRotations
 }
 
 func newWifi5g(cfg ModelConfig) *wifi5g {
@@ -36,6 +38,7 @@ func newWifi5g(cfg ModelConfig) *wifi5g {
 		cliLossDB:  cfg.ClientClientLossDB,
 		boresight:  cfg.BoresightDeg,
 		headroomDB: rf.MaxFadeDB(cfg.RF.Fading) + 0.2,
+		rot:        rf.NewDelayRotations(cfg.RF.Fading),
 	}
 }
 
@@ -52,6 +55,9 @@ type wifiLink struct{ l *rf.Link }
 func (w wifiLink) SubcarrierSNRsDB(_ sim.Time, cliPos rf.Position, dst []float64) {
 	w.l.SubcarrierSNRsDB(cliPos, dst)
 }
+func (w wifiLink) FillSubcarrierSNRsDB(_ sim.Time, cliPos rf.Position, mean float64, dst []float64) {
+	w.l.FillSubcarrierSNRsDB(cliPos, mean, dst)
+}
 func (w wifiLink) MeanSNRdB(_ sim.Time, cliPos rf.Position) float64 { return w.l.MeanSNRdB(cliPos) }
 func (w wifiLink) SNRdB(_ sim.Time, cliPos rf.Position) float64     { return w.l.SNRdB(cliPos) }
 func (w wifiLink) DisableFading()                                   { w.l.DisableFading() }
@@ -60,7 +66,7 @@ func (w wifiLink) APPos() rf.Position                               { return w.l
 // NewLink implements Model. The rf constructor forks "fading" then
 // "shadow" from rng — the order every golden pin depends on.
 func (m *wifi5g) NewLink(apPos rf.Position, rng *sim.RNG) Link {
-	return wifiLink{rf.NewLink(m.p, apPos, m.apAnt, rf.Omni{}, rng)}
+	return wifiLink{rf.NewLinkWith(m.rot, m.p, apPos, m.apAnt, rf.Omni{}, rng)}
 }
 
 // DetectHeadroomDB implements Model: the analytic constructive-fading
@@ -80,7 +86,10 @@ func (m *wifi5g) MaxSNRAPToBoxDB(apPos rf.Position, box Box) float64 {
 }
 
 // MaxSNRClientToAPDB implements Model: the reciprocal of the downlink
-// budget at exact positions.
+// budget at exact positions. It is rf.Link.MeanSNRdB's expression in the
+// same operation order with MaxShadowDB for the shadowing (the omni
+// client's 0 dBi term adds exactly nothing), so it dominates it in
+// float arithmetic.
 func (m *wifi5g) MaxSNRClientToAPDB(cliPos, apPos rf.Position) float64 {
 	d := math.Max(1, apPos.Distance(cliPos))
 	gain := m.apAnt.GainDB(apPos.AngleTo(cliPos))

@@ -14,7 +14,7 @@ import (
 // flatChannel: every pair hears every pair at a fixed SNR.
 type flatChannel struct{ snr float64 }
 
-func (f flatChannel) SubcarrierSNRs(tx, rx *mac.Node, dst []float64) bool {
+func (f flatChannel) SubcarrierSNRs(tx, rx *mac.Node, _ float64, dst []float64) bool {
 	for i := range dst {
 		dst[i] = f.snr
 	}

@@ -155,7 +155,7 @@ func TestAudibilityIndexNeverSkipsAudible(t *testing.T) {
 					continue
 				}
 				skipped++
-				if !nc.SubcarrierSNRs(tx, rx, snrs[:]) {
+				if !nc.SubcarrierSNRs(tx, rx, nc.SenseSNRdB(tx, rx), snrs[:]) {
 					continue
 				}
 				for _, m := range mods {

@@ -84,6 +84,10 @@ type Network struct {
 	// segment on the server's loop (Send serializes synchronously).
 	sdOut   packet.ServerData
 	apNodes []*mac.Node
+	// apPos[i] is AP i's mounting position, resolved once as the AP is
+	// built; the hot radio paths read it instead of Config.APPosition,
+	// which re-resolves the segment geometry on every call.
+	apPos []rf.Position
 	// links[clientID][apIdx] is the radio channel realization.
 	links       [][]channel.Link
 	nodeKind    map[*mac.Node]nodeRef
@@ -220,9 +224,11 @@ func NewNetwork(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// addAPNode registers an AP's radio node under its global id.
+// addAPNode registers an AP's radio node and position under its global
+// id.
 func (n *Network) addAPNode(node *mac.Node, id int) {
 	n.apNodes = append(n.apNodes, node)
+	n.apPos = append(n.apPos, node.Pos())
 	n.nodeKind[node] = nodeRef{isAP: true, idx: id}
 }
 
@@ -305,11 +311,9 @@ func (n *Network) AddClient(traj mobility.Trajectory) *Client {
 	n.nodeKind[cl.Node()] = nodeRef{isAP: false, idx: id}
 
 	// Per-AP radio links for this client, in global AP order.
-	total := n.TotalAPs()
-	row := make([]channel.Link, total)
-	for i := 0; i < total; i++ {
-		row[i] = n.model.NewLink(n.Cfg.APPosition(i),
-			n.rng.Fork(fmt.Sprintf("link-%d-%d", i, id)))
+	row := make([]channel.Link, len(n.apPos))
+	for i, apPos := range n.apPos {
+		row[i] = n.model.NewLink(apPos, n.rng.Fork(fmt.Sprintf("link-%d-%d", i, id)))
 	}
 	n.links = append(n.links, row)
 	n.Clients = append(n.Clients, c)
@@ -330,8 +334,8 @@ func (n *Network) AddClient(traj mobility.Trajectory) *Client {
 // nearestAP returns the global AP id closest to pos.
 func (n *Network) nearestAP(pos rf.Position) int {
 	best, bestD := 0, math.Inf(1)
-	for i := 0; i < n.TotalAPs(); i++ {
-		if d := n.Cfg.APPosition(i).Distance(pos); d < bestD {
+	for i, apPos := range n.apPos {
+		if d := apPos.Distance(pos); d < bestD {
 			best, bestD = i, d
 		}
 	}
@@ -490,48 +494,34 @@ type netChannel struct {
 	loop *sim.Loop
 }
 
-// SubcarrierSNRs implements mac.Channel.
-func (nc *netChannel) SubcarrierSNRs(tx, rx *mac.Node, dst []float64) bool {
+// SubcarrierSNRs implements mac.Channel. senseDB is SenseSNRdB(tx, rx)
+// now: the AP↔client link applies its fading to it, and every other pair
+// gets a flat channel at it.
+func (nc *netChannel) SubcarrierSNRs(tx, rx *mac.Node, senseDB float64, dst []float64) bool {
 	n := nc.n
 	tref, tok := n.nodeKind[tx]
 	rref, rok := n.nodeKind[rx]
 	if !tok || !rok {
 		return false
 	}
-	switch {
-	case tref.isAP && !rref.isAP:
-		// Downlink: AP → client.
+	if tref.isAP != rref.isAP {
+		// Downlink or uplink: one reciprocal channel.
+		ap, cli := apClient(tref, rref)
 		now := nc.loop.Now()
-		pos := n.Clients[rref.idx].Traj.Pos(now)
-		n.links[rref.idx][tref.idx].SubcarrierSNRsDB(now, pos, dst)
-		return true
-	case !tref.isAP && rref.isAP:
-		// Uplink: reciprocal channel.
-		now := nc.loop.Now()
-		pos := n.Clients[tref.idx].Traj.Pos(now)
-		n.links[tref.idx][rref.idx].SubcarrierSNRsDB(now, pos, dst)
-		return true
-	case !tref.isAP && !rref.isAP:
-		snr := nc.clientClientSNR(tref.idx, rref.idx)
-		if snr < -5 {
-			return false
-		}
-		for i := range dst {
-			dst[i] = snr
-		}
-		return true
-	default:
-		// AP ↔ AP: only sensing matters; give them a flat strong
-		// channel within range.
-		snr := nc.SenseSNRdB(tx, rx)
-		if snr < -5 {
-			return false
-		}
-		for i := range dst {
-			dst[i] = snr
-		}
+		pos := n.Clients[cli].Traj.Pos(now)
+		n.links[cli][ap].FillSubcarrierSNRsDB(now, pos, senseDB, dst)
 		return true
 	}
+	// Client ↔ client is the backend's flat vehicle-to-vehicle budget;
+	// AP ↔ AP only matters for sensing, so it is a flat strong channel
+	// within range.
+	if senseDB < -5 {
+		return false
+	}
+	for i := range dst {
+		dst[i] = senseDB
+	}
+	return true
 }
 
 // SenseSNRdB implements mac.Channel (large-scale only).
@@ -539,28 +529,48 @@ func (nc *netChannel) SenseSNRdB(tx, rx *mac.Node) float64 {
 	n := nc.n
 	tref, tok := n.nodeKind[tx]
 	rref, rok := n.nodeKind[rx]
-	if !tok || !rok {
-		return -100
-	}
 	switch {
-	case tref.isAP && !rref.isAP:
+	case !tok || !rok:
+		return -100
+	case tref.isAP != rref.isAP:
+		ap, cli := apClient(tref, rref)
 		now := nc.loop.Now()
-		pos := n.Clients[rref.idx].Traj.Pos(now)
-		return n.links[rref.idx][tref.idx].MeanSNRdB(now, pos)
-	case !tref.isAP && rref.isAP:
-		now := nc.loop.Now()
-		pos := n.Clients[tref.idx].Traj.Pos(now)
-		return n.links[tref.idx][rref.idx].MeanSNRdB(now, pos)
-	case !tref.isAP && !rref.isAP:
+		return n.links[cli][ap].MeanSNRdB(now, n.Clients[cli].Traj.Pos(now))
+	case !tref.isAP:
 		return nc.clientClientSNR(tref.idx, rref.idx)
 	default:
-		a := n.Cfg.APPosition(tref.idx)
-		b := n.Cfg.APPosition(rref.idx)
-		if a.Distance(b) <= n.Cfg.APAPSenseRangeM {
+		if n.apPos[tref.idx].Distance(n.apPos[rref.idx]) <= n.Cfg.APAPSenseRangeM {
 			return n.Cfg.APAPSenseSNRdB
 		}
 		return -10
 	}
+}
+
+// SenseBoundDB implements mac.SenseBounder for AP↔client pairs in either
+// direction: the backend's MaxSNRClientToAPDB at the client's current
+// position, the bound the audibility index already relies on, which
+// dominates the link's MeanSNRdB in float arithmetic (DESIGN.md §10).
+// Client↔client and AP↔AP sensing is already cheap; those pairs have
+// no bound and take the exact path.
+func (nc *netChannel) SenseBoundDB(tx, rx *mac.Node) (float64, bool) {
+	n := nc.n
+	tref, tok := n.nodeKind[tx]
+	rref, rok := n.nodeKind[rx]
+	if !tok || !rok || tref.isAP == rref.isAP {
+		return 0, false
+	}
+	ap, cli := apClient(tref, rref)
+	pos := n.Clients[cli].Traj.Pos(nc.loop.Now())
+	return n.model.MaxSNRClientToAPDB(pos, n.apPos[ap]), true
+}
+
+// apClient orders an AP↔client pair of node kinds as (AP global id,
+// client id).
+func apClient(a, b nodeRef) (ap, cli int) {
+	if a.isAP {
+		return a.idx, b.idx
+	}
+	return b.idx, a.idx
 }
 
 // DetectHeadroomDB implements mac.DetectHeadroomer by delegating to the

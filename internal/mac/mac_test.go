@@ -24,7 +24,7 @@ func (f *fakeChannel) set(a, b *Node, snr float64) {
 	f.snr[[2]*Node{b, a}] = snr
 }
 
-func (f *fakeChannel) SubcarrierSNRs(tx, rx *Node, dst []float64) bool {
+func (f *fakeChannel) SubcarrierSNRs(tx, rx *Node, _ float64, dst []float64) bool {
 	s, ok := f.snr[[2]*Node{tx, rx}]
 	if !ok {
 		return false

@@ -17,8 +17,11 @@ import (
 type Channel interface {
 	// SubcarrierSNRs fills dst (rf.NumSubcarriers long) with the
 	// per-subcarrier SNR in dB at rx for a transmission from tx, and
-	// reports whether rx can hear tx at all.
-	SubcarrierSNRs(tx, rx *Node, dst []float64) bool
+	// reports whether rx can hear tx at all. senseDB is SenseSNRdB(tx,
+	// rx) at the same instant, which the medium has already evaluated:
+	// a channel that derives the subcarrier SNRs from the large-scale
+	// SNR starts from it rather than evaluating it again.
+	SubcarrierSNRs(tx, rx *Node, senseDB float64, dst []float64) bool
 	// SenseSNRdB returns the large-scale SNR rx observes from tx, used
 	// for carrier sensing (energy detection ignores fast fading).
 	SenseSNRdB(tx, rx *Node) float64
@@ -33,6 +36,18 @@ type Channel interface {
 // skip a node the full evaluation would have detected.
 type DetectHeadroomer interface {
 	DetectHeadroomDB() float64
+}
+
+// SenseBounder is an optional Channel capability: an upper bound on
+// SenseSNRdB(tx, rx) that is cheaper than the exact value (core's skips
+// the shadowing sum). ok is false when the channel has no bound for the
+// pair.
+// The medium's threshold checks (carrier sense, collisions) consult it
+// first and evaluate SenseSNRdB only when the bound does not settle the
+// comparison, so a bound must never fall below the exact value — not
+// even by one rounding step — or a decision would change.
+type SenseBounder interface {
+	SenseBoundDB(tx, rx *Node) (bound float64, ok bool)
 }
 
 // AudibilityIndex is an optional spatial prefilter over the medium's
@@ -132,9 +147,11 @@ type Medium struct {
 	// audBits is the reusable MarkAudible bitmap.
 	audBits []uint64
 
-	// headroomDB caches the channel's DetectHeadroomDB capability.
+	// headroomDB caches the channel's DetectHeadroomDB capability;
+	// bounder is the channel's SenseBounder capability, nil without it.
 	headroomDB  float64
 	hasHeadroom bool
+	bounder     SenseBounder
 
 	// onTransmit, when set, observes every transmission as it goes on
 	// air (the cross-domain boundary-interference exchange taps it).
@@ -167,6 +184,7 @@ func NewMedium(loop *sim.Loop, channel Channel, rng *sim.RNG) *Medium {
 		m.headroomDB = h.DetectHeadroomDB()
 		m.hasHeadroom = true
 	}
+	m.bounder, _ = channel.(SenseBounder)
 	return m
 }
 
@@ -314,7 +332,7 @@ func (m *Medium) busyUntil(n *Node) sim.Time {
 		if end <= m.loop.Now() {
 			continue
 		}
-		if t.Tx == n || m.channel.SenseSNRdB(t.Tx, n) >= senseThresholdDB {
+		if t.Tx == n || m.senseSNRdB(t.Tx, n, senseThresholdDB) >= senseThresholdDB {
 			if end > until {
 				until = end
 			}
@@ -326,9 +344,9 @@ func (m *Medium) busyUntil(n *Node) sim.Time {
 // BlockAckOnAir reports whether a block ACK from another node is
 // currently on the air audible to n. Secondary responders (non-serving
 // APs acking an uplink frame) use this as their CCA check before sending
-// a redundant ack; BAs that started within the last microsecond are
-// invisible (the radio's CCA blind window), which is what makes the rare
-// residual ack collisions of Table 3 possible.
+// a redundant ack; BAs that started within the last 500 ns are invisible
+// (the radio's CCA blind window), which is what makes the rare residual
+// ack collisions of Table 3 possible.
 func (m *Medium) BlockAckOnAir(n *Node) bool {
 	now := m.loop.Now()
 	for _, t := range m.active {
@@ -338,7 +356,7 @@ func (m *Medium) BlockAckOnAir(n *Node) bool {
 		if t.End <= now || t.Start > now.Add(-500*sim.Nanosecond) {
 			continue
 		}
-		if m.channel.SenseSNRdB(t.Tx, n) >= senseThresholdDB {
+		if m.senseSNRdB(t.Tx, n, senseThresholdDB) >= senseThresholdDB {
 			return true
 		}
 	}
@@ -444,15 +462,19 @@ func (m *Medium) deliverAll(t *Transmission) {
 	}
 }
 
-// deliverOne evaluates t at a single receiver n.
+// deliverOne evaluates t at a single receiver n. The large-scale SNR is
+// evaluated once and serves both the headroom prefilter and the
+// per-subcarrier fill. The prefilter takes the exact value, not the
+// SenseBounder bound: the audibility index has already dropped the
+// receivers a bound would settle.
 func (m *Medium) deliverOne(t *Transmission, n *Node, snrs *[rf.NumSubcarriers]float64) {
-	if m.hasHeadroom &&
-		m.channel.SenseSNRdB(t.Tx, n)+m.headroomDB < detectThresholdDB {
+	sense := m.channel.SenseSNRdB(t.Tx, n)
+	if m.hasHeadroom && sense+m.headroomDB < detectThresholdDB {
 		// Even maximally constructive fading cannot lift this receiver
 		// over the detection threshold; skip the per-subcarrier fill.
 		return
 	}
-	if !m.channel.SubcarrierSNRs(t.Tx, n, snrs[:]) {
+	if !m.channel.SubcarrierSNRs(t.Tx, n, sense, snrs[:]) {
 		return
 	}
 	if m.interference != nil {
@@ -517,6 +539,7 @@ func (m *Medium) okBuf(k int) []bool {
 // collided reports whether an overlapping transmission destroys t at
 // receiver n (interferer within captureMarginDB of t's signal).
 func (m *Medium) collided(t *Transmission, n *Node, esnrT float64) bool {
+	floor := esnrT - captureMarginDB
 	for _, o := range m.active {
 		if o == t || o.Tx == t.Tx || o.Tx == n {
 			continue
@@ -524,12 +547,25 @@ func (m *Medium) collided(t *Transmission, n *Node, esnrT float64) bool {
 		if o.End <= t.Start || o.Start >= t.End {
 			continue
 		}
-		inter := m.channel.SenseSNRdB(o.Tx, n)
-		if inter > esnrT-captureMarginDB {
+		if m.senseSNRdB(o.Tx, n, floor) > floor {
 			return true
 		}
 	}
 	return false
+}
+
+// senseSNRdB returns SenseSNRdB(tx, rx) for a caller that only compares
+// it against floor, with ≥ or >. When the channel's SenseBounder bound
+// is already below floor, so is the exact value, and the bound is
+// returned instead: either comparison comes out false, as it would have
+// on the exact value, so no carrier-sense or collision decision changes.
+func (m *Medium) senseSNRdB(tx, rx *Node, floor float64) float64 {
+	if m.bounder != nil {
+		if b, ok := m.bounder.SenseBoundDB(tx, rx); ok && b < floor {
+			return b
+		}
+	}
+	return m.channel.SenseSNRdB(tx, rx)
 }
 
 // prune runs after each delivery and eagerly drops transmissions that can

@@ -25,10 +25,10 @@ func subcarrierOffsetHz(i int) float64 {
 	return float64(k) * SubcarrierSpacingHz
 }
 
-// tap is one resolvable multipath cluster: a delay plus a sum of planar
-// scattered waves whose phases rotate with client position.
+// tap is one resolvable multipath cluster: a sum of planar scattered
+// waves whose phases rotate with client position. Its delay lives in the
+// Fader's DelayRotations.
 type tap struct {
-	delaySec    float64
 	ampl        float64 // linear amplitude weight (sqrt of tap power)
 	scatterAmpl float64 // per-wave scattered amplitude incl. 1/√N
 	// Scattered-wave parameters: unit arrival directions and phases.
@@ -62,9 +62,8 @@ type tap struct {
 type Fader struct {
 	waveNumber float64 // 2π/λ
 	taps       []tap
-	// rot holds each tap's per-subcarrier delay rotation
-	// e^{−j2π f_i τ_l}, precomputed once in NewFader since tap delays
-	// never change: rot[l*NumSubcarriers+i].
+	// rot is the delay-rotation table (see DelayRotations), shared
+	// read-only with every other Fader built from the same table.
 	rot []complex128
 	// tapGains is the per-call scratch for the taps' spatial gains,
 	// kept on the Fader so Gains is allocation-free.
@@ -103,18 +102,61 @@ func DefaultFadingParams(freqHz float64) FadingParams {
 	}
 }
 
+// DelayRotations is the per-subcarrier delay rotation table of a
+// tap-delay profile, e^{−j2π f_i τ_l} at rot[l*NumSubcarriers+i]. It
+// depends only on FadingParams.NumTaps and TapSpacingSec and draws
+// nothing from an RNG, so a deployment builds it once and every Fader
+// of the same FadingParams shares it read-only.
+type DelayRotations struct {
+	numTaps int
+	spacing float64
+	rot     []complex128
+}
+
+// NewDelayRotations computes the delay rotation table of p's tap-delay
+// profile.
+func NewDelayRotations(p FadingParams) *DelayRotations {
+	if p.NumTaps < 1 {
+		p.NumTaps = 1
+	}
+	r := &DelayRotations{
+		numTaps: p.NumTaps,
+		spacing: p.TapSpacingSec,
+		rot:     make([]complex128, p.NumTaps*NumSubcarriers),
+	}
+	for l := 0; l < p.NumTaps; l++ {
+		delaySec := float64(l) * p.TapSpacingSec
+		for i := 0; i < NumSubcarriers; i++ {
+			ph := -2 * math.Pi * subcarrierOffsetHz(i) * delaySec
+			s, c := math.Sincos(ph)
+			r.rot[l*NumSubcarriers+i] = complex(c, s)
+		}
+	}
+	return r
+}
+
 // NewFader draws a random multipath realization for one link. The same RNG
 // fork always yields the same realization, so experiment runs are
 // reproducible.
 func NewFader(p FadingParams, rng *sim.RNG) *Fader {
+	return NewFaderWith(NewDelayRotations(p), p, rng)
+}
+
+// NewFaderWith is NewFader over a delay-rotation table the caller built
+// from the same FadingParams (NewDelayRotations) and shares between
+// faders. The realization is identical to NewFader's.
+func NewFaderWith(rot *DelayRotations, p FadingParams, rng *sim.RNG) *Fader {
 	if p.NumTaps < 1 {
 		p.NumTaps = 1
 	}
 	if p.NumWaves < 1 {
 		p.NumWaves = 1
 	}
+	if rot.numTaps != p.NumTaps || rot.spacing != p.TapSpacingSec {
+		panic("rf: delay rotations built for another tap-delay profile")
+	}
 	lambda := SpeedOfLight / p.FreqHz
-	f := &Fader{waveNumber: 2 * math.Pi / lambda}
+	f := &Fader{waveNumber: 2 * math.Pi / lambda, rot: rot.rot}
 
 	// Exponential power delay profile, normalized to unit total power.
 	powers := make([]float64, p.NumTaps)
@@ -128,10 +170,7 @@ func NewFader(p FadingParams, rng *sim.RNG) *Fader {
 	}
 
 	for l := 0; l < p.NumTaps; l++ {
-		t := tap{
-			delaySec: float64(l) * p.TapSpacingSec,
-			ampl:     math.Sqrt(powers[l]),
-		}
+		t := tap{ampl: math.Sqrt(powers[l])}
 		k := 0.0
 		if l == 0 {
 			k = p.RicianK
@@ -152,14 +191,6 @@ func NewFader(p FadingParams, rng *sim.RNG) *Fader {
 		t.los *= t.ampl
 		t.amplScatter(scatter, p.NumWaves)
 		f.taps = append(f.taps, t)
-	}
-	f.rot = make([]complex128, len(f.taps)*NumSubcarriers)
-	for l := range f.taps {
-		for i := 0; i < NumSubcarriers; i++ {
-			ph := -2 * math.Pi * subcarrierOffsetHz(i) * f.taps[l].delaySec
-			s, c := math.Sincos(ph)
-			f.rot[l*NumSubcarriers+i] = complex(c, s)
-		}
 	}
 	f.tapGains = make([]complex128, len(f.taps))
 	return f
@@ -200,16 +231,19 @@ func (f *Fader) Gains(pos Position, dst []complex128) {
 	if len(dst) != NumSubcarriers {
 		panic("rf: Gains dst must have NumSubcarriers elements")
 	}
-	// Evaluate each tap once, then rotate per subcarrier by its delay.
+	dst = dst[:NumSubcarriers]
+	// Evaluate each tap once, then rotate per subcarrier by its delay,
+	// accumulating tap by tap. Every subcarrier still sums
+	// ((0 + g₀·r₀) + g₁·r₁) + …, in tap order.
 	for l := range f.taps {
 		f.tapGains[l] = f.taps[l].gain(f.waveNumber, pos)
 	}
-	for i := range dst {
-		var sum complex128
-		for l := range f.taps {
-			sum += f.tapGains[l] * f.rot[l*NumSubcarriers+i]
+	clear(dst)
+	for l, g := range f.tapGains {
+		row := f.rot[l*NumSubcarriers:][:NumSubcarriers]
+		for i, r := range row {
+			dst[i] += g * r
 		}
-		dst[i] = sum
 	}
 }
 

@@ -119,12 +119,18 @@ type Link struct {
 // and a mobile client carrying antenna cliAnt. Each link gets its own
 // fading and shadowing realization from rng.
 func NewLink(p Params, apPos Position, apAnt Antenna, cliAnt Antenna, rng *sim.RNG) *Link {
+	return NewLinkWith(NewDelayRotations(p.Fading), p, apPos, apAnt, cliAnt, rng)
+}
+
+// NewLinkWith is NewLink whose fader shares rot, a delay-rotation table
+// built from p.Fading (see NewFaderWith). The realization is identical.
+func NewLinkWith(rot *DelayRotations, p Params, apPos Position, apAnt Antenna, cliAnt Antenna, rng *sim.RNG) *Link {
 	return &Link{
 		params: p,
 		apPos:  apPos,
 		apAnt:  apAnt,
 		cliAnt: cliAnt,
-		fader:  NewFader(p.Fading, rng.Fork("fading")),
+		fader:  NewFaderWith(rot, p.Fading, rng.Fork("fading")),
 		shadow: NewShadowing(p.ShadowSigmaDB, p.ShadowCorrDistM, rng.Fork("shadow")),
 	}
 }
@@ -159,10 +165,16 @@ func (l *Link) MeanSNRdB(cliPos Position) float64 {
 // per-subcarrier SNR in dB at the client position — the quantity the
 // Atheros CSI tool exposes and from which ESNR is computed.
 func (l *Link) SubcarrierSNRsDB(cliPos Position, dst []float64) {
+	l.FillSubcarrierSNRsDB(cliPos, l.MeanSNRdB(cliPos), dst)
+}
+
+// FillSubcarrierSNRsDB is SubcarrierSNRsDB for a caller that already
+// holds mean = MeanSNRdB(cliPos): it applies the fading at cliPos to
+// mean without evaluating the large-scale budget again.
+func (l *Link) FillSubcarrierSNRsDB(cliPos Position, mean float64, dst []float64) {
 	if len(dst) != NumSubcarriers {
 		panic("rf: SubcarrierSNRsDB dst must have NumSubcarriers elements")
 	}
-	mean := l.MeanSNRdB(cliPos)
 	if l.fadeOff {
 		for i := range dst {
 			dst[i] = mean

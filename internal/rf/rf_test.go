@@ -202,6 +202,31 @@ func TestFaderDeterministicRealization(t *testing.T) {
 	}
 }
 
+// TestFaderGainsMatchesDefinition pins Gains bit for bit against the
+// per-subcarrier definition H_i = Σ_l g_l·rot[l][i], summed from zero in
+// tap order, for the Rayleigh roadside profile and a Rician one.
+func TestFaderGainsMatchesDefinition(t *testing.T) {
+	rician := DefaultFadingParams(60.48e9)
+	rician.NumTaps, rician.TapSpacingSec, rician.RicianK = 2, 10e-9, 8
+	for _, p := range []FadingParams{DefaultFadingParams(2.462e9), rician} {
+		f := NewFader(p, sim.NewRNG(21))
+		var got [NumSubcarriers]complex128
+		for k := 0; k < 200; k++ {
+			pos := Position{X: float64(k) * 0.173, Y: float64(k%5) * 0.61}
+			f.Gains(pos, got[:])
+			for i := range got {
+				var want complex128
+				for l := range f.taps {
+					want += f.taps[l].gain(f.waveNumber, pos) * f.rot[l*NumSubcarriers+i]
+				}
+				if got[i] != want {
+					t.Fatalf("%d taps, pos %v, subcarrier %d: Gains %v, definition %v", p.NumTaps, pos, i, got[i], want)
+				}
+			}
+		}
+	}
+}
+
 func TestLinkBudget(t *testing.T) {
 	p := DefaultParams()
 	rng := sim.NewRNG(11)

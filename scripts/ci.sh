@@ -41,6 +41,10 @@ go test -race -run 'TestDomain' ./internal/core/
 go test -race -run 'TestDomain' .
 go test -race -run 'TestSingleLoopPins/seed1' .
 go test -race -run 'TestCorridorSingleSegmentFallback' .
+# The crowd pin's split shape runs segment domains concurrently over the
+# AP positions and the fading delay-rotation table every link shares;
+# one seed of it goes under the race detector.
+go test -race -run 'TestCrowdPins/seed1' .
 
 # The wire transport carries the cross-process exchange protocol
 # (reconnect, resend, dedup, journal replay). Exchange reads on the

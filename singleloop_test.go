@@ -77,15 +77,7 @@ func TestSingleLoopPins(t *testing.T) {
 			}}
 			for _, r := range singleLoopRides {
 				fig, n := r.ride(opt)
-				var metrics, records strings.Builder
-				if err := n.MetricsSnapshot().Write(&metrics, MetricsText); err != nil {
-					t.Fatal(err)
-				}
-				if err := trace.Dump(&records, n.FlightRecords()); err != nil {
-					t.Fatal(err)
-				}
-				got := fmt.Sprintf("figure=%s metrics=%s trace=%s",
-					digest16(fig), digest16(metrics.String()), digest16(records.String()))
+				got := pinDigests(t, fig, n)
 				key := fmt.Sprintf("seed%d/%s", seed, r.name)
 				if want := goldenSingleLoop[key]; got != want {
 					t.Errorf("%s drifted (figure %s)\n  want %s\n  got  %s", key, fig, want, got)
@@ -93,6 +85,22 @@ func TestSingleLoopPins(t *testing.T) {
 			}
 		})
 	}
+}
+
+// pinDigests formats a finished ride's pin: the digests of its figure,
+// its MetricsText snapshot and the text dump of its stitched flight
+// records.
+func pinDigests(t *testing.T, fig string, n *Network) string {
+	t.Helper()
+	var metrics, records strings.Builder
+	if err := n.MetricsSnapshot().Write(&metrics, MetricsText); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Dump(&records, n.FlightRecords()); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("figure=%s metrics=%s trace=%s",
+		digest16(fig), digest16(metrics.String()), digest16(records.String()))
 }
 
 // digest16 is the hex of the first 16 bytes of s's SHA-256.
