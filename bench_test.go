@@ -20,12 +20,11 @@ func benchOpts(i int) Options { return Options{Seed: int64(i + 1)} }
 // BenchmarkMeanPerClientMbps times one full 15 mph UDP drive-by — the
 // unit of work every end-to-end figure fans out over the runner.
 func BenchmarkMeanPerClientMbps(b *testing.B) {
-	cfg := DefaultConfig(SchemeWGTT)
-	traj, dur := driveAcross(&cfg, 15)
+	ride := []goodputRide{{scheme: SchemeWGTT, place: crossAt(15)}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mbps := meanPerClientMbps(SchemeWGTT, benchOpts(i), []Trajectory{traj}, dur, false)
+		mbps := meanGoodputs(benchOpts(i), ride)[0]
 		b.ReportMetric(mbps, "Mbps")
 	}
 }

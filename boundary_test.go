@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wgtt/internal/core"
+	"wgtt/internal/scenario"
 )
 
 // boundaryRide is the corridor ride with the boundary-interference
@@ -24,12 +25,12 @@ func boundaryRide(seed int64, mode core.DomainMode) (rendered string, posted, ap
 	cfg.Domains = mode
 	cfg.BoundaryInterference = true
 	n := NewNetwork(cfg)
-	_, dur := driveAcross(&cfg, mph)
+	_, dur := scenario.Crossing(&cfg, mph)
 	lo, _ := cfg.RoadSpanX()
 	var meters []*throughput
 	for _, traj := range Scenario(Following, clients, lo-5, 0, mph) {
 		c := n.AddClient(traj)
-		f := NewUDPDownlink(n, c, offeredUDPMbps)
+		f := NewUDPDownlink(n, c, scenario.DefaultRateMbps)
 		startAfterWarmup(n, f.Start)
 		meters = append(meters, f.Meter)
 	}

@@ -420,13 +420,12 @@ func runScenario(out io.Writer, cfg wgtt.Config, parallel bool) (*wgtt.Network, 
 		fmt.Println(comp.Digest())
 		return nil, nil
 	}
-	r := wgtt.BuildScenarioRun(comp, wgtt.Options{Mutate: func(c *wgtt.Config) {
-		c.Telemetry = cfg.Telemetry
-		if parallel {
-			c.Domains = core.DomainsParallel
-		}
-		wgtt.OverlayDatapath(c, cfg)
-	}})
+	comp.Config.Telemetry = cfg.Telemetry
+	if parallel {
+		comp.Config.Domains = core.DomainsParallel
+	}
+	wgtt.OverlayDatapath(&comp.Config, cfg)
+	r := wgtt.BuildScenarioRun(comp)
 	r.Net.Run(r.Dur)
 	now := r.Net.Loop.Now()
 

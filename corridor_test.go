@@ -102,3 +102,56 @@ func TestCorridorRebuildDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// stretchedCorridorDur and goldenStretchedCorridor pin wgtt-serve's
+// "corridor" scenario stretched to 24 segments by a Mutate, the shape
+// the benchmark's corridor workload rides: the scenario's Dur (the
+// crossing of the whole stretched road, which holds only if the Mutate
+// reaches the config before the route is lowered), and the figure and
+// MetricsText digests of a min(Dur, 10 s) ride at seeds 1–3, in
+// TestSingleLoopPins' format.
+const stretchedCorridorDur = Duration(64647458840) // 64.647 s
+
+var goldenStretchedCorridor = map[int64]string{
+	1: "figure=1b25b999ef57217633b65ae825de68e8 metrics=49f3f415854713cc31e7420e40773034",
+	2: "figure=adc30bebe5edb6aef7ddc241c4773889 metrics=67dde2e23f3f2c36ef99d7bdaa347ad1",
+	3: "figure=d9299e5a7e95a5cdeac6f4d3f0dccf1c metrics=22b6603567b2a201469ffc8fe0ab2374",
+}
+
+// TestStretchedCorridorPins builds the stretched serve corridor at seeds
+// 1–3 under DomainsSerial and checks its Dur and ride digests.
+func TestStretchedCorridorPins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three 24-segment rides")
+	}
+	stretch := func(c *Config) {
+		seg := c.Segments[0]
+		c.Segments = nil
+		for i := 0; i < 24; i++ {
+			c.Segments = append(c.Segments, seg)
+		}
+		c.Domains = core.DomainsSerial
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			r, err := BuildServeScenario("corridor", Options{Seed: seed, Mutate: stretch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Dur != stretchedCorridorDur {
+				t.Fatalf("Dur %v (%d ns), want %v", r.Dur, int64(r.Dur), stretchedCorridorDur)
+			}
+			r.Net.Run(min(r.Dur, 10*Second))
+			fig := fmt.Sprintf("%#v", r.Figures(nil))
+			var metrics strings.Builder
+			if err := r.Net.MetricsSnapshot().Write(&metrics, MetricsText); err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("figure=%s metrics=%s", digest16(fig), digest16(metrics.String()))
+			if want := goldenStretchedCorridor[seed]; got != want {
+				t.Errorf("drifted (figure %s)\n  want %s\n  got  %s", fig, want, got)
+			}
+		})
+	}
+}

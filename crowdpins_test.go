@@ -3,6 +3,8 @@ package wgtt
 import (
 	"fmt"
 	"testing"
+
+	"wgtt/internal/scenario"
 )
 
 // goldenCrowd pins a crowded shared medium at seeds 1–3, in
@@ -50,7 +52,7 @@ func crowdRide(seed int64, mode DomainMode) (figure string, n *Network) {
 	for i := 0; i < crowdVehicles; i++ {
 		c := n.AddClient(Drive(lo-5+span*float64(i)/crowdVehicles, float64(i%2)*-3, 25))
 		if i%crowdFlowEvery == 2 {
-			f := NewUDPDownlink(n, c, offeredUDPMbps)
+			f := NewUDPDownlink(n, c, scenario.DefaultRateMbps)
 			startAfterWarmup(n, f.Start)
 			flows = append(flows, f)
 		}

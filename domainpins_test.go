@@ -21,12 +21,22 @@ var goldenDomains = map[int64]string{
 	3: "figure=43a93d1d5f5e6758bf0b84c032c5e4af metrics=e632b8fc8c8e4b7d6c24ae49b51203ae trace=d17c56b47ea4af6aa9d301ced10d5c80",
 }
 
-// TestDomainPins rides the split-shape corridor at seeds 1–3 under both
-// domain executors, with telemetry and the flight recorder on, and
-// compares the digests of its figure, metrics and flight records.
+// goldenShuttle pins wgtt-serve's "shuttle" scenario (two vehicles
+// bouncing inside their home segments of the three-segment road) in
+// the same format, one triple per seed for both domain executors.
+var goldenShuttle = map[int64]string{
+	1: "figure=f45c72e8cd0f06b5e18a4d904246c280 metrics=47a2abcc8d586311e7e8eca50159988c trace=eb9f1cdf784906d21feb91470ae9201c",
+	2: "figure=9cf9a51b9fbc51a8d9258a17ccde31c9 metrics=dacb2b76703a1d9692d4d477c3244d78 trace=9070b025546890cc46140768187c4d76",
+	3: "figure=f2f3bd0199ca793f4d7d452fffdb0289 metrics=4124bb19a166d665a2496defc847c673 trace=c0d83c9f0fbb9c5a4a83ccfd4aca6efb",
+}
+
+// TestDomainPins rides the split-shape corridor and wgtt-serve's
+// shuttle at seeds 1–3 under both domain executors, with telemetry and
+// the flight recorder on, and compares the digests of their figures,
+// metrics and flight records.
 func TestDomainPins(t *testing.T) {
 	if testing.Short() {
-		t.Skip("six end-to-end corridor rides")
+		t.Skip("twelve end-to-end corridor and shuttle rides")
 	}
 	modes := []struct {
 		name string
@@ -47,6 +57,21 @@ func TestDomainPins(t *testing.T) {
 				got := pinDigests(t, fig, r.Net)
 				if want := goldenDomains[seed]; got != want {
 					t.Errorf("%s drifted (figure %s)\n  want %s\n  got  %s", m.name, fig, want, got)
+				}
+
+				mode := m.mode
+				s, err := BuildServeScenario("shuttle", Options{Seed: seed, Mutate: func(c *Config) {
+					opt.Mutate(c)
+					c.Domains = mode
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Net.Run(s.Dur)
+				fig = fmt.Sprintf("%#v", s.Figures(nil))
+				got = pinDigests(t, fig, s.Net)
+				if want := goldenShuttle[seed]; got != want {
+					t.Errorf("shuttle %s drifted (figure %s)\n  want %s\n  got  %s", m.name, fig, want, got)
 				}
 			}
 		})

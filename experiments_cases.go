@@ -3,7 +3,7 @@ package wgtt
 import (
 	"fmt"
 
-	"wgtt/internal/runner"
+	"wgtt/internal/scenario"
 	"wgtt/internal/workload"
 )
 
@@ -23,7 +23,7 @@ func Table4VideoRebuffer(opt Options, speeds []float64) Table4Result {
 	res := Table4Result{SpeedsMPH: speeds}
 	run := func(scheme Scheme, mph float64) float64 {
 		n := buildNetwork(scheme, opt)
-		traj, dur := driveAcross(&n.Cfg, mph)
+		traj, dur := scenario.Crossing(&n.Cfg, mph)
 		c := n.AddClient(traj)
 		v := workload.NewVideo(n, c, workload.DefaultVideoConfig())
 		startAfterWarmup(n, v.Start)
@@ -77,7 +77,7 @@ func Fig24ConferencingFPS(opt Options, speeds []float64) Fig24Result {
 	res := Fig24Result{SpeedsMPH: speeds}
 	run := func(cfg workload.ConferenceConfig, mph float64) (p85, med float64) {
 		n := buildNetwork(SchemeWGTT, opt)
-		traj, dur := driveAcross(&n.Cfg, mph)
+		traj, dur := scenario.Crossing(&n.Cfg, mph)
 		c := n.AddClient(traj)
 		conf := workload.NewConference(n, c, cfg)
 		startAfterWarmup(n, conf.Start)
@@ -135,7 +135,7 @@ func Table5WebPageLoad(opt Options, speeds []float64) Table5Result {
 	res := Table5Result{SpeedsMPH: speeds}
 	run := func(scheme Scheme, mph float64) float64 {
 		n := buildNetwork(scheme, opt)
-		traj, dur := driveAcross(&n.Cfg, mph)
+		traj, dur := scenario.Crossing(&n.Cfg, mph)
 		c := n.AddClient(traj)
 		// The passenger browses repeatedly during the whole drive, so
 		// loads land in every part of the array, including any
@@ -180,6 +180,8 @@ type AblationResult struct {
 }
 
 // Ablations runs the 15 mph drive with each mechanism disabled in turn.
+// Each case applies its own config change, then the caller's Mutate;
+// with Options.Metrics set, it records under "<variant> <transport>".
 func Ablations(opt Options) AblationResult {
 	return ablations(opt, nil)
 }
@@ -212,17 +214,16 @@ func ablations(opt Options, only []string) AblationResult {
 		cases = keep
 	}
 	var res AblationResult
-	cfg := DefaultConfig(SchemeWGTT)
-	traj, dur := driveAcross(&cfg, 15)
-	var specs []runner.RunSpec
+	var rides []goodputRide
 	for _, tc := range cases {
-		o := Options{Seed: opt.Seed, Mutate: tc.mutate, Exec: opt.Exec}
 		res.Labels = append(res.Labels, tc.label)
-		specs = append(specs,
-			throughputSpec(SchemeWGTT, o, []Trajectory{traj}, dur, false),
-			throughputSpec(SchemeWGTT, o, []Trajectory{traj}, dur, true))
+		for _, tcp := range []bool{false, true} {
+			rides = append(rides, goodputRide{
+				scheme: SchemeWGTT, tcp: tcp, mutate: tc.mutate, variant: tc.label, place: crossAt(15),
+			})
+		}
 	}
-	mbps := runSpecs(opt, specs)
+	mbps := meanGoodputs(opt, rides)
 	for i := range cases {
 		res.UDPMbps = append(res.UDPMbps, mbps[2*i])
 		res.TCPMbps = append(res.TCPMbps, mbps[2*i+1])

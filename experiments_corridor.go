@@ -1,14 +1,22 @@
 package wgtt
 
 import (
+	_ "embed"
 	"fmt"
 
 	"wgtt/internal/core"
 	"wgtt/internal/rf"
+	"wgtt/internal/scenario"
 )
 
 // posXY builds a waypoint position.
 func posXY(x, y float64) rf.Position { return rf.Position{X: x, Y: y} }
+
+// corridorYAML is the library's corridor: three 4-AP segments, two
+// following clients at 25 mph under saturating UDP.
+//
+//go:embed examples/scenarios/corridor.yaml
+var corridorYAML []byte
 
 // CorridorResult is the transit-corridor scenario at deployment scale:
 // two vehicles riding the full length of a three-segment roadway under
@@ -42,41 +50,46 @@ func corridorRide(opt Options, mode core.DomainMode) CorridorResult {
 	return corridorRideN(opt, mode, 3, 0)
 }
 
-// corridorSetup constructs the corridor deployment and its workload
-// without running it. It is the single construction path shared by the
-// in-process rides below and wgtt-serve's "corridor" scenario, so a
-// partitioned multi-process run builds the bit-identical network the
-// parity pins reference.
+// corridorPlan compiles the embedded corridor.yaml stretched (or cut)
+// to the given number of segments of its first segment's shape, under
+// domain mode, then the caller's Mutate — all before the routes are
+// lowered, so the clients cross the whole road the Mutate leaves. Seed 0
+// is a seed here, not a request for the file's. The error is the
+// Mutate's: the embedded file itself always compiles. It is the single
+// construction path shared by the in-process corridor rides and
+// wgtt-serve's "corridor" scenario, so a partitioned multi-process run
+// builds the bit-identical network the parity pins reference.
+func corridorPlan(opt Options, mode core.DomainMode, segments int) (*CompiledScenario, error) {
+	s, err := ParseScenario(corridorYAML)
+	if err != nil {
+		return nil, err
+	}
+	return scenario.Compile(s, 0, func(c *Config) {
+		c.Seed = opt.Seed
+		seg := c.Segments[0]
+		c.Segments = nil
+		for i := 0; i < segments; i++ {
+			c.Segments = append(c.Segments, seg)
+		}
+		c.Domains = mode
+		if opt.Mutate != nil {
+			opt.Mutate(c)
+		}
+	})
+}
+
+// corridorSetup constructs the corridor ride without running it: the
+// compiled corridorPlan with its horizon capped at maxDur (0 = ride the
+// whole road). An invalid config panics, as NewNetwork does.
 func corridorSetup(opt Options, mode core.DomainMode, segments int, maxDur Duration) *ServeRun {
-	const (
-		apsPer  = 4
-		clients = 2
-		mph     = 25
-	)
-	cfg := DefaultConfig(SchemeWGTT)
-	cfg.Seed = opt.Seed
-	for i := 0; i < segments; i++ {
-		cfg.Segments = append(cfg.Segments, SegmentSpec{NumAPs: apsPer})
+	c, err := corridorPlan(opt, mode, segments)
+	if err != nil {
+		panic(err)
 	}
-	cfg.Domains = mode
-	if opt.Mutate != nil {
-		opt.Mutate(&cfg)
+	if maxDur > 0 && c.Horizon > maxDur {
+		c.Horizon = maxDur
 	}
-	n := NewNetwork(cfg)
-	_, dur := driveAcross(&cfg, mph)
-	if maxDur > 0 && dur > maxDur {
-		dur = maxDur
-	}
-	lo, _ := cfg.RoadSpanX()
-	r := &ServeRun{Net: n, Cfg: cfg, Dur: dur, APsPerSegment: apsPer, SpeedMPH: mph}
-	for _, traj := range Scenario(Following, clients, lo-5, 0, mph) {
-		c := n.AddClient(traj)
-		f := NewUDPDownlink(n, c, offeredUDPMbps)
-		startAfterWarmup(n, f.Start)
-		r.meters = append(r.meters, f.Meter)
-		r.clients = append(r.clients, c)
-	}
-	return r
+	return BuildScenarioRun(c)
 }
 
 // corridorRideN is the ride at an arbitrary corridor length; the domain
@@ -87,12 +100,16 @@ func corridorSetup(opt Options, mode core.DomainMode, segments int, maxDur Durat
 func corridorRideN(opt Options, mode core.DomainMode, segments int, maxDur Duration) CorridorResult {
 	r := corridorSetup(opt, mode, segments, maxDur)
 	r.Net.Run(r.Dur)
-	res := CorridorResult{Segments: segments, APsPerSegment: r.APsPerSegment, SpeedMPH: r.SpeedMPH}
-	for _, f := range r.Figures(nil) {
-		res.PerClientMbps = append(res.PerClientMbps, f.Mbps)
+	return corridorResult(r)
+}
+
+// corridorResult summarizes a finished corridor-shaped ride.
+func corridorResult(r *ServeRun) CorridorResult {
+	per := r.goodputs()
+	return CorridorResult{
+		Segments: len(r.Cfg.Segments), APsPerSegment: r.APsPerSegment, SpeedMPH: r.SpeedMPH,
+		PerClientMbps: per, MeanMbps: mean(per),
 	}
-	res.MeanMbps = mean(res.PerClientMbps)
-	return res
 }
 
 // CorridorFedResult is the federated corridor under trunk faults: the
@@ -114,10 +131,9 @@ type CorridorFedResult struct {
 // export retries, routing around the downed trunk — and reports whether
 // every client came out owned.
 func CorridorFederated(opt Options) CorridorFedResult {
-	const apsPer = 4
 	cfg := DefaultConfig(SchemeWGTT)
 	cfg.Seed = opt.Seed
-	cfg.Segments = []SegmentSpec{{NumAPs: apsPer}, {NumAPs: apsPer}, {NumAPs: apsPer}, {NumAPs: apsPer}}
+	cfg.Segments = []SegmentSpec{{NumAPs: 4}, {NumAPs: 4}, {NumAPs: 4}, {NumAPs: 4}}
 	cfg.Federation.Enabled = true
 	cfg.Federation.Ring = true
 	cfg.Trunk.Faults = FaultSchedule{
@@ -131,32 +147,19 @@ func CorridorFederated(opt Options) CorridorFedResult {
 	if opt.Mutate != nil {
 		opt.Mutate(&cfg)
 	}
-	n := NewNetwork(cfg)
-
-	trajs := []Trajectory{
-		Drive(-5, 0, 25),
+	p := downlinkPlan(cfg, 10*Second, scenario.WorkloadUDP, scenario.DefaultRateMbps,
+		Drive(-scenario.DefaultLeadIn, 0, 25),
 		NewWaypoints([]Waypoint{
 			{At: 0, Pos: posXY(10, 0)},
 			{At: 4 * Second, Pos: posXY(75, 0)},
 			{At: 9 * Second, Pos: posXY(12, 0)},
-		}),
-	}
-	var meters []*throughput
-	for _, traj := range trajs {
-		c := n.AddClient(traj)
-		f := NewUDPDownlink(n, c, offeredUDPMbps)
-		startAfterWarmup(n, f.Start)
-		meters = append(meters, f.Meter)
-	}
-	n.Run(10 * Second)
+		}))
+	p.APsPerSegment, p.SpeedMPH = 4, 25
+	r := BuildScenarioRun(p)
+	n := r.Net
+	n.Run(r.Dur)
 
-	res := CorridorFedResult{CorridorResult: CorridorResult{
-		Segments: len(cfg.Segments), APsPerSegment: apsPer, SpeedMPH: 25,
-	}}
-	for _, m := range meters {
-		res.PerClientMbps = append(res.PerClientMbps, m.MeanMbps(n.Loop.Now()))
-	}
-	res.MeanMbps = mean(res.PerClientMbps)
+	res := CorridorFedResult{CorridorResult: corridorResult(r)}
 	for _, f := range n.FederationNodes() {
 		res.Relocates += f.Relocates
 		res.Abandoned += f.RelocatesAbandoned

@@ -3,7 +3,7 @@ package wgtt
 import (
 	"fmt"
 
-	"wgtt/internal/runner"
+	"wgtt/internal/scenario"
 	"wgtt/internal/stats"
 	"wgtt/internal/workload"
 )
@@ -25,26 +25,19 @@ func Fig13ThroughputVsSpeed(opt Options, speeds []float64) Fig13Result {
 		speeds = []float64{0, 5, 15, 25, 35}
 	}
 	res := Fig13Result{SpeedsMPH: speeds}
-	cfg := DefaultConfig(SchemeWGTT)
-	var specs []runner.RunSpec
-	for _, mph := range speeds {
-		var trajs []Trajectory
-		var dur Duration
-		if mph == 0 {
-			lo, hi := cfg.RoadSpanX()
-			trajs = []Trajectory{Stationary{X: (lo + hi) / 2, Y: 0}}
-			dur = 10 * Second
-		} else {
-			traj, d := driveAcross(&cfg, mph)
-			trajs, dur = []Trajectory{traj}, d
-		}
-		specs = append(specs,
-			throughputSpec(SchemeWGTT, opt, trajs, dur, true),
-			throughputSpec(SchemeWGTT, opt, trajs, dur, false),
-			throughputSpec(SchemeEnhanced80211r, opt, trajs, dur, true),
-			throughputSpec(SchemeEnhanced80211r, opt, trajs, dur, false))
+	parked := func(cfg *Config) ([]Trajectory, Duration) {
+		lo, hi := cfg.RoadSpanX()
+		return []Trajectory{Stationary{X: (lo + hi) / 2, Y: 0}}, 10 * Second
 	}
-	mbps := runSpecs(opt, specs)
+	var rides []goodputRide
+	for _, mph := range speeds {
+		place := crossAt(mph)
+		if mph == 0 {
+			place = parked
+		}
+		rides = append(rides, schemeRides(place)...)
+	}
+	mbps := meanGoodputs(opt, rides)
 	for i := range speeds {
 		res.WGTTTCP = append(res.WGTTTCP, mbps[4*i])
 		res.WGTTUDP = append(res.WGTTUDP, mbps[4*i+1])
@@ -90,19 +83,8 @@ type SchemeSeries struct {
 
 // figTimeseries runs one scheme.
 func figTimeseries(scheme Scheme, opt Options, tcp bool) SchemeSeries {
-	n := buildNetwork(scheme, opt)
-	traj, dur := driveAcross(&n.Cfg, 15)
-	c := n.AddClient(traj)
-	var meter *throughput
-	if tcp {
-		f := NewTCPDownlink(n, c, 0)
-		startAfterWarmup(n, f.Start)
-		meter = f.Meter
-	} else {
-		f := NewUDPDownlink(n, c, offeredUDPMbps)
-		startAfterWarmup(n, f.Start)
-		meter = f.Meter
-	}
+	r := crossingRide(buildConfig(scheme, opt), 15, bulk(tcp), scenario.DefaultRateMbps)
+	n, meter := r.Net, r.meters[0]
 	var s SchemeSeries
 	lastAP := -2
 	sampleEvery(n, 50*Millisecond, func() {
@@ -114,7 +96,7 @@ func figTimeseries(scheme Scheme, opt Options, tcp bool) SchemeSeries {
 		}
 		lastAP = ap
 	})
-	n.Run(dur)
+	n.Run(r.Dur)
 	s.T, s.Mbps = meter.Series()
 	s.MeanMbps = meter.MeanMbps(n.Loop.Now())
 	return s
@@ -177,17 +159,9 @@ func Fig16BitrateCDF(opt Options) Fig16Result {
 	jobs := make([]func() [8]int, len(keys))
 	for i, k := range keys {
 		jobs[i] = func() (counts [8]int) {
-			n := buildNetwork(k.scheme, opt)
-			traj, dur := driveAcross(&n.Cfg, 15)
-			c := n.AddClient(traj)
-			if k.tcp {
-				f := NewTCPDownlink(n, c, 0)
-				startAfterWarmup(n, f.Start)
-			} else {
-				f := NewUDPDownlink(n, c, offeredUDPMbps)
-				startAfterWarmup(n, f.Start)
-			}
-			n.Run(dur)
+			r := crossingRide(buildConfig(k.scheme, opt), 15, bulk(k.tcp), scenario.DefaultRateMbps)
+			n := r.Net
+			n.Run(r.Dur)
 			for mcs := 0; mcs < 8; mcs++ {
 				if n.Cfg.Scheme == SchemeWGTT {
 					for _, a := range n.APs {
@@ -241,21 +215,13 @@ type Table2Result struct {
 // keeps the client on the oracle-optimal AP.
 func Table2SwitchingAccuracy(opt Options) Table2Result {
 	measure := func(scheme Scheme, tcp bool) float64 {
-		n := buildNetwork(scheme, opt)
-		traj, dur := driveAcross(&n.Cfg, 15)
-		c := n.AddClient(traj)
-		if tcp {
-			f := NewTCPDownlink(n, c, 0)
-			startAfterWarmup(n, f.Start)
-		} else {
-			f := NewUDPDownlink(n, c, offeredUDPMbps)
-			startAfterWarmup(n, f.Start)
-		}
+		r := crossingRide(buildConfig(scheme, opt), 15, bulk(tcp), scenario.DefaultRateMbps)
+		n := r.Net
 		var acc stats.Accuracy
 		sampleEvery(n, 5*Millisecond, func() {
 			acc.Observe(n.Loop.Now(), n.ServingAP(0) == n.OracleBestAP(0))
 		})
-		n.Run(dur)
+		n.Run(r.Dur)
 		return 100 * acc.Value()
 	}
 	out := runAll(opt, []func() float64{
@@ -302,19 +268,11 @@ func fig17MultiClient(opt Options, clients []int) Fig17Result {
 		clients = []int{1, 2, 3}
 	}
 	res := Fig17Result{Clients: clients}
-	cfg := DefaultConfig(SchemeWGTT)
-	_, dur := driveAcross(&cfg, 15)
-	lo, _ := cfg.RoadSpanX()
-	var specs []runner.RunSpec
+	var rides []goodputRide
 	for _, k := range res.Clients {
-		trajs := Scenario(Following, k, lo-5, 0, 15)
-		specs = append(specs,
-			throughputSpec(SchemeWGTT, opt, trajs, dur, true),
-			throughputSpec(SchemeWGTT, opt, trajs, dur, false),
-			throughputSpec(SchemeEnhanced80211r, opt, trajs, dur, true),
-			throughputSpec(SchemeEnhanced80211r, opt, trajs, dur, false))
+		rides = append(rides, schemeRides(drivePattern(Following, k))...)
 	}
-	mbps := runSpecs(opt, specs)
+	mbps := meanGoodputs(opt, rides)
 	for i := range res.Clients {
 		res.WGTTTCP = append(res.WGTTTCP, mbps[4*i])
 		res.WGTTUDP = append(res.WGTTUDP, mbps[4*i+1])
@@ -350,9 +308,7 @@ type Fig18Result struct {
 func Fig18UplinkLoss(opt Options) Fig18Result {
 	run := func(scheme Scheme) []float64 {
 		n := buildNetwork(scheme, opt)
-		_, dur := driveAcross(&n.Cfg, 15)
-		lo, _ := n.Cfg.RoadSpanX()
-		trajs := Scenario(Following, 3, lo-5, 0, 15)
+		trajs, dur := drivePattern(Following, 3)(&n.Cfg)
 		var flows []*UDPUplink
 		for i, traj := range trajs {
 			c := n.AddClient(traj)
@@ -408,19 +364,11 @@ func fig20DrivingPatterns(opt Options, patterns []Pattern) Fig20Result {
 		patterns = []Pattern{Following, Parallel, Opposing}
 	}
 	res := Fig20Result{Patterns: patterns}
-	cfg := DefaultConfig(SchemeWGTT)
-	_, dur := driveAcross(&cfg, 15)
-	lo, _ := cfg.RoadSpanX()
-	var specs []runner.RunSpec
+	var rides []goodputRide
 	for _, p := range res.Patterns {
-		trajs := Scenario(p, 2, lo-5, 0, 15)
-		specs = append(specs,
-			throughputSpec(SchemeWGTT, opt, trajs, dur, true),
-			throughputSpec(SchemeWGTT, opt, trajs, dur, false),
-			throughputSpec(SchemeEnhanced80211r, opt, trajs, dur, true),
-			throughputSpec(SchemeEnhanced80211r, opt, trajs, dur, false))
+		rides = append(rides, schemeRides(drivePattern(p, 2))...)
 	}
-	mbps := runSpecs(opt, specs)
+	mbps := meanGoodputs(opt, rides)
 	for i := range res.Patterns {
 		res.WGTTTCP = append(res.WGTTTCP, mbps[4*i])
 		res.WGTTUDP = append(res.WGTTUDP, mbps[4*i+1])
@@ -441,6 +389,17 @@ func (r Fig20Result) String() string {
 	}
 	return "Fig 20 — two-client driving patterns (Mbit/s per client, 15 mph)\n" + fmtTable(
 		[]string{"pattern", "WGTT-TCP", "11r-TCP", "WGTT-UDP", "11r-UDP"}, rows)
+}
+
+// drivePattern places k clients driving pattern p at 15 mph, the first
+// entering the road a lead-in before its first AP, for the time the
+// road's crossing takes.
+func drivePattern(p Pattern, k int) placement {
+	return func(cfg *Config) ([]Trajectory, Duration) {
+		_, dur := scenario.Crossing(cfg, 15)
+		lo, _ := cfg.RoadSpanX()
+		return Scenario(p, k, lo-scenario.DefaultLeadIn, 0, 15), dur
+	}
 }
 
 // rateMbpsOf maps an MCS index to Mbit/s.

@@ -8,6 +8,7 @@ import (
 	"wgtt/internal/csi"
 	"wgtt/internal/phy"
 	"wgtt/internal/rf"
+	"wgtt/internal/scenario"
 	"wgtt/internal/sim"
 	"wgtt/internal/telemetry"
 	"wgtt/internal/trace"
@@ -107,18 +108,15 @@ func Fig4RoamingFailure(opt Options) Fig4Result {
 			if opt.Mutate != nil {
 				opt.Mutate(&cfg)
 			}
-			n := NewNetwork(cfg)
-			traj, dur := driveAcross(&n.Cfg, mph)
-			c := n.AddClient(traj)
-			f := NewUDPDownlink(n, c, offeredUDPMbps)
-			startAfterWarmup(n, f.Start)
+			r := crossingRide(cfg, mph, scenario.WorkloadUDP, scenario.DefaultRateMbps)
+			n := r.Net
 			var pot []float64
 			sampleEvery(n, 20*Millisecond, potentialMbps(n, 0, &pot))
 			startAP := n.ServingAP(0)
-			n.Run(dur)
+			n.Run(r.Dur)
 			return outcome{
 				handover:  n.ServingAP(0) != startAP,
-				delivered: f.Mbps(n.Loop.Now()),
+				delivered: r.goodputs()[0],
 				potential: mean(pot),
 			}
 		}
@@ -259,13 +257,9 @@ func Table1SwitchTime(opt Options, rates []float64) Table1Result {
 	jobs := make([]func() outcome, len(rates))
 	for i, rate := range rates {
 		jobs[i] = func() outcome {
-			n := buildNetwork(SchemeWGTT, opt)
-			traj, dur := driveAcross(&n.Cfg, 15)
-			c := n.AddClient(traj)
-			f := NewUDPDownlink(n, c, rate)
-			startAfterWarmup(n, f.Start)
-			n.Run(dur)
-			done := n.FlightRecorder(0).Spans().Completed()
+			r := crossingRide(buildConfig(SchemeWGTT, opt), 15, scenario.WorkloadUDP, rate)
+			r.Net.Run(r.Dur)
+			done := r.Net.FlightRecorder(0).Spans().Completed()
 			m, s := meanStdMs(done)
 			return outcome{meanMs: m, stdMs: s, switches: len(done)}
 		}
@@ -310,7 +304,7 @@ func Table3AckCollisions(opt Options, rates []float64) Table3Result {
 	for i, rate := range rates {
 		jobs[i] = func() float64 {
 			n := buildNetwork(SchemeWGTT, opt)
-			traj, dur := driveAcross(&n.Cfg, 15)
+			traj, dur := scenario.Crossing(&n.Cfg, 15)
 			c := n.AddClient(traj)
 			f := NewUDPUplink(n, c, 9100, rate)
 			startAfterWarmup(n, f.Start)
@@ -353,7 +347,7 @@ func Fig21WindowSize(opt Options, windowsMs []float64) Fig21Result {
 	jobs := make([]func() float64, len(windowsMs))
 	for i, w := range windowsMs {
 		jobs[i] = func() float64 {
-			n := buildNetwork(SchemeWGTT, Options{
+			cfg := buildConfig(SchemeWGTT, Options{
 				Seed: opt.Seed,
 				Mutate: func(c *Config) {
 					c.Controller.Window = Duration(w * float64(Millisecond))
@@ -362,16 +356,14 @@ func Fig21WindowSize(opt Options, windowsMs []float64) Fig21Result {
 					}
 				},
 			})
-			traj, dur := driveAcross(&n.Cfg, 15)
-			c := n.AddClient(traj)
-			f := NewUDPDownlink(n, c, offeredUDPMbps)
-			startAfterWarmup(n, f.Start)
+			r := crossingRide(cfg, 15, scenario.WorkloadUDP, scenario.DefaultRateMbps)
+			n := r.Net
 			var pot []float64
 			sampleEvery(n, 20*Millisecond, potentialMbps(n, 0, &pot))
-			n.Run(dur)
+			n.Run(r.Dur)
 			potMean := mean(pot)
-			cap := math.Min(potMean, offeredUDPMbps)
-			loss := 1 - f.Mbps(n.Loop.Now())/cap
+			cap := math.Min(potMean, scenario.DefaultRateMbps)
+			loss := 1 - r.goodputs()[0]/cap
 			if loss < 0 {
 				loss = 0
 			}
@@ -414,7 +406,7 @@ func Fig22Hysteresis(opt Options, hystMs []float64) Fig22Result {
 	jobs := make([]func() outcome, len(hystMs))
 	for i, h := range hystMs {
 		jobs[i] = func() outcome {
-			n := buildNetwork(SchemeWGTT, Options{
+			cfg := buildConfig(SchemeWGTT, Options{
 				Seed: opt.Seed,
 				Mutate: func(c *Config) {
 					c.Controller.Hysteresis = Duration(h * float64(Millisecond))
@@ -423,12 +415,9 @@ func Fig22Hysteresis(opt Options, hystMs []float64) Fig22Result {
 					}
 				},
 			})
-			traj, dur := driveAcross(&n.Cfg, 15)
-			c := n.AddClient(traj)
-			f := NewTCPDownlink(n, c, 0)
-			startAfterWarmup(n, f.Start)
-			n.Run(dur)
-			return outcome{mbps: f.Mbps(n.Loop.Now()), switches: n.ProtocolCount(trace.OpAck)}
+			r := crossingRide(cfg, 15, scenario.WorkloadTCP, 0)
+			r.Net.Run(r.Dur)
+			return outcome{mbps: r.goodputs()[0], switches: r.Net.ProtocolCount(trace.OpAck)}
 		}
 	}
 	for _, o := range runAll(opt, jobs) {
@@ -469,7 +458,7 @@ func Fig23APDensity(opt Options, speeds []float64) Fig23Result {
 	}
 	res := Fig23Result{SpeedsMPH: speeds, DenseSpacing: 7.5, SparseSpace: 15}
 	run := func(mutate func(*Config), mph float64) float64 {
-		n := buildNetwork(SchemeWGTT, Options{
+		cfg := buildConfig(SchemeWGTT, Options{
 			Seed: opt.Seed,
 			Mutate: func(c *Config) {
 				mutate(c)
@@ -478,12 +467,9 @@ func Fig23APDensity(opt Options, speeds []float64) Fig23Result {
 				}
 			},
 		})
-		traj, dur := driveAcross(&n.Cfg, mph)
-		c := n.AddClient(traj)
-		f := NewUDPDownlink(n, c, offeredUDPMbps)
-		startAfterWarmup(n, f.Start)
-		n.Run(dur)
-		return f.Mbps(n.Loop.Now())
+		r := crossingRide(cfg, mph, scenario.WorkloadUDP, scenario.DefaultRateMbps)
+		r.Net.Run(r.Dur)
+		return r.goodputs()[0]
 	}
 	uniform := func(spacing float64) func(*Config) {
 		return func(c *Config) { c.APSpacing = spacing }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"wgtt/internal/core"
 	"wgtt/internal/trace"
 )
 
@@ -28,52 +29,26 @@ type CorridorMMWaveResult struct {
 	SwitchesAcked  int
 }
 
-// CorridorMMWave rides two following clients at 25 mph across a
-// three-segment mmWave picocell corridor (4 APs per segment) under
-// saturating UDP downlink. The dense cells make the switch rate the
+// CorridorMMWave rides the corridor of CorridorThroughput (two
+// following clients at 25 mph across three 4-AP segments, saturating
+// UDP downlink) on one loop over the mmWave picocell backend, with
+// telemetry on. The dense cells make the switch rate the
 // dominant dynamic: at 25 mph a client crosses a 7.5 m pitch every
 // ~0.67 s, so the ride asserts WGTT's rapid switching well beyond the
 // 2.4 GHz testbed's pace.
 func CorridorMMWave(opt Options) CorridorMMWaveResult {
-	const (
-		segments = 3
-		apsPer   = 4
-		clients  = 2
-		mph      = 25.0
-	)
-	cfg := DefaultConfig(SchemeWGTT)
-	cfg.Seed = opt.Seed
-	cfg.ChannelBackend = "mmwave60g"
-	cfg.Telemetry = true
-	for i := 0; i < segments; i++ {
-		cfg.Segments = append(cfg.Segments, SegmentSpec{NumAPs: apsPer})
-	}
-	if opt.Mutate != nil {
-		opt.Mutate(&cfg)
-	}
-	n := NewNetwork(cfg)
-	_, dur := driveAcross(&cfg, mph)
-	lo, _ := cfg.RoadSpanX()
-	var meters []*throughput
-	for _, traj := range Scenario(Following, clients, lo-5, 0, mph) {
-		c := n.AddClient(traj)
-		f := NewUDPDownlink(n, c, offeredUDPMbps)
-		startAfterWarmup(n, f.Start)
-		meters = append(meters, f.Meter)
-	}
-	n.Run(dur)
+	r := corridorSetup(Options{Seed: opt.Seed, Mutate: func(c *Config) {
+		c.ChannelBackend = "mmwave60g"
+		c.Telemetry = true
+		if opt.Mutate != nil {
+			opt.Mutate(c)
+		}
+	}}, core.SingleLoop, 3, 0)
+	n := r.Net
+	n.Run(r.Dur)
 	now := n.Loop.Now()
 
-	res := CorridorMMWaveResult{
-		CorridorResult: CorridorResult{
-			Segments: segments, APsPerSegment: apsPer, SpeedMPH: mph,
-		},
-		CellRadiusM: cfg.MMWave.CellRadiusM,
-	}
-	for _, m := range meters {
-		res.PerClientMbps = append(res.PerClientMbps, m.MeanMbps(now))
-	}
-	res.MeanMbps = mean(res.PerClientMbps)
+	res := CorridorMMWaveResult{CorridorResult: corridorResult(r), CellRadiusM: r.Cfg.MMWave.CellRadiusM}
 	res.SwitchesIssued = n.ProtocolCount(trace.OpIssue)
 	res.SwitchesAcked = n.ProtocolCount(trace.OpAck)
 	if snap := n.MetricsSnapshot(); snap != nil {
@@ -88,7 +63,7 @@ func CorridorMMWave(opt Options) CorridorMMWaveResult {
 		}
 	}
 	if minutes := now.Seconds() / 60; minutes > 0 {
-		res.HandoffsPerMinute = float64(res.Handoffs) / minutes / clients
+		res.HandoffsPerMinute = float64(res.Handoffs) / minutes / float64(len(res.PerClientMbps))
 	}
 	return res
 }

@@ -9,6 +9,7 @@ import (
 	"wgtt/internal/csi"
 	"wgtt/internal/phy"
 	"wgtt/internal/runner"
+	"wgtt/internal/scenario"
 	"wgtt/internal/sim"
 	"wgtt/internal/stats"
 	"wgtt/internal/workload"
@@ -34,10 +35,11 @@ type Options struct {
 	// Mutate, when non-nil, adjusts the network config before building
 	// (used by ablation benches).
 	Mutate func(*Config)
-	// Metrics, when non-nil, enables telemetry on every spec-driven run
-	// of the experiment and folds each run's end-of-run snapshot into
-	// the collector, keyed by scheme and transport. Print the result
-	// with MetricsCollector.Summary.
+	// Metrics, when non-nil, enables telemetry on every ride of a
+	// mean-goodput experiment (Fig 13, 17 and 20 and the ablations) and
+	// folds each ride's end-of-run snapshot into the collector, keyed by
+	// scheme (or ablation variant) and transport. Print the result with
+	// MetricsCollector.Summary.
 	Metrics *MetricsCollector
 	// Exec is the execution half; see Exec.
 	Exec
@@ -83,68 +85,107 @@ func WithMetrics(c *MetricsCollector) Option {
 	return func(o *Options) { o.Metrics = c }
 }
 
-// runSpecs executes a batch of drive-by throughput runs on the runner and
-// returns goodputs in spec order.
-func runSpecs(opt Options, specs []runner.RunSpec) []float64 {
-	return runner.RunAll(runner.Options{Exec: opt.Exec}, specs)
-}
-
 // runAll executes arbitrary independent experiment jobs (each building its
 // own network) on the runner, returning results in job order.
 func runAll[R any](opt Options, jobs []func() R) []R {
-	return runner.Map(runner.Options{Exec: opt.Exec}, jobs, func(_ int, job func() R) R { return job() })
+	return runner.Map(opt.Exec, jobs, func(_ int, job func() R) R { return job() })
 }
 
-// throughputSpec describes one bulk-flow drive-by as a runner spec.
-func throughputSpec(scheme Scheme, opt Options, trajs []Trajectory, dur Duration, tcp bool) runner.RunSpec {
-	tr := runner.UDP
-	if tcp {
-		tr = runner.TCP
+// goodputRide is one ride of a mean-goodput batch (Fig 13, 17 and 20 and
+// the ablations): every client carries a bulk downlink.
+type goodputRide struct {
+	scheme Scheme
+	tcp    bool
+	// mutate is the case's own config change, applied before the
+	// caller's Options.Mutate.
+	mutate func(*Config)
+	// variant names the case in metrics labels; "" names it by scheme.
+	variant string
+	place   placement
+}
+
+// placement puts a ride's clients on its final config: their
+// trajectories and the ride's horizon.
+type placement func(cfg *Config) ([]Trajectory, Duration)
+
+// schemeRides is one case of a figure that compares WGTT with Enhanced
+// 802.11r: its four rides, in the order WGTT TCP, WGTT UDP, 11r TCP,
+// 11r UDP.
+func schemeRides(place placement) []goodputRide {
+	return []goodputRide{
+		{scheme: SchemeWGTT, tcp: true, place: place},
+		{scheme: SchemeWGTT, place: place},
+		{scheme: SchemeEnhanced80211r, tcp: true, place: place},
+		{scheme: SchemeEnhanced80211r, place: place},
 	}
-	spec := runner.RunSpec{
-		Scheme:      scheme,
-		Seed:        opt.Seed,
-		Mutate:      opt.Mutate,
-		Trajs:       trajs,
-		Duration:    dur,
-		Transport:   tr,
-		OfferedMbps: offeredUDPMbps,
-		Warmup:      warmup,
-		Metrics:     opt.Metrics,
+}
+
+// crossAt places one client crossing the whole road at mph.
+func crossAt(mph float64) placement {
+	return func(cfg *Config) ([]Trajectory, Duration) {
+		traj, dur := scenario.Crossing(cfg, mph)
+		return []Trajectory{traj}, dur
 	}
-	if opt.ParallelSegments {
-		// After the caller's Mutate, so the option wins over a mode it set.
-		mutate := opt.Mutate
-		spec.Mutate = func(c *Config) {
+}
+
+// meanGoodputs rides every goodputRide on the runner and returns each
+// ride's mean per-client goodput in ride order. With opt.Metrics set,
+// each ride runs with telemetry on and records its end-of-run snapshot
+// under "<variant or scheme> <TCP|UDP>".
+func meanGoodputs(opt Options, rides []goodputRide) []float64 {
+	return runner.Map(opt.Exec, rides, func(_ int, g goodputRide) float64 {
+		cfg := DefaultConfig(g.scheme)
+		cfg.Seed = opt.Seed
+		for _, mutate := range []func(*Config){g.mutate, opt.Mutate} {
 			if mutate != nil {
-				mutate(c)
+				mutate(&cfg)
 			}
-			c.Domains = core.DomainsParallel
 		}
+		if opt.ParallelSegments {
+			// After the Mutates, so the option wins over a mode they set.
+			cfg.Domains = core.DomainsParallel
+		}
+		if opt.Metrics != nil {
+			cfg.Telemetry = true
+		}
+		trajs, dur := g.place(&cfg)
+		r := BuildScenarioRun(downlinkPlan(cfg, dur, bulk(g.tcp), scenario.DefaultRateMbps, trajs...))
+		r.Net.Run(dur)
+		if opt.Metrics != nil {
+			label := g.variant
+			if label == "" {
+				label = g.scheme.String()
+			}
+			if g.tcp {
+				label += " TCP"
+			} else {
+				label += " UDP"
+			}
+			opt.Metrics.Record(label, r.Net.MetricsSnapshot())
+		}
+		return mean(r.goodputs())
+	})
+}
+
+// bulk is the downlink workload a ride's tcp flag selects.
+func bulk(tcp bool) scenario.Workload {
+	if tcp {
+		return scenario.WorkloadTCP
 	}
-	return spec
+	return scenario.WorkloadUDP
 }
 
 // DefaultOptions returns the options used throughout EXPERIMENTS.md.
 func DefaultOptions() Options { return Options{Seed: 1} }
 
-// warmup delays workload start past association and controller adoption,
-// as any real flow begins after the client has joined the network.
-const warmup = 100 * Millisecond
-
 // startAfterWarmup schedules a workload start.
 func startAfterWarmup(n *Network, start func()) {
-	n.Loop.After(warmup, start)
+	n.Loop.After(scenario.DefaultWarmup, start)
 }
 
-// offeredUDPMbps is the saturating downlink load the end-to-end
-// experiments offer, standing in for the paper's 50–90 Mbit/s iperf
-// runs scaled to our channel.
-const offeredUDPMbps = 30
-
-// buildNetwork constructs a network for a scheme with the experiment's
-// seed.
-func buildNetwork(scheme Scheme, opt Options) *Network {
+// buildConfig is an experiment's config for a scheme: the experiment's
+// seed, domain execution if asked for, then the caller's Mutate.
+func buildConfig(scheme Scheme, opt Options) Config {
 	cfg := DefaultConfig(scheme)
 	cfg.Seed = opt.Seed
 	if opt.ParallelSegments {
@@ -153,26 +194,21 @@ func buildNetwork(scheme Scheme, opt Options) *Network {
 	if opt.Mutate != nil {
 		opt.Mutate(&cfg)
 	}
-	return NewNetwork(cfg)
+	return cfg
 }
 
-// driveAcross returns a trajectory that crosses the whole AP array at
-// the given speed, plus the sim duration of the crossing. The run spans
-// 5 m of lead-in/out beyond the array.
-func driveAcross(cfg *Config, mph float64) (Linear, Duration) {
-	lo, hi := cfg.RoadSpanX()
-	const margin = 5.0
-	traj := Drive(lo-margin, 0, mph)
-	dist := (hi + margin) - (lo - margin)
-	secs := dist / traj.SpeedMps()
-	return traj, Duration(secs * float64(Second))
+// buildNetwork constructs a network for a scheme with the experiment's
+// seed.
+func buildNetwork(scheme Scheme, opt Options) *Network {
+	return NewNetwork(buildConfig(scheme, opt))
 }
 
-// meanPerClientMbps runs one drive-by with nClients at speed mph under
-// scheme, with either TCP or UDP bulk downlink to every client, and
-// returns the average per-client goodput.
-func meanPerClientMbps(scheme Scheme, opt Options, trajs []Trajectory, dur Duration, tcp bool) float64 {
-	return runner.Run(throughputSpec(scheme, opt, trajs, dur, tcp))
+// crossingRide builds the single-vehicle ride most micro-benchmarks use:
+// one client crossing cfg's whole road at mph, carrying workload w (UDP
+// at rateMbps, or TCP) from the warm-up on.
+func crossingRide(cfg Config, mph float64, w scenario.Workload, rateMbps float64) *ServeRun {
+	traj, dur := scenario.Crossing(&cfg, mph)
+	return BuildScenarioRun(downlinkPlan(cfg, dur, w, rateMbps, traj))
 }
 
 // potentialMbps integrates the oracle link capacity over a drive: at

@@ -60,9 +60,13 @@ func DriveOpposing(startX, laneY, mph float64) Linear {
 // Pattern names the Fig. 19 multi-client scenarios.
 type Pattern int
 
+// FollowGap is the distance in meters between successive cars of the
+// Following pattern, and a scenario population's default follow gap.
+const FollowGap = 3.0
+
 // Multi-client driving patterns.
 const (
-	// Following: cars in the same lane, 3 m apart.
+	// Following: cars in the same lane, FollowGap apart.
 	Following Pattern = iota
 	// Parallel: cars side by side in adjacent lanes.
 	Parallel
@@ -91,8 +95,7 @@ func Scenario(p Pattern, n int, startX, laneY, mph float64) []Trajectory {
 	for i := 0; i < n; i++ {
 		switch p {
 		case Following:
-			// 3 m spacing, same lane.
-			out = append(out, Drive(startX-3*float64(i), laneY, mph))
+			out = append(out, Drive(startX-FollowGap*float64(i), laneY, mph))
 		case Parallel:
 			// Adjacent lanes, abreast.
 			out = append(out, Drive(startX, laneY-3*float64(i), mph))

@@ -37,11 +37,6 @@ type Exec struct {
 	ParallelSegments bool
 }
 
-// Options configure how a batch of runs executes.
-type Options struct {
-	Exec
-}
-
 // deque is a range [lo, hi) of run indices packed into one atomic word.
 // The owning worker pops indices from lo; thieves steal from hi. Both
 // sides move by CAS on the packed word, so pop and steal can race safely
@@ -98,12 +93,12 @@ func (d *deque) size() uint32 {
 // other invocations (the simulation guarantees this by building a fresh
 // network per run). fn itself may be called from multiple goroutines, but
 // never concurrently for the same index.
-func Map[T, R any](opt Options, items []T, fn func(i int, item T) R) []R {
+func Map[T, R any](ex Exec, items []T, fn func(i int, item T) R) []R {
 	n := len(items)
 	if n == 0 {
 		return nil
 	}
-	workers := opt.Workers
+	workers := ex.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -111,7 +106,7 @@ func Map[T, R any](opt Options, items []T, fn func(i int, item T) R) []R {
 		workers = n
 	}
 	results := make([]R, n)
-	if opt.Serial || workers == 1 || n == 1 {
+	if ex.Serial || workers == 1 || n == 1 {
 		for i, it := range items {
 			results[i] = fn(i, it)
 		}

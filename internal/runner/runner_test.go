@@ -3,10 +3,6 @@ package runner
 import (
 	"sync/atomic"
 	"testing"
-
-	"wgtt/internal/core"
-	"wgtt/internal/mobility"
-	"wgtt/internal/sim"
 )
 
 func TestMapOrderAndCompleteness(t *testing.T) {
@@ -14,12 +10,12 @@ func TestMapOrderAndCompleteness(t *testing.T) {
 	for i := range items {
 		items[i] = i * 3
 	}
-	for _, opt := range []Options{
-		{Exec: Exec{Serial: true}},
-		{Exec: Exec{Workers: 1}},
-		{Exec: Exec{Workers: 2}},
-		{Exec: Exec{Workers: 7}},
-		{Exec: Exec{Workers: 64}}, // more workers than a 1-core box has; still correct
+	for _, opt := range []Exec{
+		{Serial: true},
+		{Workers: 1},
+		{Workers: 2},
+		{Workers: 7},
+		{Workers: 64}, // more workers than a 1-core box has; still correct
 	} {
 		got := Map(opt, items, func(i, v int) int { return v + i })
 		if len(got) != len(items) {
@@ -37,7 +33,7 @@ func TestMapEachIndexExactlyOnce(t *testing.T) {
 	const n = 1000
 	var counts [n]atomic.Int32
 	items := make([]struct{}, n)
-	Map(Options{Exec: Exec{Workers: 8}}, items, func(i int, _ struct{}) int {
+	Map(Exec{Workers: 8}, items, func(i int, _ struct{}) int {
 		counts[i].Add(1)
 		return 0
 	})
@@ -49,7 +45,7 @@ func TestMapEachIndexExactlyOnce(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	if got := Map(Options{}, nil, func(int, int) int { return 1 }); got != nil {
+	if got := Map(Exec{}, nil, func(int, int) int { return 1 }); got != nil {
 		t.Fatalf("empty input produced %v", got)
 	}
 }
@@ -76,38 +72,5 @@ func TestDequePopStealDisjoint(t *testing.T) {
 	}
 	if len(seen) != 100 {
 		t.Fatalf("%d of 100 indices handed out", len(seen))
-	}
-}
-
-// TestRunSpecParallelMatchesSerial is the determinism core of the runner:
-// real simulation runs must produce bit-identical goodput regardless of
-// execution mode. (The full per-figure parity test lives in the root
-// package; this one keeps the property pinned close to the engine.)
-func TestRunSpecParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full drive-by sims")
-	}
-	var specs []RunSpec
-	for seed := int64(1); seed <= 2; seed++ {
-		for _, scheme := range []core.Scheme{core.WGTT, core.Enhanced80211r} {
-			specs = append(specs, RunSpec{
-				Scheme:      scheme,
-				Seed:        seed,
-				Trajs:       []mobility.Trajectory{mobility.Drive(-5, 0, 25)},
-				Duration:    3 * sim.Second,
-				Transport:   UDP,
-				OfferedMbps: 20,
-			})
-		}
-	}
-	serial := RunAll(Options{Exec: Exec{Serial: true}}, specs)
-	parallel := RunAll(Options{Exec: Exec{Workers: 4}}, specs)
-	for i := range specs {
-		if serial[i] != parallel[i] {
-			t.Fatalf("spec %d: serial %.9f Mbit/s, parallel %.9f", i, serial[i], parallel[i])
-		}
-		if serial[i] <= 0 {
-			t.Errorf("spec %d: goodput %.3f, want > 0", i, serial[i])
-		}
 	}
 }

@@ -12,17 +12,21 @@ import (
 	"wgtt/internal/sim"
 )
 
-// Compiled is a scenario lowered to the simulator's native terms: a
-// validated core.Config, the run horizon, and one trajectory/workload
-// plan per client. Compile is a pure function of (Scenario, seed) — no
-// clock, no ambient randomness — so the same inputs always produce the
+// Compiled is a bulk-downlink ride in the simulator's native terms: a
+// core.Config, the run horizon, and one trajectory/workload/start plan
+// per client. It is the only ride description the root package builds
+// (BuildScenarioRun): Compile lowers a scenario file to one, and the
+// experiments whose rides the schema cannot express build theirs in Go.
+// Compile is a pure function of (Scenario, seed, mutate) — no clock, no
+// ambient randomness — so the same inputs always produce the
 // bit-identical Compiled, which Digest checks.
 type Compiled struct {
 	// Name is the scenario name (reports, digests).
 	Name string
-	// Config is the compiled deployment configuration. Domains is left
-	// at SingleLoop and Telemetry off; runners layer execution-mode
-	// knobs on top without recompiling.
+	// Config is the configuration the ride builds: the file's settings,
+	// then Compile's mutate. A caller may still set execution-mode knobs
+	// (Domains, Telemetry, datapath overrides) on it before the build;
+	// they leave the road, and so the lowered routes, as they are.
 	Config core.Config
 	// Horizon is the simulated run length: the scenario's explicit
 	// horizon, or the latest route-run completion time.
@@ -31,7 +35,7 @@ type Compiled struct {
 	// (population order, then index within the population).
 	Clients []ClientPlan
 
-	// APsPerSegment is the uniform per-segment AP count for reports
+	// APsPerSegment is Config's uniform per-segment AP count for reports
 	// (0 when segments differ).
 	APsPerSegment int
 	// SpeedMPH is the first route's cruise speed in mph for reports
@@ -56,7 +60,12 @@ type ClientPlan struct {
 // Compile validates the scenario and lowers it. seed 0 defers to the
 // scenario's seed (itself defaulting to 1); a non-zero seed overrides,
 // which is how the golden tests sweep seeds over one checked-in file.
-func Compile(s *Scenario, seed int64) (*Compiled, error) {
+//
+// mutate, when non-nil, edits the config before the routes are lowered,
+// so a mutate that reshapes the road (more segments, another pitch)
+// gets trajectories and a horizon that cross the reshaped road. The
+// result is validated after it.
+func Compile(s *Scenario, seed int64, mutate func(*core.Config)) (*Compiled, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -86,9 +95,12 @@ func Compile(s *Scenario, seed int64) (*Compiled, error) {
 	if s.RingTrunk {
 		cfg.Federation.Ring = true
 	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
 
 	c := &Compiled{Name: s.Name, Config: cfg}
-	c.APsPerSegment = uniformAPs(s.Road.Segments)
+	c.APsPerSegment = uniformAPs(&cfg)
 	c.SpeedMPH = s.Routes[0].MPH
 
 	lo, hi := cfg.RoadSpanX()
@@ -118,7 +130,7 @@ func Compile(s *Scenario, seed int64) (*Compiled, error) {
 		}
 		gap := p.Gap
 		if gap == 0 {
-			gap = DefaultFollowGap
+			gap = mobility.FollowGap
 		}
 		workload := p.Workload
 		if workload == "" {
@@ -187,20 +199,12 @@ func buildRun(r *Route, dep sim.Duration, followOffset float64, lo, hi float64) 
 	leadIn := r.leadIn()
 	stops := r.stopPositions(lo, hi)
 
-	// Fast path: a stop-free forward route departing at 0 is exactly the
-	// experiments' constant-velocity drive — same construction, same
-	// floats, which is what keeps corridor.yaml on the golden pins.
+	// Fast path: a stop-free forward route departing at 0 is a
+	// constant-velocity drive, Crossing's floats for the near lane and
+	// the default lead-in.
 	if dep == 0 && len(stops) == 0 && !r.Reverse && r.UTurnAt == nil {
-		base := lo - leadIn
-		var traj mobility.Linear
-		if r.MPH != 0 {
-			traj = mobility.Drive(base-followOffset, r.Lane, r.MPH)
-		} else {
-			traj = mobility.Linear{Start: rf.Position{X: base - followOffset, Y: r.Lane}, VelX: r.Mps}
-		}
-		dist := (hi + leadIn) - (lo - leadIn)
-		secs := dist / traj.SpeedMps()
-		return run{traj: traj, end: sim.Duration(secs * float64(sim.Second))}
+		traj := mobility.Linear{Start: rf.Position{X: lo - leadIn - followOffset, Y: r.Lane}, VelX: r.speedMps()}
+		return run{traj: traj, end: crossingTime(lo, hi, leadIn, traj)}
 	}
 
 	v := r.speedMps()
@@ -244,6 +248,25 @@ func buildRun(r *Route, dep sim.Duration, followOffset float64, lo, hi float64) 
 		moveTo(endX)
 	}
 	return run{traj: mobility.NewWaypoints(pts), end: t, pts: pts, stopArrive: arrive}
+}
+
+// Crossing is the drive across cfg's whole road at mph: a
+// constant-velocity trajectory in the near lane entering DefaultLeadIn
+// before the first AP, and the time it takes to leave DefaultLeadIn past
+// the last one. A stop-free route departing at 0 compiles onto the same
+// floats.
+func Crossing(cfg *core.Config, mph float64) (mobility.Linear, sim.Duration) {
+	lo, hi := cfg.RoadSpanX()
+	traj := mobility.Drive(lo-DefaultLeadIn, 0, mph)
+	return traj, crossingTime(lo, hi, DefaultLeadIn, traj)
+}
+
+// crossingTime is how long traj takes from leadIn before lo to leadIn
+// past hi.
+func crossingTime(lo, hi, leadIn float64, traj mobility.Linear) sim.Duration {
+	dist := (hi + leadIn) - (lo - leadIn)
+	secs := dist / traj.SpeedMps()
+	return sim.Duration(secs * float64(sim.Second))
 }
 
 // riderTraj slices the vehicle timeline into one rider's trajectory:
@@ -311,14 +334,14 @@ func (s *Scenario) roadSpan() (lo, hi float64) {
 	return geoms[0].FirstAPX, last.FirstAPX + float64(last.NumAPs-1)*last.APSpacing
 }
 
-// uniformAPs is the shared per-segment AP count, or 0 when mixed.
-func uniformAPs(segs []Segment) int {
-	if len(segs) == 0 {
-		return 0
+// uniformAPs is cfg's shared per-segment AP count, or 0 when mixed.
+func uniformAPs(cfg *core.Config) int {
+	if len(cfg.Segments) == 0 {
+		return cfg.NumAPs
 	}
-	n := segs[0].APs
-	for _, s := range segs[1:] {
-		if s.APs != n {
+	n := cfg.Segments[0].NumAPs
+	for _, s := range cfg.Segments[1:] {
+		if s.NumAPs != n {
 			return 0
 		}
 	}

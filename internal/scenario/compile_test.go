@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"wgtt/internal/core"
 	"wgtt/internal/mobility"
 	"wgtt/internal/sim"
 )
@@ -19,7 +20,7 @@ func mustParse(t *testing.T, in string) *Scenario {
 
 func mustCompile(t *testing.T, s *Scenario, seed int64) *Compiled {
 	t.Helper()
-	c, err := Compile(s, seed)
+	c, err := Compile(s, seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +42,9 @@ clients:
     count: 2
 `
 
-// TestCompileCorridorShape checks the corridor fast path reproduces the
-// hand-built experiment's exact construction: the same Linear
-// trajectories (same floats) and the same drive-across horizon.
+// TestCompileCorridorShape checks the corridor fast path reproduces
+// mobility.Scenario's following platoon and Crossing exactly: the same
+// Linear trajectories (same floats) and the same drive-across horizon.
 func TestCompileCorridorShape(t *testing.T) {
 	c := mustCompile(t, mustParse(t, corridorYAML), 1)
 	if c.Config.Seed != 1 || len(c.Config.Segments) != 3 {
@@ -70,11 +71,53 @@ func TestCompileCorridorShape(t *testing.T) {
 			t.Errorf("client %d workload (%s, %g, %v), want defaults", i, p.Workload, p.RateMbps, p.Start)
 		}
 	}
-	// Horizon = the drive-across duration of harness.driveAcross.
+	// Horizon = the drive-across duration of a 5 m lead-in each side.
 	traj := mobility.Drive(lo-5, 0, 25)
 	secs := ((hi + 5) - (lo - 5)) / traj.SpeedMps()
 	if want := sim.Duration(secs * float64(sim.Second)); c.Horizon != want {
 		t.Errorf("horizon %v, want %v", c.Horizon, want)
+	}
+	if ct, cd := Crossing(&c.Config, 25); ct != c.Clients[0].Traj || cd != c.Horizon {
+		t.Errorf("Crossing = (%#v, %v), want the first client's (%#v, %v)", ct, cd, c.Clients[0].Traj, c.Horizon)
+	}
+}
+
+// TestCompileMutateBeforeLowering: a mutate that reshapes the road
+// reaches the config before the routes are lowered, so the horizon and
+// trajectories cross the reshaped road, and the result is validated.
+func TestCompileMutateBeforeLowering(t *testing.T) {
+	stretch := func(c *core.Config) {
+		c.Segments = append(c.Segments, c.Segments...)
+	}
+	c, err := Compile(mustParse(t, corridorYAML), 1, stretch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Config.Segments) != 6 {
+		t.Fatalf("%d segments, want 6", len(c.Config.Segments))
+	}
+	traj, dur := Crossing(&c.Config, 25)
+	if c.Horizon != dur || c.Clients[0].Traj != traj {
+		t.Errorf("horizon %v, first trajectory %#v; want the 6-segment crossing %v, %#v",
+			c.Horizon, c.Clients[0].Traj, dur, traj)
+	}
+	if short := mustCompile(t, mustParse(t, corridorYAML), 1); c.Horizon <= short.Horizon {
+		t.Errorf("stretched horizon %v not past the 3-segment one %v", c.Horizon, short.Horizon)
+	}
+	if _, err := Compile(mustParse(t, corridorYAML), 1, func(c *core.Config) { c.Segments[0].NumAPs = 0 }); err == nil {
+		t.Error("a mutate that empties a segment compiled without error")
+	}
+	// The report shape follows the mutated road too.
+	six, err := Compile(mustParse(t, corridorYAML), 1, func(c *core.Config) {
+		for i := range c.Segments {
+			c.Segments[i].NumAPs = 6
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if six.APsPerSegment != 6 {
+		t.Errorf("APsPerSegment %d after a 6-AP mutate, want 6", six.APsPerSegment)
 	}
 }
 

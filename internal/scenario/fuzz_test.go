@@ -39,7 +39,7 @@ func FuzzScenario(f *testing.F) {
 		if err != nil {
 			return // malformed input must error, never panic
 		}
-		c, err := Compile(s, 1)
+		c, err := Compile(s, 1, nil)
 		if err != nil {
 			return // validation rejected it; that's a fine outcome
 		}
@@ -52,7 +52,7 @@ func FuzzScenario(f *testing.F) {
 			t.Fatalf("negative horizon %v from: %s", c.Horizon, data)
 		}
 		// Compilation must be deterministic.
-		again, err := Compile(s, 1)
+		again, err := Compile(s, 1, nil)
 		if err != nil {
 			t.Fatalf("second compile failed: %v", err)
 		}

@@ -14,7 +14,7 @@ func TestGenerateValid(t *testing.T) {
 			if err := s.Validate(); err != nil {
 				t.Fatalf("Generate(%d, %s): %v", seed, size, err)
 			}
-			c, err := Compile(s, 0)
+			c, err := Compile(s, 0, nil)
 			if err != nil {
 				t.Fatalf("Generate(%d, %s) compile: %v", seed, size, err)
 			}
@@ -43,11 +43,11 @@ func TestGenerateValid(t *testing.T) {
 func TestGenerateDeterminism(t *testing.T) {
 	digests := map[string]int64{}
 	for seed := int64(1); seed <= 10; seed++ {
-		a, err := Compile(Generate(seed, SizeMedium), 0)
+		a, err := Compile(Generate(seed, SizeMedium), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Compile(Generate(seed, SizeMedium), 0)
+		b, err := Compile(Generate(seed, SizeMedium), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,11 +59,11 @@ func TestParseEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cy, err := Compile(fromYAML, 0)
+	cy, err := Compile(fromYAML, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cj, err := Compile(fromJSON, 0)
+	cj, err := Compile(fromJSON, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@
 // or JSON; both bind to the same Scenario struct with unknown fields
 // rejected. Compile is a pure function of the Scenario value: no clock,
 // no ambient randomness, no map iteration — the same scenario always
-// compiles to the bit-identical deployment, which is what lets
-// examples/scenarios/corridor.yaml reproduce the hand-built corridor
-// experiment's golden pins byte for byte and what the CI digest gate
+// compiles to the bit-identical deployment, which is what keeps
+// examples/scenarios/corridor.yaml, the root package's built-in
+// corridor, on the corridor golden pins and what the CI digest gate
 // checks.
 package scenario
 
@@ -146,7 +146,7 @@ type Route struct {
 	// Dwell is how long a run waits at each stop.
 	Dwell Dur `json:"dwell,omitempty"`
 	// LeadIn is how far before the first AP the route enters (and past
-	// the last AP it exits); 0 = the experiments' 5 m margin.
+	// the last AP it exits); 0 = DefaultLeadIn, 5 m.
 	LeadIn float64 `json:"lead-in,omitempty"`
 	// Reverse drives the route in -X, entering past the last AP.
 	// Reverse routes cannot have stops or a U-turn.
@@ -193,7 +193,7 @@ type Population struct {
 	// Count is the group size (0 = 1).
 	Count int `json:"count,omitempty"`
 	// Gap is the follow distance in meters between successive clients
-	// of a stop-free route (0 = the experiments' 3 m). Populations on
+	// of a stop-free route (0 = mobility.FollowGap, 3 m). Populations on
 	// stop-bearing routes share the vehicle and ignore it.
 	Gap float64 `json:"gap,omitempty"`
 	// Board is the stop index where the clients board (nil = ride from
@@ -204,29 +204,30 @@ type Population struct {
 	Alight *int `json:"alight,omitempty"`
 	// Workload is the attached traffic: udp (default) | tcp | none.
 	Workload Workload `json:"workload,omitempty"`
-	// RateMbps is the UDP offered load (0 = the experiments' 30).
+	// RateMbps is the UDP offered load (0 = DefaultRateMbps, 30).
 	RateMbps float64 `json:"rate,omitempty"`
 	// Start delays the workload start. 0 = the run's departure time
-	// plus the experiments' 100 ms post-association warmup; an
+	// plus DefaultWarmup, 100 ms past association; an
 	// explicit value is an absolute offset from the start of the run
 	// (set it to model pre-departure traffic).
 	Start Dur `json:"start,omitempty"`
 }
 
-// Schema defaults, shared with the hand-built experiments so a
-// scenario that omits them compiles onto the exact same numbers.
+// Ride defaults: the values a scenario that omits them compiles onto,
+// and the only definitions of them. The rides the root package builds
+// in Go take their lead-in, offered load and warm-up from here too (the
+// follow gap is mobility.FollowGap), so a file and a Go plan that
+// describe the same ride run on the same floats.
 const (
 	// DefaultLeadIn is the drive-across margin past each end of the AP
-	// array (harness.driveAcross's margin).
+	// array (Crossing's margin).
 	DefaultLeadIn = 5.0
-	// DefaultFollowGap is the following-pattern client spacing
-	// (mobility.Following's 3 m).
-	DefaultFollowGap = 3.0
-	// DefaultRateMbps is the saturating UDP offered load
-	// (harness.offeredUDPMbps).
+	// DefaultRateMbps is the saturating UDP offered load, standing in
+	// for the paper's 50–90 Mbit/s iperf runs scaled to the channel.
 	DefaultRateMbps = 30.0
-	// DefaultWarmup delays workload start past association
-	// (harness.warmup).
+	// DefaultWarmup delays workload start past association and
+	// controller adoption, as any real flow begins after the client
+	// has joined the network.
 	DefaultWarmup = 100 * sim.Millisecond
 	// MaxSpeedMps bounds route speeds: past high-speed-rail pace the
 	// channel coherence assumptions are meaningless.

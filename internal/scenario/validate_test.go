@@ -348,7 +348,7 @@ routes:
 				t.Errorf("error %q\ndoes not contain %q", err, tc.want)
 			}
 			// Compile must surface the identical validation error.
-			if _, cerr := Compile(s, 1); cerr == nil || cerr.Error() != err.Error() {
+			if _, cerr := Compile(s, 1, nil); cerr == nil || cerr.Error() != err.Error() {
 				t.Errorf("Compile error %v, want %v", cerr, err)
 			}
 		})

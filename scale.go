@@ -4,7 +4,7 @@ import (
 	"runtime"
 	"time"
 
-	"wgtt/internal/mobility"
+	"wgtt/internal/scenario"
 )
 
 // This file is the city-scale datapath benchmark: a clients × segments
@@ -52,27 +52,23 @@ func RunScaleCell(seed int64, segments, clients int, dur Duration) ScaleCell {
 		}
 		cfg.Segments = append(cfg.Segments, SegmentSpec{NumAPs: cfg.NumAPs})
 	}
-	n := NewNetwork(cfg)
-
+	// Clients spread across the whole corridor, driving with traffic;
+	// lanes alternate so co-located cars do not stack. Only the first
+	// scaleFlowCap carry a flow.
 	lo, hi := cfg.RoadSpanX()
-	span := hi - lo + 10
-	flows := clients
-	if flows > scaleFlowCap {
-		flows = scaleFlowCap
+	span := hi - lo + 2*scenario.DefaultLeadIn
+	trajs := make([]Trajectory, clients)
+	for i := range trajs {
+		x := lo - scenario.DefaultLeadIn + span*float64(i)/float64(clients)
+		trajs[i] = Drive(x, float64(i%2)*-3, 25)
 	}
-	var meters []*throughput
-	for i := 0; i < clients; i++ {
-		// Clients spread across the whole corridor, driving with
-		// traffic; lanes alternate so co-located cars do not stack.
-		x := lo - 5 + span*float64(i)/float64(clients)
-		lane := float64(i%2) * -3
-		c := n.AddClient(mobility.Drive(x, lane, 25))
-		if i < flows {
-			f := NewUDPDownlink(n, c, offeredUDPMbps)
-			startAfterWarmup(n, f.Start)
-			meters = append(meters, f.Meter)
-		}
+	flows := min(clients, scaleFlowCap)
+	p := downlinkPlan(cfg, dur, scenario.WorkloadUDP, scenario.DefaultRateMbps, trajs...)
+	for i := flows; i < clients; i++ {
+		p.Clients[i].Workload = scenario.WorkloadNone
 	}
+	r := BuildScenarioRun(p)
+	n := r.Net
 
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -89,11 +85,7 @@ func RunScaleCell(seed int64, segments, clients int, dur Duration) ScaleCell {
 		WallNs:     wall.Nanoseconds(),
 		Mallocs:    m1.Mallocs - m0.Mallocs,
 	}
-	var per []float64
-	for _, m := range meters {
-		per = append(per, m.MeanMbps(n.Loop.Now()))
-	}
-	cell.Mbps = mean(per)
+	cell.Mbps = mean(r.goodputs()[:flows])
 	return cell
 }
 

@@ -7,9 +7,10 @@ import (
 
 // This file is the root-package bridge to internal/scenario: load or
 // generate a declarative scenario, compile it, and build the compiled
-// plan into a runnable ServeRun through the exact same client/workload
-// construction path the hand-built experiments use — which is what
-// keeps a scenario-compiled corridor on the corridor golden pins.
+// plan into a runnable ServeRun. BuildScenarioRun is the only code that
+// turns a bulk-downlink ride into a network with its flows attached:
+// scenario files, the built-in corridor and the experiments' Go-built
+// plans (downlinkPlan) all ride through it.
 
 // ScenarioSpec is a declarative scenario (internal/scenario.Scenario).
 type ScenarioSpec = scenario.Scenario
@@ -40,23 +41,17 @@ func GenerateScenario(seed int64, size string) (*ScenarioSpec, error) {
 // CompileScenario validates and lowers a scenario. seed 0 defers to the
 // scenario's own seed; non-zero overrides it.
 func CompileScenario(s *ScenarioSpec, seed int64) (*CompiledScenario, error) {
-	return scenario.Compile(s, seed)
+	return scenario.Compile(s, seed, nil)
 }
 
-// BuildScenarioRun constructs the compiled scenario's network and
-// workload. opt.Seed, when non-zero, overrides the compiled seed;
-// opt.Mutate layers execution-mode knobs (domain mode, telemetry,
-// channel overrides) on the compiled config before the network builds.
-func BuildScenarioRun(c *CompiledScenario, opt Options) *ServeRun {
-	cfg := c.Config
-	if opt.Seed != 0 {
-		cfg.Seed = opt.Seed
-	}
-	if opt.Mutate != nil {
-		opt.Mutate(&cfg)
-	}
-	n := NewNetwork(cfg)
-	r := &ServeRun{Net: n, Cfg: cfg, Dur: c.Horizon, APsPerSegment: c.APsPerSegment, SpeedMPH: c.SpeedMPH}
+// BuildScenarioRun constructs the compiled scenario's network, on
+// c.Config as given, and its workload: per client in plan order, the
+// client, then its flow, then the flow's start at the planned offset.
+// Config edits belong in scenario.Compile's mutate, before the routes
+// are lowered.
+func BuildScenarioRun(c *CompiledScenario) *ServeRun {
+	n := NewNetwork(c.Config)
+	r := &ServeRun{Net: n, Cfg: c.Config, Dur: c.Horizon, APsPerSegment: c.APsPerSegment, SpeedMPH: c.SpeedMPH}
 	for i := range c.Clients {
 		p := &c.Clients[i]
 		cl := n.AddClient(p.Traj)
@@ -81,17 +76,29 @@ func BuildScenarioRun(c *CompiledScenario, opt Options) *ServeRun {
 }
 
 // LoadScenarioRun loads, compiles, and builds a scenario file in one
-// step.
+// step. opt.Mutate edits the config before the routes are lowered.
 func LoadScenarioRun(path string, opt Options) (*ServeRun, error) {
 	s, err := LoadScenario(path)
 	if err != nil {
 		return nil, err
 	}
-	c, err := CompileScenario(s, opt.Seed)
+	c, err := scenario.Compile(s, opt.Seed, opt.Mutate)
 	if err != nil {
 		return nil, err
 	}
-	// Compile already resolved the seed; don't apply it twice.
-	opt.Seed = 0
-	return BuildScenarioRun(c, opt), nil
+	return BuildScenarioRun(c), nil
+}
+
+// downlinkPlan is a ride built in Go, for the experiments whose rides
+// the scenario schema does not express: cfg as given, the horizon, and
+// one client per trajectory, each carrying workload w (UDP at rateMbps,
+// or TCP) from the warm-up on.
+func downlinkPlan(cfg Config, horizon Duration, w scenario.Workload, rateMbps float64, trajs ...Trajectory) *CompiledScenario {
+	p := &CompiledScenario{Config: cfg, Horizon: horizon}
+	for _, traj := range trajs {
+		p.Clients = append(p.Clients, scenario.ClientPlan{
+			Traj: traj, Workload: w, RateMbps: rateMbps, Start: scenario.DefaultWarmup,
+		})
+	}
+	return p
 }

@@ -106,6 +106,21 @@ go test ./...
 go -C bench vet ./...
 go -C bench test ./...
 
+# Pinned bench gate: the bench's own tests ride -short and unpinned, so
+# ride every workload once at seed 1 for one timed second and require
+# each ride's goodput to match bench/testdata/signatures.json. Only this
+# catches a change to a workload's shape that no root test rides (the
+# corridor workload stretches wgtt-serve's corridor to 24 segments).
+bench_line=$(bash bench/run.sh --workload testbed,crowd,corridor,serve2 --seed 1 --seconds 1 --trace 0 | tail -n 1)
+echo "bench gate: $bench_line"
+case "$bench_line" in
+*'"correct":true'*) ;;
+*)
+    echo "bench gate: a ride's goodput left its pinned signature"
+    exit 1
+    ;;
+esac
+
 # Scenario digest-determinism gate: compiling the same scenario twice —
 # a generated network and the corridor example — must print the same
 # content digest both times. Nondeterminism here would silently break

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"wgtt/internal/core"
+	"wgtt/internal/scenario"
 	"wgtt/internal/trace"
 )
 
@@ -14,9 +15,9 @@ import (
 // the identical Network, and then executes only its owned share of the
 // domain graph (Network.RunPartitioned). Because the "corridor"
 // scenario builds through the exact construction path of the
-// in-process corridor ride (corridorSetup), a sharded run is
-// bit-comparable to CorridorThroughput — that is what the
-// multi-process parity test pins.
+// in-process corridor ride (corridorPlan on the embedded
+// corridor.yaml), a sharded run is bit-comparable to CorridorThroughput
+// — that is what the multi-process parity test pins.
 
 // ServeRun is a constructed-but-not-yet-run scenario: the network, its
 // workload, and how long to ride. Callers advance it with Net.Run (one
@@ -39,6 +40,16 @@ type ServeRun struct {
 // run.
 func (r *ServeRun) Now() Time { return r.Net.Coord.Now() }
 
+// goodputs reads every client's mean goodput at the current virtual
+// time, in plan order.
+func (r *ServeRun) goodputs() []float64 {
+	out := make([]float64, len(r.meters))
+	for i, m := range r.meters {
+		out[i] = m.MeanMbps(r.Now())
+	}
+	return out
+}
+
 // ServeClient is one client's goodput figure in a ServeReport.
 type ServeClient struct {
 	ID   int     `json:"id"`
@@ -54,10 +65,9 @@ type ServeClient struct {
 // run (marks which figures are authoritative); nil means a
 // whole-network run, where every figure is.
 func (r *ServeRun) Figures(owned map[string]bool) []ServeClient {
-	now := r.Now()
 	out := make([]ServeClient, 0, len(r.meters))
-	for i, m := range r.meters {
-		sc := ServeClient{ID: i, Mbps: m.MeanMbps(now), Owned: true}
+	for i, mbps := range r.goodputs() {
+		sc := ServeClient{ID: i, Mbps: mbps, Owned: true}
 		if owned != nil {
 			sc.Owned = r.Net.OwnsClient(owned, r.clients[i])
 		}
@@ -132,8 +142,10 @@ func ScenarioIsFile(name string) bool {
 // serving shape: telemetry on, DomainsSerial within the process. The
 // file's own seed applies unless opt.Seed overrides it.
 //
-// Both scenarios run the domain-mode network serially within each
-// process (DomainsSerial); parallelism comes from the partition.
+// Every scenario runs the domain-mode network serially within each
+// process (DomainsSerial); parallelism comes from the partition. Every
+// opt.Mutate runs once, before the routes are lowered, so a Mutate
+// that stretches the road gets clients that cross all of it.
 func BuildServeScenario(name string, opt Options) (*ServeRun, error) {
 	if ScenarioIsFile(name) {
 		inner := opt.Mutate
@@ -147,21 +159,24 @@ func BuildServeScenario(name string, opt Options) (*ServeRun, error) {
 		}
 		return LoadScenarioRun(name, opt)
 	}
-	switch name {
-	case "corridor":
-		inner := opt.Mutate
-		opt.Mutate = func(c *Config) {
-			c.Telemetry = true
-			if inner != nil {
-				inner(c)
-			}
-		}
-		return corridorSetup(opt, core.DomainsSerial, 3, 0), nil
-	case "shuttle":
-		return shuttleSetup(opt), nil
-	default:
+	if name != "corridor" && name != "shuttle" {
 		return nil, fmt.Errorf("unknown scenario %q (have corridor, shuttle)", name)
 	}
+	inner := opt.Mutate
+	opt.Mutate = func(c *Config) {
+		c.Telemetry = true
+		if inner != nil {
+			inner(c)
+		}
+	}
+	road, err := corridorPlan(opt, core.DomainsSerial, 3)
+	if err != nil {
+		return nil, err
+	}
+	if name == "shuttle" {
+		road = shuttlePlan(road)
+	}
+	return BuildScenarioRun(road), nil
 }
 
 // shuttleBounce builds a trajectory that shuttles between x0 and x1 in
@@ -184,31 +199,16 @@ func shuttleBounce(x0, x1, y float64, dur Duration) *Waypoints {
 	return NewWaypoints(pts)
 }
 
-// shuttleSetup is the "shuttle" scenario: the corridor roadway with
-// segment-bound clients (see BuildServeScenario).
-func shuttleSetup(opt Options) *ServeRun {
-	const apsPer = 4
-	cfg := DefaultConfig(SchemeWGTT)
-	cfg.Seed = opt.Seed
-	cfg.Segments = []SegmentSpec{{NumAPs: apsPer}, {NumAPs: apsPer}, {NumAPs: apsPer}}
-	cfg.Domains = DomainsSerial
-	cfg.Telemetry = true
-	if opt.Mutate != nil {
-		opt.Mutate(&cfg)
-	}
-	n := NewNetwork(cfg)
-	dur := 8 * Second
-	r := &ServeRun{Net: n, Cfg: cfg, Dur: dur, APsPerSegment: apsPer, SpeedMPH: 0}
-
+// shuttlePlan is the "shuttle" scenario on the corridor's compiled
+// road: segment-bound clients (see BuildServeScenario), a Go plan
+// because the schema has no bouncing route.
+func shuttlePlan(road *CompiledScenario) *CompiledScenario {
+	const dur = 8 * Second
 	// Segment x-ranges at the default 7.5 m pitch: seg0 covers APs at
 	// 0–22.5 m, seg2 covers 60–82.5 m. The shuttles stay several AP
 	// pitches clear of the segment boundaries.
-	for _, span := range [][3]float64{{3, 19, 0}, {63, 79, -3}} {
-		c := n.AddClient(shuttleBounce(span[0], span[1], span[2], dur))
-		f := NewUDPDownlink(n, c, offeredUDPMbps)
-		startAfterWarmup(n, f.Start)
-		r.meters = append(r.meters, f.Meter)
-		r.clients = append(r.clients, c)
-	}
-	return r
+	p := downlinkPlan(road.Config, dur, scenario.WorkloadUDP, scenario.DefaultRateMbps,
+		shuttleBounce(3, 19, 0, dur), shuttleBounce(63, 79, -3, dur))
+	p.APsPerSegment = road.APsPerSegment
+	return p
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"wgtt/internal/core"
+	"wgtt/internal/scenario"
 	"wgtt/internal/trace"
 )
 
@@ -54,8 +55,8 @@ func driveByUDP(opt Options, scheme Scheme, mph float64) (string, *Network) {
 	cfg.Seed = opt.Seed
 	opt.Mutate(&cfg)
 	n := NewNetwork(cfg)
-	traj, dur := driveAcross(&cfg, mph)
-	f := NewUDPDownlink(n, n.AddClient(traj), offeredUDPMbps)
+	traj, dur := scenario.Crossing(&cfg, mph)
+	f := NewUDPDownlink(n, n.AddClient(traj), scenario.DefaultRateMbps)
 	startAfterWarmup(n, f.Start)
 	n.Run(dur)
 	return fmt.Sprintf("%#v", f.Mbps(n.Loop.Now())), n

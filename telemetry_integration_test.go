@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"wgtt/internal/core"
+	"wgtt/internal/scenario"
 )
 
 // telemetryOn is the Mutate hook the golden-guard tests use: it flips on
@@ -66,9 +67,9 @@ func TestTelemetryPromExposition(t *testing.T) {
 	n := NewNetwork(cfg)
 	lo, _ := cfg.RoadSpanX()
 	c := n.AddClient(Drive(lo-5, 0, 25))
-	f := NewUDPDownlink(n, c, offeredUDPMbps)
+	f := NewUDPDownlink(n, c, scenario.DefaultRateMbps)
 	startAfterWarmup(n, f.Start)
-	_, dur := driveAcross(&cfg, 25)
+	_, dur := scenario.Crossing(&cfg, 25)
 	n.Run(dur)
 
 	snap := n.MetricsSnapshot()
@@ -143,9 +144,9 @@ func TestHandoffSpanCDF(t *testing.T) {
 	n := NewNetwork(cfg)
 	lo, _ := cfg.RoadSpanX()
 	c := n.AddClient(Drive(lo-5, 0, 15))
-	f := NewUDPDownlink(n, c, offeredUDPMbps)
+	f := NewUDPDownlink(n, c, scenario.DefaultRateMbps)
 	startAfterWarmup(n, f.Start)
-	_, dur := driveAcross(&cfg, 15)
+	_, dur := scenario.Crossing(&cfg, 15)
 	n.Run(dur)
 
 	snap := n.MetricsSnapshot()

@@ -3,7 +3,10 @@ package wgtt
 import (
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"wgtt/internal/scenario"
 )
 
 func TestPublicQuickstartFlow(t *testing.T) {
@@ -171,9 +174,9 @@ func TestCSISeededRatesExtension(t *testing.T) {
 	run := func(seeded bool) (mbps float64, rateMPDUs [8]int) {
 		opt := Options{Seed: 1, Mutate: func(c *Config) { c.AP.SeedRatesFromCSI = seeded }}
 		n := buildNetwork(SchemeWGTT, opt)
-		traj, dur := driveAcross(&n.Cfg, 15)
+		traj, dur := scenario.Crossing(&n.Cfg, 15)
 		c := n.AddClient(traj)
-		f := NewUDPDownlink(n, c, offeredUDPMbps)
+		f := NewUDPDownlink(n, c, scenario.DefaultRateMbps)
 		startAfterWarmup(n, f.Start)
 		n.Run(dur)
 		for _, a := range n.APs {
@@ -239,5 +242,70 @@ func TestTraceCapturesSwitchRounds(t *testing.T) {
 	}
 	if want := len(n.FlightRecorder(0).Spans().Completed()); completed != want || want == 0 {
 		t.Errorf("ring shows %d completed switches, the span fold %d", completed, want)
+	}
+}
+
+// TestAblationsKeepCallerOptions: the ablation cases chain the caller's
+// Mutate after their own (once per ride) and record into the caller's
+// collector under "<variant> <transport>".
+func TestAblationsKeepCallerOptions(t *testing.T) {
+	col := NewMetricsCollector()
+	var mutates atomic.Int32
+	ablations(Options{Seed: 1, Metrics: col, Mutate: func(*Config) { mutates.Add(1) }},
+		[]string{"no uplink dedup"})
+	if got := mutates.Load(); got != 2 {
+		t.Errorf("caller's Mutate ran %d times over 2 rides, want 2", got)
+	}
+	sum := col.Summary()
+	for _, label := range []string{"no uplink dedup UDP", "no uplink dedup TCP"} {
+		if !strings.Contains(sum, "metrics["+label+"] runs=1\n") {
+			t.Errorf("collector has no run recorded as %q:\n%s", label, sum)
+		}
+	}
+}
+
+// TestFig13RidesTheMutatedRoad: Fig 13 places its rides on the config
+// after the caller's Mutate, so on a 16-AP road each ride crosses all
+// sixteen APs. Its recorded metrics must equal those of hand-built
+// rides across the whole 16-AP road (on the default road's crossing
+// the rides would stop halfway and every counter would differ).
+func TestFig13RidesTheMutatedRoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("eight 16-AP rides")
+	}
+	sixteen := func(c *Config) { c.NumAPs = 16 }
+	got := NewMetricsCollector()
+	Fig13ThroughputVsSpeed(Options{Seed: 1, Mutate: sixteen, Metrics: got}, []float64{35})
+
+	want := NewMetricsCollector()
+	for _, scheme := range []Scheme{SchemeWGTT, SchemeEnhanced80211r} {
+		for _, tcp := range []bool{true, false} {
+			cfg := DefaultConfig(scheme)
+			cfg.Seed = 1
+			sixteen(&cfg)
+			cfg.Telemetry = true
+			n := NewNetwork(cfg)
+			traj, dur := scenario.Crossing(&cfg, 35)
+			if lo, hi := cfg.RoadSpanX(); hi-lo != 112.5 {
+				t.Fatalf("16-AP road spans %g m, want 112.5", hi-lo)
+			}
+			c := n.AddClient(traj)
+			label := scheme.String() + " UDP"
+			if tcp {
+				label = scheme.String() + " TCP"
+				startAfterWarmup(n, NewTCPDownlink(n, c, 0).Start)
+			} else {
+				startAfterWarmup(n, NewUDPDownlink(n, c, scenario.DefaultRateMbps).Start)
+			}
+			n.Run(dur)
+			if snap := n.MetricsSnapshot(); snap.At != Time(dur) {
+				t.Fatalf("reference snapshot at %v, want the crossing's %v", snap.At, dur)
+			}
+			want.Record(label, n.MetricsSnapshot())
+		}
+	}
+	if g, w := got.Summary(), want.Summary(); g != w {
+		t.Errorf("Fig 13 on a 16-AP road did not ride its whole crossing\n%s",
+			firstDiffLabeled("16-AP crossing", "fig13", w, g))
 	}
 }
