@@ -2,7 +2,9 @@ package wgtt
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"wgtt/internal/core"
@@ -154,4 +156,56 @@ func TestStretchedCorridorPins(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCorridorPlanSharedParse compiles the corridor from two goroutines
+// at once over the one shared parse of corridor.yaml, each with a Mutate
+// of its own that edits the compiled road in place, and requires each
+// result to equal the same compile of a fresh parse. Corridor builds run
+// concurrently under the experiment runner; under -race this also shows
+// that compiling leaves the shared parse alone.
+func TestCorridorPlanSharedParse(t *testing.T) {
+	opts := []Options{
+		{Seed: 2, Mutate: func(c *Config) { c.Segments[1].NumAPs = 6 }},
+		{Seed: 5, Mutate: func(c *Config) { c.APSpacing = 9; c.Segments[0].Gap = 12 }},
+	}
+	segments := []int{3, 5}
+	got := make([]*CompiledScenario, len(opts))
+	errs := make([]error, len(opts))
+	var wg sync.WaitGroup
+	for i := range opts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = corridorPlan(opts[i], core.DomainsSerial, segments[i])
+		}(i)
+	}
+	wg.Wait()
+	for i := range opts {
+		if errs[i] != nil {
+			t.Fatalf("shared parse, mutate %d: %v", i, errs[i])
+		}
+		want, err := compileCorridor(mustParse(t, corridorYAML), opts[i], core.DomainsSerial, segments[i])
+		if err != nil {
+			t.Fatalf("fresh parse, mutate %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("mutate %d: shared-parse compile differs from a fresh parse's\n got: %+v\nwant: %+v", i, got[i], want)
+		}
+	}
+	if got[0].Config.Segments[1].NumAPs != 6 || got[1].Config.APSpacing != 9 {
+		t.Fatal("a Mutate did not reach its compile")
+	}
+	if s, _ := corridorSpec(); !reflect.DeepEqual(s, mustParse(t, corridorYAML)) {
+		t.Fatal("compiling changed the shared parse")
+	}
+}
+
+func mustParse(t *testing.T, data []byte) *ScenarioSpec {
+	t.Helper()
+	s, err := ParseScenario(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

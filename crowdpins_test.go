@@ -2,6 +2,7 @@ package wgtt
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"wgtt/internal/scenario"
@@ -97,5 +98,23 @@ func TestCrowdPins(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCrowdPinsAcrossCores rides the crowd's one-domain shape at seed 1
+// at GOMAXPROCS 1, 2 and 8, alone in the process, so the shared medium
+// evaluates each PPDU's receivers inline, with one helper and with
+// seven, and requires the seed's one-domain pin every time.
+func TestCrowdPinsAcrossCores(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three crowded rides")
+	}
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		fig, n := crowdRide(1, SingleLoop)
+		runtime.GOMAXPROCS(prev)
+		if got, want := pinDigests(t, fig, n), goldenCrowd["seed1/one-domain"]; got != want {
+			t.Errorf("GOMAXPROCS=%d: seed1/one-domain drifted (figure %s)\n  want %s\n  got  %s", procs, fig, want, got)
+		}
 	}
 }

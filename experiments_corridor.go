@@ -3,6 +3,7 @@ package wgtt
 import (
 	_ "embed"
 	"fmt"
+	"sync"
 
 	"wgtt/internal/core"
 	"wgtt/internal/rf"
@@ -17,6 +18,13 @@ func posXY(x, y float64) rf.Position { return rf.Position{X: x, Y: y} }
 //
 //go:embed examples/scenarios/corridor.yaml
 var corridorYAML []byte
+
+// corridorSpec parses corridorYAML once. Validate and Compile only read
+// a parsed scenario, so every corridor build, concurrent ones included,
+// compiles the one parse.
+var corridorSpec = sync.OnceValues(func() (*ScenarioSpec, error) {
+	return ParseScenario(corridorYAML)
+})
 
 // CorridorResult is the transit-corridor scenario at deployment scale:
 // two vehicles riding the full length of a three-segment roadway under
@@ -60,10 +68,15 @@ func corridorRide(opt Options, mode core.DomainMode) CorridorResult {
 // wgtt-serve's "corridor" scenario, so a partitioned multi-process run
 // builds the bit-identical network the parity pins reference.
 func corridorPlan(opt Options, mode core.DomainMode, segments int) (*CompiledScenario, error) {
-	s, err := ParseScenario(corridorYAML)
+	s, err := corridorSpec()
 	if err != nil {
 		return nil, err
 	}
+	return compileCorridor(s, opt, mode, segments)
+}
+
+// compileCorridor is corridorPlan over a given parse of corridor.yaml.
+func compileCorridor(s *ScenarioSpec, opt Options, mode core.DomainMode, segments int) (*CompiledScenario, error) {
 	return scenario.Compile(s, 0, func(c *Config) {
 		c.Seed = opt.Seed
 		seg := c.Segments[0]

@@ -19,9 +19,10 @@
 //
 // The contract a backend must satisfy (DESIGN.md §10): the Max*Bound
 // methods may over-estimate freely but must never under-estimate the
-// corresponding link outputs (audibility-index soundness), and all
+// corresponding link outputs (audibility-index soundness), all
 // methods must be deterministic functions of (construction RNG, query
-// arguments) so serial and parallel domain execution stay bit-identical.
+// arguments) so serial and parallel domain execution stay bit-identical,
+// and calls on distinct links may run concurrently.
 package channel
 
 import (
@@ -40,6 +41,12 @@ import (
 // query time explicitly: the wifi5g backend's channel is purely spatial
 // and ignores it, while the mmwave60g backend's blockage process makes
 // the channel time-varying.
+//
+// A link is not safe for concurrent use (its fading keeps a scratch
+// buffer), but calls on distinct links may run concurrently: links of one
+// Model share only read-only state. The medium relies on this when it
+// evaluates one PPDU at all its receivers at once, one link per receiver
+// (DESIGN.md §10).
 type Link interface {
 	// SubcarrierSNRsDB fills dst (rf.NumSubcarriers long) with the
 	// instantaneous per-subcarrier SNR in dB at the client position.

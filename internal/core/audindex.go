@@ -53,7 +53,7 @@ type audBucket struct {
 // audIndex implements mac.AudibilityIndex over the deployment geometry of
 // one execution domain's medium (the whole network in the one-domain
 // shape, one segment's medium partition when split). Node kinds resolve lazily
-// through Network.nodeKind because kinds are recorded just after mac
+// through the nodes' Tags (refOf) because kinds are recorded just after mac
 // registration; a node whose kind never resolves is simply always marked.
 type audIndex struct {
 	n    *Network
@@ -116,7 +116,7 @@ func (ix *audIndex) refresh() {
 		delete(ix.buckets, k)
 	}
 	for _, node := range ix.entries {
-		ref, ok := ix.n.nodeKind[node]
+		ref, ok := refOf(node)
 		switch {
 		case !ok:
 			ix.unknown = append(ix.unknown, node)
@@ -164,7 +164,7 @@ func (ix *audIndex) MarkAudible(tx *mac.Node, bitmap []uint64) {
 	for _, n := range ix.unknown {
 		markBit(bitmap, n)
 	}
-	ref, ok := ix.n.nodeKind[tx]
+	ref, ok := refOf(tx)
 	if !ok {
 		// Unknown transmitter: no geometric bound applies.
 		for _, n := range ix.entries {

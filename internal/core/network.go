@@ -90,7 +90,6 @@ type Network struct {
 	apPos []rf.Position
 	// links[clientID][apIdx] is the radio channel realization.
 	links       [][]channel.Link
-	nodeKind    map[*mac.Node]nodeRef
 	serverDemux map[uint16]func(packet.Packet)
 	// Wired-server routing and de-duplication across segments.
 	route        map[packet.IP]int
@@ -120,9 +119,32 @@ type Network struct {
 	telRoot telemetry.Scope
 }
 
+// nodeRef names one of the network's radio nodes: an AP by global id or
+// a client by id. It lives in the node's mac.Node.Tag (setRef, refOf),
+// offset by one, so the zero Tag of a node the network never recorded —
+// a test fake — reads as a node of no kind.
 type nodeRef struct {
 	isAP bool
 	idx  int
+}
+
+// setRef records node's kind and index in its Tag.
+func setRef(node *mac.Node, r nodeRef) {
+	t := r.idx << 1
+	if r.isAP {
+		t |= 1
+	}
+	node.Tag = t + 1
+}
+
+// refOf returns the kind and index setRef recorded for node; ok is false
+// for a node with none.
+func refOf(node *mac.Node) (r nodeRef, ok bool) {
+	t := node.Tag - 1
+	if t < 0 {
+		return nodeRef{}, false
+	}
+	return nodeRef{isAP: t&1 == 1, idx: t >> 1}, true
 }
 
 // NewNetwork builds and wires a deployment. Clients are added with
@@ -142,7 +164,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		Coord:       sim.NewCoordinator(cfg.Trunk.PropDelay, cfg.Domains == DomainsParallel),
 		rng:         sim.NewRNG(cfg.Seed),
 		model:       model,
-		nodeKind:    make(map[*mac.Node]nodeRef),
 		serverDemux: make(map[uint16]func(packet.Packet)),
 		route:       make(map[packet.IP]int),
 		serverDedup: make(map[packet.DedupKey]bool),
@@ -229,7 +250,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 func (n *Network) addAPNode(node *mac.Node, id int) {
 	n.apNodes = append(n.apNodes, node)
 	n.apPos = append(n.apPos, node.Pos())
-	n.nodeKind[node] = nodeRef{isAP: true, idx: id}
+	setRef(node, nodeRef{isAP: true, idx: id})
 }
 
 // buildModel instantiates the configured channel backend and fills the
@@ -308,7 +329,7 @@ func (n *Network) AddClient(traj mobility.Trajectory) *Client {
 			fn(p)
 		}
 	}
-	n.nodeKind[cl.Node()] = nodeRef{isAP: false, idx: id}
+	setRef(cl.Node(), nodeRef{isAP: false, idx: id})
 
 	// Per-AP radio links for this client, in global AP order.
 	row := make([]channel.Link, len(n.apPos))
@@ -448,7 +469,7 @@ func (n *Network) ServingAP(clientID int) int {
 	c := n.Clients[clientID]
 	if c.Roamer != nil {
 		// Baselines: the client-side view of the association.
-		ref, ok := n.nodeKind[c.Roamer.Current()]
+		ref, ok := refOf(c.Roamer.Current())
 		if !ok || !ref.isAP {
 			return -1
 		}
@@ -499,8 +520,8 @@ type netChannel struct {
 // gets a flat channel at it.
 func (nc *netChannel) SubcarrierSNRs(tx, rx *mac.Node, senseDB float64, dst []float64) bool {
 	n := nc.n
-	tref, tok := n.nodeKind[tx]
-	rref, rok := n.nodeKind[rx]
+	tref, tok := refOf(tx)
+	rref, rok := refOf(rx)
 	if !tok || !rok {
 		return false
 	}
@@ -527,8 +548,8 @@ func (nc *netChannel) SubcarrierSNRs(tx, rx *mac.Node, senseDB float64, dst []fl
 // SenseSNRdB implements mac.Channel (large-scale only).
 func (nc *netChannel) SenseSNRdB(tx, rx *mac.Node) float64 {
 	n := nc.n
-	tref, tok := n.nodeKind[tx]
-	rref, rok := n.nodeKind[rx]
+	tref, tok := refOf(tx)
+	rref, rok := refOf(rx)
 	switch {
 	case !tok || !rok:
 		return -100
@@ -554,8 +575,8 @@ func (nc *netChannel) SenseSNRdB(tx, rx *mac.Node) float64 {
 // no bound and take the exact path.
 func (nc *netChannel) SenseBoundDB(tx, rx *mac.Node) (float64, bool) {
 	n := nc.n
-	tref, tok := n.nodeKind[tx]
-	rref, rok := n.nodeKind[rx]
+	tref, tok := refOf(tx)
+	rref, rok := refOf(rx)
 	if !tok || !rok || tref.isAP == rref.isAP {
 		return 0, false
 	}

@@ -65,11 +65,11 @@ type segDomain struct {
 	// Boundary-interference exchange (Config.BoundaryInterference).
 	// bounds lists the adjacent-chain neighbours and the shared boundary
 	// x coordinate; remoteTx holds the neighbour transmissions currently
-	// raising this domain's noise floor. Counters feed the parity tests.
-	bounds          []segBoundary
-	remoteTx        []remoteTx
-	boundaryPosted  int
-	boundaryApplied int
+	// raising this domain's noise floor. boundaryPosted feeds the parity
+	// tests, with the medium's InterferenceHits.
+	bounds         []segBoundary
+	remoteTx       []remoteTx
+	boundaryPosted int
 }
 
 // newSegDomain registers a domain on the coordinator with a radio
@@ -259,7 +259,7 @@ func (n *Network) wireBoundaryInterference(geoms []deploy.Geometry) {
 // adjacent domains; it fires synchronously inside Medium.Transmit.
 func (s *segDomain) exportBoundaryTx(t *mac.Transmission) {
 	pos := t.Tx.Pos()
-	ref, ok := s.n.nodeKind[t.Tx]
+	ref, ok := refOf(t.Tx)
 	if !ok {
 		return
 	}
@@ -293,14 +293,14 @@ func (s *segDomain) acceptRemoteTx(rec remoteTx) {
 
 // remoteInterference implements the medium's external-interference hook:
 // the summed linear interference-over-noise the receiver accumulates
-// from neighbour-domain boundary transmissions overlapping t's airtime.
-func (s *segDomain) remoteInterference(rx *mac.Node, t *mac.Transmission) float64 {
+// from neighbour-domain boundary transmissions overlapping t's airtime,
+// and whether any overlapped. It writes nothing: the medium evaluates
+// receivers concurrently and counts the hits itself.
+func (s *segDomain) remoteInterference(rx *mac.Node, t *mac.Transmission) (iLin float64, hit bool) {
 	if len(s.remoteTx) == 0 {
-		return 0
+		return 0, false
 	}
-	var iLin float64
 	rxPos := rx.Pos()
-	hit := false
 	for _, r := range s.remoteTx {
 		if r.start < t.End && t.Start < r.end {
 			ion := s.n.model.InterferenceOverNoiseDB(r.isAP, r.pos, rxPos)
@@ -308,19 +308,17 @@ func (s *segDomain) remoteInterference(rx *mac.Node, t *mac.Transmission) float6
 			hit = true
 		}
 	}
-	if hit {
-		s.boundaryApplied++
-	}
-	return iLin
+	return iLin, hit
 }
 
 // BoundaryInterferenceStats sums the exchange counters across segment
-// domains: summaries posted to neighbours, and deliveries whose SINR saw
-// a nonzero remote term. Zero/zero when the feature is off.
+// domains: summaries posted to neighbours, and receptions whose SINR
+// evaluation saw an overlapping remote source. Zero/zero when the
+// feature is off.
 func (n *Network) BoundaryInterferenceStats() (posted, applied int) {
 	for _, sd := range n.segs {
 		posted += sd.boundaryPosted
-		applied += sd.boundaryApplied
+		applied += sd.medium.InterferenceHits()
 	}
 	return
 }

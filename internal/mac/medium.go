@@ -14,6 +14,15 @@ import (
 // Channel supplies the instantaneous radio state between two nodes. The
 // core package implements it over rf.Link realizations; mac stays agnostic
 // of geometry.
+//
+// The medium evaluates one PPDU at all its candidate receivers
+// concurrently (Loop.Fan), so a Channel must serve calls from several
+// goroutines at once without a data race. SubcarrierSNRs then runs for
+// distinct receivers of one transmitter, never twice on one pair or its
+// reverse, so per-link scratch state is safe there; SenseSNRdB and
+// SenseBoundDB may run concurrently for any pairs, a pair and its
+// reverse included, so they must write nothing. Everything a call reads,
+// positions included, stays unwritten while a delivery is evaluated.
 type Channel interface {
 	// SubcarrierSNRs fills dst (rf.NumSubcarriers long) with the
 	// per-subcarrier SNR in dB at rx for a transmission from tx, and
@@ -104,6 +113,10 @@ type Node struct {
 	// seq is the node's slot in the owning medium's bySeq table,
 	// assigned at Register. Audibility indexes address nodes by it.
 	seq int
+	// Tag is an opaque value for whoever builds the node; the medium
+	// never reads it. core stores the node's kind and index in it, so
+	// its Channel resolves a node without a map lookup.
+	Tag int
 }
 
 // Seq returns the node's registration slot on its current medium, the
@@ -159,14 +172,36 @@ type Medium struct {
 	// interference, when set, returns the summed linear
 	// interference-over-noise a receiver accumulates during t from
 	// sources this medium cannot model itself (remote-domain
-	// transmissions). Zero means none; a positive value is applied as a
-	// flat per-subcarrier SINR penalty before the ESNR evaluation.
-	interference func(rx *Node, t *Transmission) float64
+	// transmissions), and whether any such source overlapped t. Zero
+	// means none; a positive value is applied as a flat per-subcarrier
+	// SINR penalty before the ESNR evaluation. interferenceHits counts
+	// the evaluated receptions with an overlap.
+	interference     func(rx *Node, t *Transmission) (iLin float64, hit bool)
+	interferenceHits int
+
+	// recs holds one slot per candidate receiver of the PPDU being
+	// delivered, which cur names while its candidates are evaluated;
+	// evalFn is evaluate, bound once so a fan-out allocates nothing.
+	recs   []reception
+	cur    *Transmission
+	evalFn func(i int)
 
 	// txFree recycles pooled Transmissions (see NewTransmission);
 	// okScratch is the shared per-delivery Detection.OK buffer.
 	txFree    []*Transmission
 	okScratch []bool
+}
+
+// reception is one candidate receiver's evaluation of the PPDU being
+// delivered, written by evaluate and read by commit.
+type reception struct {
+	rx *Node
+	// heard reports a detectable preamble; esnr, snrs and collided are
+	// meaningful only then. remote reports that the interference hook
+	// found a remote-domain overlap.
+	heard, collided, remote bool
+	esnr                    float64
+	snrs                    [rf.NumSubcarriers]float64
 }
 
 // MediumStats counts medium-level events.
@@ -180,6 +215,7 @@ type MediumStats struct {
 // NewMedium creates the channel on the given loop.
 func NewMedium(loop *sim.Loop, channel Channel, rng *sim.RNG) *Medium {
 	m := &Medium{loop: loop, channel: channel, rng: rng}
+	m.evalFn = m.evaluate
 	if h, ok := channel.(DetectHeadroomer); ok {
 		m.headroomDB = h.DetectHeadroomDB()
 		m.hasHeadroom = true
@@ -194,12 +230,19 @@ func NewMedium(loop *sim.Loop, channel Channel, rng *sim.RNG) *Medium {
 func (m *Medium) SetOnTransmit(fn func(t *Transmission)) { m.onTransmit = fn }
 
 // SetInterference installs (or, with nil, removes) the external
-// interference source consulted per delivery (see the interference
-// field). Nil keeps the delivery path bit-identical to a hook-free
-// medium.
-func (m *Medium) SetInterference(fn func(rx *Node, t *Transmission) float64) {
+// interference source consulted per candidate receiver (see the
+// interference field). Nil keeps the delivery path bit-identical to a
+// hook-free medium. The hook runs in the evaluation phase, concurrently
+// for the distinct receivers of one PPDU (see Channel), so it must have
+// no side effects: it reports an overlap through hit, which the medium
+// counts (InterferenceHits), instead of counting it itself.
+func (m *Medium) SetInterference(fn func(rx *Node, t *Transmission) (iLin float64, hit bool)) {
 	m.interference = fn
 }
+
+// InterferenceHits returns the number of evaluated receptions for which
+// the interference hook reported an overlapping remote source.
+func (m *Medium) InterferenceHits() int { return m.interferenceHits }
 
 // SetAudibilityIndex installs (or, with nil, removes) the spatial
 // prefilter. Already-registered nodes are replayed into the index so it
@@ -424,19 +467,33 @@ func (m *Medium) Transmit(t *Transmission) {
 	})
 }
 
-// deliverAll evaluates t at every potential receiver. With an audibility
-// index installed only the marked candidates are visited; the set bits
-// are walked in ascending seq order, which is registration order — the
-// same order the brute-force scan uses — so both paths draw from the RNG
-// identically.
+// deliverAll delivers t in two phases after gathering its candidate
+// receivers. Evaluation (evaluate) computes every candidate's reception
+// into a slot of its own, with no side effects, concurrently where the
+// loop lends helpers. Commit (commit) then walks the slots in candidate
+// order and does all that changes state: stats, PER draws and OnReceive.
+// So the RNG stream, and every decision, is the one a candidate-by-
+// candidate walk produces.
 func (m *Medium) deliverAll(t *Transmission) {
-	var snrs [rf.NumSubcarriers]float64
+	m.gather(t)
+	m.cur = t
+	m.loop.Fan(len(m.recs), m.evalFn)
+	m.cur = nil
+	m.commit(t)
+}
+
+// gather collects t's potential receivers into m.recs. With an
+// audibility index installed only the marked candidates are collected;
+// the set bits are walked in ascending seq order, which is registration
+// order — the same order the brute-force scan uses — so both paths draw
+// from the RNG identically.
+func (m *Medium) gather(t *Transmission) {
+	m.recs = m.recs[:0]
 	if m.index == nil {
 		for _, n := range m.nodes {
-			if n == t.Tx || n.Recv == nil {
-				continue
+			if n != t.Tx && n.Recv != nil {
+				m.addCandidate(n)
 			}
-			m.deliverOne(t, n, &snrs)
 		}
 		return
 	}
@@ -454,73 +511,113 @@ func (m *Medium) deliverAll(t *Transmission) {
 			i := w*64 + bits.TrailingZeros64(word)
 			word &= word - 1
 			n := m.bySeq[i]
-			if n == nil || n == t.Tx || n.Recv == nil {
-				continue
+			if n != nil && n != t.Tx && n.Recv != nil {
+				m.addCandidate(n)
 			}
-			m.deliverOne(t, n, &snrs)
 		}
 	}
 }
 
-// deliverOne evaluates t at a single receiver n. The large-scale SNR is
-// evaluated once and serves both the headroom prefilter and the
-// per-subcarrier fill. The prefilter takes the exact value, not the
-// SenseBounder bound: the audibility index has already dropped the
-// receivers a bound would settle.
-func (m *Medium) deliverOne(t *Transmission, n *Node, snrs *[rf.NumSubcarriers]float64) {
+// addCandidate appends a slot for receiver n; evaluate fills the rest.
+func (m *Medium) addCandidate(n *Node) {
+	if k := len(m.recs); k < cap(m.recs) {
+		m.recs = m.recs[:k+1]
+		m.recs[k].rx = n
+		return
+	}
+	m.recs = append(m.recs, reception{rx: n})
+}
+
+// evaluate computes candidate i's reception of m.cur into m.recs[i] and
+// writes nothing else. It reads positions (pure functions of time), the
+// channel, m.active and the interference hook's state, none of which a
+// delivery's commit can change for the same PPDU: the block ACKs
+// OnReceive sends go on air one SIFS later, a transmission started at
+// t.End never overlaps t, and migrations happen in their own events.
+// The large-scale SNR is evaluated once and serves both the headroom
+// prefilter and the per-subcarrier fill. The prefilter takes the exact
+// value, not the SenseBounder bound: the audibility index has already
+// dropped the receivers a bound would settle.
+func (m *Medium) evaluate(i int) {
+	r := &m.recs[i]
+	t, n := m.cur, r.rx
+	r.heard, r.collided, r.remote = false, false, false
 	sense := m.channel.SenseSNRdB(t.Tx, n)
 	if m.hasHeadroom && sense+m.headroomDB < detectThresholdDB {
 		// Even maximally constructive fading cannot lift this receiver
 		// over the detection threshold; skip the per-subcarrier fill.
 		return
 	}
-	if !m.channel.SubcarrierSNRs(t.Tx, n, sense, snrs[:]) {
+	if !m.channel.SubcarrierSNRs(t.Tx, n, sense, r.snrs[:]) {
 		return
 	}
 	if m.interference != nil {
-		if iLin := m.interference(n, t); iLin > 0 {
+		iLin, hit := m.interference(n, t)
+		r.remote = hit
+		if iLin > 0 {
 			// Remote-domain co-channel energy raises the noise floor:
 			// SINR = SNR − 10·log10(1 + I/N), flat across subcarriers
 			// (only the interferer's large-scale budget is known).
 			pen := 10 * math.Log10(1+iLin)
-			for i := range snrs {
-				snrs[i] -= pen
+			for k := range r.snrs {
+				r.snrs[k] -= pen
 			}
 		}
 	}
-	esnr := csi.EffectiveSNRdB(snrs[:], t.Rate.Modulation)
+	esnr := csi.EffectiveSNRdB(r.snrs[:], t.Rate.Modulation)
 	if esnr < detectThresholdDB {
 		return
 	}
-	det := Detection{ESNRdB: esnr, SNRsDB: *snrs}
-	if m.collided(t, n, esnr) {
-		det.Collided = true
-		if len(t.MPDUs) > 0 {
-			det.OK = m.okBuf(len(t.MPDUs))
-			m.stats.MPDULosses += len(t.MPDUs)
+	r.heard, r.esnr = true, esnr
+	r.collided = m.collided(t, n, esnr)
+}
+
+// commit applies the evaluated receptions of t in candidate order. A
+// candidate that an earlier receiver's OnReceive unregistered is
+// skipped, as a walk over the live node set would skip it.
+func (m *Medium) commit(t *Transmission) {
+	for i := range m.recs {
+		r := &m.recs[i]
+		n := r.rx
+		if n.seq >= len(m.bySeq) || m.bySeq[n.seq] != n {
+			continue
 		}
-		m.stats.Collisions++
-		n.Recv.OnReceive(t, det)
-		return
-	}
-	if t.Type == FrameData {
-		det.OK = m.okBuf(len(t.MPDUs))
-		for i := range t.MPDUs {
-			per := phy.PER(t.Rate, esnr, t.MPDUs[i].Pkt.WireLen())
-			ok := m.rng.Float64() >= per
-			det.OK[i] = ok
-			if !ok {
-				m.stats.MPDULosses++
+		if r.remote {
+			m.interferenceHits++
+		}
+		if !r.heard {
+			continue
+		}
+		det := Detection{ESNRdB: r.esnr, SNRsDB: r.snrs}
+		if r.collided {
+			det.Collided = true
+			if len(t.MPDUs) > 0 {
+				det.OK = m.okBuf(len(t.MPDUs))
+				m.stats.MPDULosses += len(t.MPDUs)
+			}
+			m.stats.Collisions++
+			n.Recv.OnReceive(t, det)
+			continue
+		}
+		if t.Type == FrameData {
+			det.OK = m.okBuf(len(t.MPDUs))
+			for k := range t.MPDUs {
+				per := phy.PER(t.Rate, r.esnr, t.MPDUs[k].Pkt.WireLen())
+				ok := m.rng.Float64() >= per
+				det.OK[k] = ok
+				if !ok {
+					m.stats.MPDULosses++
+				}
+			}
+		} else {
+			// Control/management frames succeed or fail whole.
+			per := phy.PER(t.Rate, r.esnr, frameBytes(t))
+			if m.rng.Float64() < per {
+				continue // undecodable: receiver never sees it
 			}
 		}
-	} else {
-		// Control/management frames succeed or fail whole.
-		per := phy.PER(t.Rate, esnr, frameBytes(t))
-		if m.rng.Float64() < per {
-			return // undecodable: receiver never sees it
-		}
+		n.Recv.OnReceive(t, det)
 	}
-	n.Recv.OnReceive(t, det)
 }
 
 // okBuf returns the shared Detection.OK scratch, zeroed, sized k. Valid

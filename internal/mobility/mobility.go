@@ -15,6 +15,12 @@ func MPHToMps(mph float64) float64 { return mph * 0.44704 }
 
 // Trajectory reports a client's position over virtual time.
 type Trajectory interface {
+	// Pos must be a pure function of t: no cache, cursor or other
+	// state may change when it is called. The medium samples many
+	// clients' positions at one instant from several goroutines at once
+	// (every receiver of a PPDU is evaluated concurrently), and a
+	// position that depended on call order would also break the
+	// serial/parallel bit-identity of the domain executors.
 	Pos(t sim.Time) rf.Position
 	// SpeedMps is the constant ground speed (0 for stationary).
 	SpeedMps() float64

@@ -56,9 +56,13 @@ type tap struct {
 // property ESNR exists to capture.
 //
 // A Fader is NOT safe for concurrent use: Gains writes into a scratch
-// buffer owned by the Fader. Each simulation run builds its own network
-// (and hence its own Faders) from a per-run forked RNG, so the parallel
-// experiment runner never shares a Fader across goroutines.
+// buffer owned by the Fader. Distinct Faders share nothing they write
+// (the delay-rotation table is read-only), so calls on distinct Faders
+// may run concurrently. Each simulation run builds its own network (and
+// hence its own Faders) from a per-run forked RNG, so the parallel
+// experiment runner never shares a Fader across goroutines, and a
+// medium evaluating one PPDU at many receivers concurrently uses one
+// link, and so one Fader, per receiver.
 type Fader struct {
 	waveNumber float64 // 2π/λ
 	taps       []tap

@@ -147,13 +147,15 @@ func (m *Mailbox) deliver(at Time, env Envelope, trace uint64) {
 
 // Coordinator advances a set of domains in lockstep rounds of width equal
 // to the lookahead, draining mailboxes at the barrier between rounds. With
-// parallel=false the rounds run domain-by-domain on the calling goroutine.
+// parallel=false the rounds run domain-by-domain on the calling goroutine,
+// which lends the Run call's helpers to the domains' fan-outs (Loop.Fan).
 // With parallel=true each round runs only the domains with an event due
 // in it, claimed one at a time by the calling goroutine and a pool of
-// GOMAXPROCS−1 helpers (see roundPool); idle domains just have their
-// clocks advanced. Both modes produce bit-identical results (see the
-// package comment above). Domains that share no mailbox need no
-// barrier, so without one each Run is a single round to its horizon.
+// GOMAXPROCS−1 helpers (see pool); idle domains just have their clocks
+// advanced, and fan-outs run inline. Both modes produce bit-identical
+// results (see the package comment above). Domains that share no mailbox
+// need no barrier, so without one each Run is a single round to its
+// horizon.
 type Coordinator struct {
 	lookahead Duration
 	parallel  bool
@@ -168,9 +170,18 @@ type Coordinator struct {
 	// the domain and read by the coordinator once the round completes.
 	waitStats []waitRec
 	workNs    []int64
-	// helpers counts live roundPool helper goroutines; Run returns only
-	// once it is back to zero.
+	// helpers counts live pool helper goroutines, a parallel Run's or a
+	// serial Run's fan-out helpers; Run returns only once it is back to
+	// zero.
 	helpers atomic.Int32
+	// active (indices into domains) and end describe the parallel round
+	// in progress. round writes them before publishing the round's job
+	// and not again until every active domain has finished, so a
+	// goroutine whose claim succeeded may read them. roundFn is
+	// runActive, bound once.
+	active  []int
+	end     Time
+	roundFn func(k int)
 }
 
 // NewCoordinator returns a coordinator advancing time in rounds of width
@@ -256,28 +267,32 @@ func (c *Coordinator) nextEventAt() (Time, bool) {
 }
 
 // Run advances all domains to virtual time until. It may be called
-// repeatedly to advance incrementally. In parallel mode the helper
-// goroutines live only for the duration of the call: Run returns after
-// every one of them has exited.
+// repeatedly to advance incrementally. The helper goroutines of either
+// mode live only for the duration of the call: Run returns after every
+// one of them has exited.
 func (c *Coordinator) Run(until Time) {
 	if until <= c.now {
 		return
 	}
+	runsInProgress.Add(1)
+	defer runsInProgress.Add(-1)
 	// Deliver anything posted during construction (sender clocks at zero)
 	// before the first round executes.
 	c.drain()
 
-	var p *roundPool
+	var p *pool
 	if c.parallel {
 		p = c.newRoundPool()
 		defer p.close()
+	} else {
+		defer c.closeFanPool(c.newFanPool())
 	}
 
 	for c.now < until {
 		next, hasNext := c.nextEventAt()
 		end := c.roundEnd(next, hasNext, until)
 		if p != nil {
-			p.round(end)
+			c.round(p, end)
 		} else {
 			for _, d := range c.domains {
 				d.Loop.Run(end)

@@ -94,6 +94,9 @@ type Loop struct {
 	// (e.g. the controller issuing a switch) brackets the originating
 	// calls with SetTrace.
 	curTrace uint64
+	// fan is the pool a serial Coordinator.Run lends this loop's
+	// fan-outs for the length of the call; nil otherwise.
+	fan *pool
 }
 
 // checkOwner panics if the caller is scheduling against a Loop that is
@@ -226,6 +229,34 @@ func (l *Loop) SetTrace(id uint64) uint64 {
 
 // RunFor advances the simulation by d from the current virtual time.
 func (l *Loop) RunFor(d Duration) { l.Run(l.now.Add(d)) }
+
+// Fan calls fn(i) once for every i in [0, n) and returns after every
+// call has returned. The calls may run concurrently: while the loop runs
+// under a serial Coordinator's Run and no other coordinator run is in
+// progress in the process, the Run goroutine and up to GOMAXPROCS−1
+// helper goroutines claim the indices one at a time. Otherwise, and
+// whenever n < 2, they run inline in index order, so a caller must not
+// depend on either.
+//
+// The calls must therefore be independent of each other and of the
+// order they run in: each may read state that none of them writes and
+// write only what no other call touches (a result slot of its own), and
+// none may schedule or cancel events, read the RNG, or call Fan. A panic
+// in a call surfaces on the caller: at once when the calls run inline,
+// and after every other call has finished when they run on
+// helpers. A fan-out allocates nothing; fn should be bound once (a method
+// value kept in a field) rather than built per call.
+func (l *Loop) Fan(n int, fn func(i int)) {
+	if p := l.fan; p != nil && n > 1 && p.lend() {
+		for base := 0; base < n; base += maxJob {
+			p.run(base, min(maxJob, n-base), fn)
+		}
+		return
+	}
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
+}
 
 // Stop makes the current Run call return after the in-flight event
 // completes. Pending events remain queued.

@@ -100,10 +100,16 @@ type PeerBus interface {
 // the run, which SPMD construction duplicates in every process) are
 // delivered receiver-canonically: each process drains its own copy for
 // owned receivers and discards copies destined to remote ones.
+//
+// The owned loops' fan-outs run inline, and the call counts as a run in
+// progress, so no other run's fan-out borrows helpers meanwhile (see
+// Loop.Fan).
 func (c *Coordinator) RunPartitioned(until Time, owned func(*Domain) bool, bus PeerBus) error {
 	if until <= c.now {
 		return nil
 	}
+	runsInProgress.Add(1)
+	defer runsInProgress.Add(-1)
 	own := make([]bool, len(c.domains))
 	for i, d := range c.domains {
 		own[i] = owned(d)

@@ -45,6 +45,15 @@ go test -race -run 'TestCorridorSingleSegmentFallback' .
 # AP positions and the fading delay-rotation table every link shares;
 # one seed of it goes under the race detector.
 go test -race -run 'TestCrowdPins/seed1' .
+# A serial coordinator's Run lends helper goroutines to its domains'
+# fan-outs, and the medium evaluates a PPDU's receivers on them before
+# committing in registration order. Shake the fan-out pool, two-phase
+# delivery against its sequential reference, and one seed of the crowd
+# and boundary-interference pins under the race detector at 1, 2 and 4
+# procs, so helpers are engaged whatever the host's core count.
+go test -race -cpu 1,2,4 -run 'TestFan' ./internal/sim/
+go test -race -cpu 1,2,4 -run 'TestTwoPhaseDeliveryMatchesSequential' ./internal/mac/
+go test -race -cpu 1,2,4 -run 'TestCrowdPins/seed1|TestBoundaryInterferenceParity/seed1' .
 
 # The wire transport carries the cross-process exchange protocol
 # (reconnect, resend, dedup, journal replay). Exchange reads on the
