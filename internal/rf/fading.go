@@ -173,8 +173,16 @@ func NewFaderWith(rot *DelayRotations, p FadingParams, rng *sim.RNG) *Fader {
 		powers[l] /= total
 	}
 
+	// One backing array holds every tap's wave parameters, and taps is
+	// sized up front, so a realization allocates its waves once.
+	f.taps = make([]tap, 0, p.NumTaps)
+	waves := make([]float64, 3*p.NumTaps*p.NumWaves)
 	for l := 0; l < p.NumTaps; l++ {
 		t := tap{ampl: math.Sqrt(powers[l])}
+		w := waves[3*l*p.NumWaves:]
+		t.dirX = w[0:0:p.NumWaves]
+		t.dirY = w[p.NumWaves : p.NumWaves : 2*p.NumWaves]
+		t.phase = w[2*p.NumWaves : 2*p.NumWaves : 3*p.NumWaves]
 		k := 0.0
 		if l == 0 {
 			k = p.RicianK

@@ -79,6 +79,9 @@ func NewShadowing(sigmaDB, corrDistM float64, rng *sim.RNG) *Shadowing {
 	if sigmaDB == 0 {
 		return s
 	}
+	// One backing array holds the three component slices.
+	buf := make([]float64, 3*comps)
+	s.kx, s.ky, s.phase = buf[0:0:comps], buf[comps:comps:2*comps], buf[2*comps:2*comps]
 	for i := 0; i < comps; i++ {
 		// Spatial frequencies spread around 1/corrDist.
 		w := (0.5 + rng.Float64()) * 2 * math.Pi / corrDistM

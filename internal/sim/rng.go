@@ -6,13 +6,33 @@ import "math/rand"
 // each subsystem derives its own with Fork so that adding randomness in one
 // module never perturbs another module's draws, keeping regression results
 // stable across refactors.
+//
+// A stream's content is math/rand's: every draw equals what
+// rand.New(rand.NewSource(seed)) returns for the stream's seed, and the
+// distributions (Float64, NormFloat64, Intn, Perm, …) are math/rand's
+// code. Only the seeding differs. math/rand fills a 607-word register
+// per seed, while the streams a network builds per link draw 2 to ~100
+// words, so a stream computes its first 273 draws straight from the seed
+// and builds the register only when it draws a 274th (see source).
+// TestSourceMatchesMathRand holds the equivalence and TestStreamPins the
+// stream content of fork chains.
+//
+// Seeds are reduced mod 2³¹−1, as math/rand reduces them, so two
+// distinct forks can share a stream.
 type RNG struct {
-	r *rand.Rand
+	r   *rand.Rand
+	src source
 }
 
 // NewRNG returns a stream seeded with seed.
-func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(mix(uint64(seed))))}
+func NewRNG(seed int64) *RNG { return newStream(mix(uint64(seed))) }
+
+// newStream returns the stream of math/rand's source for seed.
+func newStream(seed int64) *RNG {
+	g := &RNG{}
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
 }
 
 // mix is splitmix64: it decorrelates nearby seeds so that Fork("a") and
@@ -33,8 +53,8 @@ func (g *RNG) Fork(label string) *RNG {
 		h ^= uint64(label[i])
 		h *= 1099511628211
 	}
-	h ^= g.r.Uint64()
-	return &RNG{r: rand.New(rand.NewSource(mix(h)))}
+	h ^= g.src.Uint64()
+	return newStream(mix(h))
 }
 
 // Float64 returns a uniform draw in [0,1).
@@ -49,8 +69,9 @@ func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 // ExpFloat64 returns an exponential draw with mean 1.
 func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
 
-// Uint64 returns a uniform 64-bit draw.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
+// Uint64 returns a uniform 64-bit draw. (rand.Rand.Uint64 of a Source64
+// is the source's Uint64, so this skips the indirection.)
+func (g *RNG) Uint64() uint64 { return g.src.Uint64() }
 
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

@@ -41,16 +41,15 @@ go test -race -run 'TestDomain' ./internal/core/
 go test -race -run 'TestDomain' .
 go test -race -run 'TestSingleLoopPins/seed1' .
 go test -race -run 'TestCorridorSingleSegmentFallback' .
-# The crowd pin's split shape runs segment domains concurrently over the
-# AP positions and the fading delay-rotation table every link shares;
-# one seed of it goes under the race detector.
-go test -race -run 'TestCrowdPins/seed1' .
 # A serial coordinator's Run lends helper goroutines to its domains'
 # fan-outs, and the medium evaluates a PPDU's receivers on them before
 # committing in registration order. Shake the fan-out pool, two-phase
 # delivery against its sequential reference, and one seed of the crowd
 # and boundary-interference pins under the race detector at 1, 2 and 4
-# procs, so helpers are engaged whatever the host's core count.
+# procs, so helpers are engaged whatever the host's core count. The
+# crowd pin's split shape also runs segment domains concurrently over
+# the AP positions and the fading delay-rotation table every link
+# shares, so this one ride of it covers that sharing too.
 go test -race -cpu 1,2,4 -run 'TestFan' ./internal/sim/
 go test -race -cpu 1,2,4 -run 'TestTwoPhaseDeliveryMatchesSequential' ./internal/mac/
 go test -race -cpu 1,2,4 -run 'TestCrowdPins/seed1|TestBoundaryInterferenceParity/seed1' .
@@ -75,6 +74,23 @@ go test -run='^$' -bench='^BenchmarkTransportExchange$/^empty$' -benchtime=20000
         if (allocs == "") { print "wire alloc gate: benchmark output missing"; exit 1 }
         printf "wire alloc gate: %d allocs/op (budget 4)\n", allocs
         if (allocs + 0 > 4) { print "wire alloc gate: empty-round exchange allocates more than 4 objects"; exit 1 }
+    }'
+
+# Link-realization allocation gate: one wifi5g link as a network builds
+# it (its fork, then Model.NewLink) allocates ~2.2 KB: three streams
+# that seed lazily and one backing array per fading and shadowing
+# realization. A stream that fills math/rand's 5 KB register per seed,
+# or wave slices grown by append (20 KB in all), blows the 2,800 B
+# budget. Allocation sizes repeat exactly; timings do not, so none is
+# gated.
+go test -run='^$' -bench='^BenchmarkNewLink$/^wifi5g$' -benchtime=2000x -benchmem ./internal/channel/ | awk '
+    /^BenchmarkNewLink\/wifi5g/ {
+        for (i = 2; i <= NF; i++) if ($i == "B/op") bytes = $(i-1)
+    }
+    END {
+        if (bytes == "") { print "link alloc gate: benchmark output missing"; exit 1 }
+        printf "link alloc gate: %d B/op (budget 2800)\n", bytes
+        if (bytes + 0 > 2800) { print "link alloc gate: a wifi5g link realization allocates more than 2800 B"; exit 1 }
     }'
 
 # Flight-recorder/stitching gate: the trace package (ring recorder,
