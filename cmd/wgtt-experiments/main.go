@@ -2,13 +2,13 @@
 // paper's evaluation (§5) against the simulated testbed.
 //
 // The independent runs inside each experiment fan out across CPU cores
-// by default; results are bit-identical to -serial.
+// by default; results are bit-identical to -workers 1.
 //
 // Usage:
 //
 //	wgtt-experiments -list
 //	wgtt-experiments -exp fig13 [-seed 7] [-workers 4]
-//	wgtt-experiments -exp all -serial
+//	wgtt-experiments -exp all -workers 1
 //	wgtt-experiments -run 'fig*'          # glob over names and tags
 //	wgtt-experiments -run table -list     # filtered listing
 package main
@@ -31,8 +31,7 @@ func main() {
 		runPat  = flag.String("run", "", "run the experiments whose name or tag matches this glob (e.g. 'fig*', 'table', 'micro')")
 		seed    = flag.Int64("seed", 1, "simulation seed")
 		list    = flag.Bool("list", false, "list experiments")
-		serial  = flag.Bool("serial", false, "run each experiment's runs serially (bit-identical, for debugging/profiling)")
-		workers = flag.Int("workers", 0, "cap parallel workers per experiment (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "cap parallel workers per experiment (0 = GOMAXPROCS; 1 runs serially, for debugging/profiling)")
 
 		parallelSegments = flag.Bool("parallel-segments", false,
 			"run each multi-segment network's segments as parallel event-loop domains")
@@ -87,8 +86,7 @@ func main() {
 		return
 	}
 
-	opt := wgtt.NewOptions(wgtt.WithSeed(*seed), wgtt.WithSerial(*serial),
-		wgtt.WithWorkers(*workers), wgtt.WithParallelSegments(*parallelSegments))
+	opt := wgtt.Options{Seed: *seed, Exec: wgtt.Exec{Workers: *workers, ParallelSegments: *parallelSegments}}
 	var collector *wgtt.MetricsCollector
 	if *metrics {
 		collector = wgtt.NewMetricsCollector()

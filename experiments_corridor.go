@@ -144,22 +144,16 @@ type CorridorFedResult struct {
 // export retries, routing around the downed trunk — and reports whether
 // every client came out owned.
 func CorridorFederated(opt Options) CorridorFedResult {
-	cfg := DefaultConfig(SchemeWGTT)
-	cfg.Seed = opt.Seed
-	cfg.Segments = []SegmentSpec{{NumAPs: 4}, {NumAPs: 4}, {NumAPs: 4}, {NumAPs: 4}}
-	cfg.Federation.Enabled = true
-	cfg.Federation.Ring = true
-	cfg.Trunk.Faults = FaultSchedule{
-		Outages:   []Outage{{A: 1, B: 2, Start: 2 * Second, End: 4 * Second}},
-		DropProb:  0.02,
-		JitterMax: 40 * Microsecond,
-	}
-	if opt.ParallelSegments {
-		cfg.Domains = core.DomainsParallel
-	}
-	if opt.Mutate != nil {
-		opt.Mutate(&cfg)
-	}
+	cfg := buildConfig(SchemeWGTT, opt, func(c *Config) {
+		c.Segments = []SegmentSpec{{NumAPs: 4}, {NumAPs: 4}, {NumAPs: 4}, {NumAPs: 4}}
+		c.Federation.Enabled = true
+		c.Federation.Ring = true
+		c.Trunk.Faults = FaultSchedule{
+			Outages:   []Outage{{A: 1, B: 2, Start: 2 * Second, End: 4 * Second}},
+			DropProb:  0.02,
+			JitterMax: 40 * Microsecond,
+		}
+	})
 	p := downlinkPlan(cfg, 10*Second, scenario.WorkloadUDP, scenario.DefaultRateMbps,
 		Drive(-scenario.DefaultLeadIn, 0, 25),
 		NewWaypoints([]Waypoint{

@@ -83,7 +83,7 @@ type SchemeSeries struct {
 
 // figTimeseries runs one scheme.
 func figTimeseries(scheme Scheme, opt Options, tcp bool) SchemeSeries {
-	r := crossingRide(buildConfig(scheme, opt), 15, bulk(tcp), scenario.DefaultRateMbps)
+	r := crossingRide(buildConfig(scheme, opt, nil), 15, bulk(tcp), scenario.DefaultRateMbps)
 	n, meter := r.Net, r.meters[0]
 	var s SchemeSeries
 	lastAP := -2
@@ -159,7 +159,7 @@ func Fig16BitrateCDF(opt Options) Fig16Result {
 	jobs := make([]func() [8]int, len(keys))
 	for i, k := range keys {
 		jobs[i] = func() (counts [8]int) {
-			r := crossingRide(buildConfig(k.scheme, opt), 15, bulk(k.tcp), scenario.DefaultRateMbps)
+			r := crossingRide(buildConfig(k.scheme, opt, nil), 15, bulk(k.tcp), scenario.DefaultRateMbps)
 			n := r.Net
 			n.Run(r.Dur)
 			for mcs := 0; mcs < 8; mcs++ {
@@ -215,7 +215,7 @@ type Table2Result struct {
 // keeps the client on the oracle-optimal AP.
 func Table2SwitchingAccuracy(opt Options) Table2Result {
 	measure := func(scheme Scheme, tcp bool) float64 {
-		r := crossingRide(buildConfig(scheme, opt), 15, bulk(tcp), scenario.DefaultRateMbps)
+		r := crossingRide(buildConfig(scheme, opt, nil), 15, bulk(tcp), scenario.DefaultRateMbps)
 		n := r.Net
 		var acc stats.Accuracy
 		sampleEvery(n, 5*Millisecond, func() {

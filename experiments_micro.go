@@ -29,13 +29,7 @@ type Fig2Result struct {
 // Fig2BestAPSwitching samples two adjacent APs' instantaneous ESNR every
 // millisecond while a client crosses their overlap zone at 25 mph.
 func Fig2BestAPSwitching(opt Options) Fig2Result {
-	cfg := DefaultConfig(SchemeWGTT)
-	cfg.Seed = opt.Seed
-	cfg.NumAPs = 2
-	if opt.Mutate != nil {
-		opt.Mutate(&cfg)
-	}
-	n := NewNetwork(cfg)
+	n := NewNetwork(buildConfig(SchemeWGTT, opt, func(c *Config) { c.NumAPs = 2 }))
 	n.AddClient(Drive(0, 0, 25)) // crossing the midpoint zone
 	var r Fig2Result
 	prev := -1
@@ -102,12 +96,7 @@ func Fig4RoamingFailure(opt Options) Fig4Result {
 	jobs := make([]func() outcome, len(res.SpeedsMPH))
 	for i, mph := range res.SpeedsMPH {
 		jobs[i] = func() outcome {
-			cfg := DefaultConfig(SchemeStock80211r)
-			cfg.Seed = opt.Seed
-			cfg.NumAPs = 2
-			if opt.Mutate != nil {
-				opt.Mutate(&cfg)
-			}
+			cfg := buildConfig(SchemeStock80211r, opt, func(c *Config) { c.NumAPs = 2 })
 			r := crossingRide(cfg, mph, scenario.WorkloadUDP, scenario.DefaultRateMbps)
 			n := r.Net
 			var pot []float64
@@ -158,11 +147,7 @@ type Fig10Result struct {
 // Fig10ESNRHeatmap sweeps the road plane and evaluates every AP's
 // large-scale ESNR.
 func Fig10ESNRHeatmap(opt Options) Fig10Result {
-	cfg := DefaultConfig(SchemeWGTT)
-	cfg.Seed = opt.Seed
-	if opt.Mutate != nil {
-		opt.Mutate(&cfg)
-	}
+	cfg := buildConfig(SchemeWGTT, opt, nil)
 	var r Fig10Result
 	for x := -10.0; x <= 62.5; x += 1.25 {
 		r.Xs = append(r.Xs, x)
@@ -257,7 +242,7 @@ func Table1SwitchTime(opt Options, rates []float64) Table1Result {
 	jobs := make([]func() outcome, len(rates))
 	for i, rate := range rates {
 		jobs[i] = func() outcome {
-			r := crossingRide(buildConfig(SchemeWGTT, opt), 15, scenario.WorkloadUDP, rate)
+			r := crossingRide(buildConfig(SchemeWGTT, opt, nil), 15, scenario.WorkloadUDP, rate)
 			r.Net.Run(r.Dur)
 			done := r.Net.FlightRecorder(0).Spans().Completed()
 			m, s := meanStdMs(done)
@@ -347,14 +332,8 @@ func Fig21WindowSize(opt Options, windowsMs []float64) Fig21Result {
 	jobs := make([]func() float64, len(windowsMs))
 	for i, w := range windowsMs {
 		jobs[i] = func() float64 {
-			cfg := buildConfig(SchemeWGTT, Options{
-				Seed: opt.Seed,
-				Mutate: func(c *Config) {
-					c.Controller.Window = Duration(w * float64(Millisecond))
-					if opt.Mutate != nil {
-						opt.Mutate(c)
-					}
-				},
+			cfg := buildConfig(SchemeWGTT, opt, func(c *Config) {
+				c.Controller.Window = Duration(w * float64(Millisecond))
 			})
 			r := crossingRide(cfg, 15, scenario.WorkloadUDP, scenario.DefaultRateMbps)
 			n := r.Net
@@ -406,14 +385,8 @@ func Fig22Hysteresis(opt Options, hystMs []float64) Fig22Result {
 	jobs := make([]func() outcome, len(hystMs))
 	for i, h := range hystMs {
 		jobs[i] = func() outcome {
-			cfg := buildConfig(SchemeWGTT, Options{
-				Seed: opt.Seed,
-				Mutate: func(c *Config) {
-					c.Controller.Hysteresis = Duration(h * float64(Millisecond))
-					if opt.Mutate != nil {
-						opt.Mutate(c)
-					}
-				},
+			cfg := buildConfig(SchemeWGTT, opt, func(c *Config) {
+				c.Controller.Hysteresis = Duration(h * float64(Millisecond))
 			})
 			r := crossingRide(cfg, 15, scenario.WorkloadTCP, 0)
 			r.Net.Run(r.Dur)
@@ -458,16 +431,7 @@ func Fig23APDensity(opt Options, speeds []float64) Fig23Result {
 	}
 	res := Fig23Result{SpeedsMPH: speeds, DenseSpacing: 7.5, SparseSpace: 15}
 	run := func(mutate func(*Config), mph float64) float64 {
-		cfg := buildConfig(SchemeWGTT, Options{
-			Seed: opt.Seed,
-			Mutate: func(c *Config) {
-				mutate(c)
-				if opt.Mutate != nil {
-					opt.Mutate(c)
-				}
-			},
-		})
-		r := crossingRide(cfg, mph, scenario.WorkloadUDP, scenario.DefaultRateMbps)
+		r := crossingRide(buildConfig(SchemeWGTT, opt, mutate), mph, scenario.WorkloadUDP, scenario.DefaultRateMbps)
 		r.Net.Run(r.Dur)
 		return r.goodputs()[0]
 	}

@@ -16,24 +16,20 @@ import (
 )
 
 // Exec is the execution half of an experiment configuration: run-level
-// fan-out (Serial/Workers) and in-run segment parallelism
-// (ParallelSegments). It is the runner's type re-exported, so
-// runner.Options can embed the very same half and no translation layer
-// is needed.
+// fan-out (Workers) and in-run segment parallelism (ParallelSegments).
+// It is the runner's type re-exported, so Options embeds the very same
+// half and no translation layer is needed.
 type Exec = runner.Exec
 
 // Options configure an experiment run: the run-control half (Seed,
-// Mutate) plus the embedded execution half (Serial, Workers,
-// ParallelSegments). Field access is source-compatible with the old flat
-// struct (opt.Serial still works); composite literals name the embedded
-// half explicitly (Options{Seed: 1, Exec: Exec{Serial: true}}) or use
-// NewOptions with functional options.
+// Mutate, Metrics) plus the embedded execution half (Workers,
+// ParallelSegments), e.g. Options{Seed: 1, Exec: Exec{Workers: 1}}.
 type Options struct {
 	// Seed drives every random stream; the same seed reproduces the
 	// same result bit for bit.
 	Seed int64
-	// Mutate, when non-nil, adjusts the network config before building
-	// (used by ablation benches).
+	// Mutate, when non-nil, adjusts the network config before building,
+	// after the experiment's own edits to it (see buildConfig).
 	Mutate func(*Config)
 	// Metrics, when non-nil, enables telemetry on every ride of a
 	// mean-goodput experiment (Fig 13, 17 and 20 and the ablations) and
@@ -43,46 +39,6 @@ type Options struct {
 	Metrics *MetricsCollector
 	// Exec is the execution half; see Exec.
 	Exec
-}
-
-// Option mutates an Options value (functional-options constructor).
-type Option func(*Options)
-
-// NewOptions builds Options from DefaultOptions plus the given options.
-func NewOptions(opts ...Option) Options {
-	o := DefaultOptions()
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return o
-}
-
-// WithSeed sets the experiment seed.
-func WithSeed(seed int64) Option { return func(o *Options) { o.Seed = seed } }
-
-// WithMutate sets the config mutation hook.
-func WithMutate(fn func(*Config)) Option { return func(o *Options) { o.Mutate = fn } }
-
-// WithSerial forces the independent runs inside each experiment to
-// execute one after another on the calling goroutine. Results are
-// bit-identical either way.
-func WithSerial(serial bool) Option { return func(o *Options) { o.Serial = serial } }
-
-// WithWorkers caps the run-level parallel fan-out; <= 0 means GOMAXPROCS.
-func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
-
-// WithParallelSegments runs each multi-segment network's segments as
-// conservative parallel event-loop domains (each sync round's busy
-// segments run on up to GOMAXPROCS goroutines). Single-segment
-// networks run as one domain either way, one round per Run.
-func WithParallelSegments(on bool) Option {
-	return func(o *Options) { o.ParallelSegments = on }
-}
-
-// WithMetrics aggregates per-run telemetry into the collector; see
-// Options.Metrics.
-func WithMetrics(c *MetricsCollector) Option {
-	return func(o *Options) { o.Metrics = c }
 }
 
 // runAll executes arbitrary independent experiment jobs (each building its
@@ -96,8 +52,7 @@ func runAll[R any](opt Options, jobs []func() R) []R {
 type goodputRide struct {
 	scheme Scheme
 	tcp    bool
-	// mutate is the case's own config change, applied before the
-	// caller's Options.Mutate.
+	// mutate is the case's own config change; see buildConfig.
 	mutate func(*Config)
 	// variant names the case in metrics labels; "" names it by scheme.
 	variant string
@@ -134,17 +89,7 @@ func crossAt(mph float64) placement {
 // under "<variant or scheme> <TCP|UDP>".
 func meanGoodputs(opt Options, rides []goodputRide) []float64 {
 	return runner.Map(opt.Exec, rides, func(_ int, g goodputRide) float64 {
-		cfg := DefaultConfig(g.scheme)
-		cfg.Seed = opt.Seed
-		for _, mutate := range []func(*Config){g.mutate, opt.Mutate} {
-			if mutate != nil {
-				mutate(&cfg)
-			}
-		}
-		if opt.ParallelSegments {
-			// After the Mutates, so the option wins over a mode they set.
-			cfg.Domains = core.DomainsParallel
-		}
+		cfg := buildConfig(g.scheme, opt, g.mutate)
 		if opt.Metrics != nil {
 			cfg.Telemetry = true
 		}
@@ -183,24 +128,29 @@ func startAfterWarmup(n *Network, start func()) {
 	n.Loop.After(scenario.DefaultWarmup, start)
 }
 
-// buildConfig is an experiment's config for a scheme: the experiment's
-// seed, domain execution if asked for, then the caller's Mutate.
-func buildConfig(scheme Scheme, opt Options) Config {
+// buildConfig is the one place an experiment's config is made, in a
+// fixed order: the scheme's defaults and the experiment's seed, domain
+// execution if opt.ParallelSegments asks for it, then the case's own
+// mutate (nil for none), and the caller's opt.Mutate last, so the
+// caller's edit wins over the experiment's, as in scenario.Compile.
+func buildConfig(scheme Scheme, opt Options, mutate func(*Config)) Config {
 	cfg := DefaultConfig(scheme)
 	cfg.Seed = opt.Seed
 	if opt.ParallelSegments {
 		cfg.Domains = core.DomainsParallel
 	}
-	if opt.Mutate != nil {
-		opt.Mutate(&cfg)
+	for _, m := range []func(*Config){mutate, opt.Mutate} {
+		if m != nil {
+			m(&cfg)
+		}
 	}
 	return cfg
 }
 
 // buildNetwork constructs a network for a scheme with the experiment's
-// seed.
+// config.
 func buildNetwork(scheme Scheme, opt Options) *Network {
-	return NewNetwork(buildConfig(scheme, opt))
+	return NewNetwork(buildConfig(scheme, opt, nil))
 }
 
 // crossingRide builds the single-vehicle ride most micro-benchmarks use:

@@ -6,12 +6,11 @@ import (
 )
 
 func TestMapOrderAndCompleteness(t *testing.T) {
-	items := make([]int, 257) // odd size: uneven chunks + a remainder
+	items := make([]int, 257) // odd size: workers finish unevenly
 	for i := range items {
 		items[i] = i * 3
 	}
 	for _, opt := range []Exec{
-		{Serial: true},
 		{Workers: 1},
 		{Workers: 2},
 		{Workers: 7},
@@ -47,30 +46,5 @@ func TestMapEachIndexExactlyOnce(t *testing.T) {
 func TestMapEmpty(t *testing.T) {
 	if got := Map(Exec{}, nil, func(int, int) int { return 1 }); got != nil {
 		t.Fatalf("empty input produced %v", got)
-	}
-}
-
-func TestDequePopStealDisjoint(t *testing.T) {
-	var d deque
-	d.bounds.Store(pack(0, 100))
-	seen := make(map[int]bool)
-	for {
-		i, ok := d.pop()
-		if !ok {
-			break
-		}
-		if seen[i] {
-			t.Fatalf("index %d handed out twice", i)
-		}
-		seen[i] = true
-		if j, ok := d.steal(); ok {
-			if seen[j] {
-				t.Fatalf("index %d handed out twice", j)
-			}
-			seen[j] = true
-		}
-	}
-	if len(seen) != 100 {
-		t.Fatalf("%d of 100 indices handed out", len(seen))
 	}
 }

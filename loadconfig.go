@@ -66,52 +66,15 @@ func RegisterFlags(fs *flag.FlagSet, o *DeployOptions) {
 		"note an anomaly when a controller tracks more than N unowned clients (0 disables)")
 }
 
-// sharedFlagNames must list every flag RegisterFlags registers; the
-// config-file overlay keys off it.
-var sharedFlagNames = []string{
-	"scheme", "seed", "segments", "channel",
-	"parallel-segments", "boundary-interference",
-	"federation", "ring-trunk", "trunk-faults",
-	"flight-recorder", "handoff-band", "unowned-spike",
-}
-
-// overlayField copies one option from src when its flag was not set
-// explicitly on the command line.
-func overlayField(name string, dst, src *DeployOptions) {
-	switch name {
-	case "scheme":
-		dst.Scheme = src.Scheme
-	case "seed":
-		dst.Seed = src.Seed
-	case "segments":
-		dst.Segments = src.Segments
-	case "channel":
-		dst.Channel = src.Channel
-	case "parallel-segments":
-		dst.ParallelSegments = src.ParallelSegments
-	case "boundary-interference":
-		dst.BoundaryInterference = src.BoundaryInterference
-	case "federation":
-		dst.Federation = src.Federation
-	case "ring-trunk":
-		dst.RingTrunk = src.RingTrunk
-	case "trunk-faults":
-		dst.TrunkFaults = src.TrunkFaults
-	case "flight-recorder":
-		dst.FlightRecorder = src.FlightRecorder
-	case "handoff-band":
-		dst.HandoffBand = src.HandoffBand
-	case "unowned-spike":
-		dst.UnownedSpike = src.UnownedSpike
-	}
-}
-
 // LoadConfig parses args with the shared flag surface plus -config and
 // resolves a Config with flags > config file > defaults precedence:
-// every shared option not set explicitly on the command line takes the
-// config file's value (when -config is given), and defaults otherwise.
-// Binary-specific flags must be registered on fs before the call; they
-// are parsed alongside but not overlaid from the file.
+// the config file (when -config is given) is decoded over the parsed
+// options, then args are parsed again so every flag set explicitly on
+// the command line wins over the file. Binary-specific flags must be
+// registered on fs before the call; they are parsed alongside, twice
+// when -config is given (so a flag.Value's Set must yield the same value
+// when called again with the same text), and cannot be set from the
+// file.
 //
 // The returned Config is resolved but not validated — binaries apply
 // their own mutations (workload telemetry, serve's domain mode) and
@@ -124,24 +87,19 @@ func LoadConfig(fs *flag.FlagSet, args []string) (Config, DeployOptions, error) 
 		return Config{}, o, err
 	}
 	if *configPath != "" {
-		fileOpts := DefaultDeployOptions()
 		f, err := os.Open(*configPath)
 		if err != nil {
 			return Config{}, o, err
 		}
 		dec := json.NewDecoder(f)
 		dec.DisallowUnknownFields()
-		err = dec.Decode(&fileOpts)
+		err = dec.Decode(&o)
 		f.Close()
 		if err != nil {
 			return Config{}, o, fmt.Errorf("config file %s: %w", *configPath, err)
 		}
-		visited := make(map[string]bool)
-		fs.Visit(func(fl *flag.Flag) { visited[fl.Name] = true })
-		for _, name := range sharedFlagNames {
-			if !visited[name] {
-				overlayField(name, &o, &fileOpts)
-			}
+		if err := fs.Parse(args); err != nil {
+			return Config{}, o, err
 		}
 	}
 	cfg, err := o.Config()

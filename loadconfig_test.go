@@ -1,6 +1,7 @@
 package wgtt
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -60,21 +61,31 @@ func TestLoadConfigRejectsUnknownFileKey(t *testing.T) {
 	}
 }
 
-// TestSharedFlagNamesComplete guards the overlay table against drift:
-// every flag RegisterFlags registers must be listed.
+// TestSharedFlagNamesComplete keeps the config file and the command
+// line one surface: the JSON keys of DeployOptions and the flags
+// RegisterFlags registers must be the same set, so every file key names
+// the flag that overrides it.
 func TestSharedFlagNamesComplete(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	var o DeployOptions
 	RegisterFlags(fs, &o)
-	registered := make(map[string]bool)
-	fs.VisitAll(func(f *flag.Flag) { registered[f.Name] = true })
-	for _, name := range sharedFlagNames {
-		if !registered[name] {
-			t.Errorf("sharedFlagNames lists %q but RegisterFlags does not register it", name)
-		}
-		delete(registered, name)
+	flags := make(map[string]bool)
+	fs.VisitAll(func(f *flag.Flag) { flags[f.Name] = true })
+	data, err := json.Marshal(o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name := range registered {
-		t.Errorf("RegisterFlags registers %q but sharedFlagNames omits it (config-file overlay will miss it)", name)
+	var keys map[string]any
+	if err := json.Unmarshal(data, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for key := range keys {
+		if !flags[key] {
+			t.Errorf("config-file key %q names no flag RegisterFlags registers", key)
+		}
+		delete(flags, key)
+	}
+	for name := range flags {
+		t.Errorf("RegisterFlags registers %q but no config-file key names it", name)
 	}
 }

@@ -130,7 +130,7 @@ func TestParallelSerialParity(t *testing.T) {
 		}
 		t.Run(e.Name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				serial := render(run(Options{Seed: seed, Exec: Exec{Serial: true}}))
+				serial := render(run(Options{Seed: seed, Exec: Exec{Workers: 1}}))
 				parallel := render(run(Options{Seed: seed, Exec: Exec{Workers: 4}}))
 				if serial != parallel {
 					t.Errorf("seed %d: parallel result differs from serial\n%s",

@@ -11,9 +11,9 @@ import (
 // grid over one shared-medium deployment, measuring how simulation cost
 // scales as the node population grows. It exists to quantify the spatial
 // audibility index — with hundreds of APs and a thousand registered
-// clients on one medium, per-PPDU delivery cost is what dominates — and
-// its JSON rendering is checked in as BENCH_scale.json (regenerate with
-// `go run ./cmd/wgtt-benchjson -scale > BENCH_scale.json`).
+// clients on one medium, per-PPDU delivery cost is what dominates. Its
+// cells are checked in as BENCH_scale.json; TestScaleCellPins re-rides
+// the small ones against that file.
 
 // ScaleCell is one (segments × clients) measurement of the scale grid.
 type ScaleCell struct {
@@ -87,17 +87,4 @@ func RunScaleCell(seed int64, segments, clients int, dur Duration) ScaleCell {
 	}
 	cell.Mbps = mean(r.goodputs()[:flows])
 	return cell
-}
-
-// RunScaleGrid rides every segments × clients combination serially (the
-// cells time themselves, so they must not share the machine) and returns
-// the cells in grid order.
-func RunScaleGrid(seed int64, segments, clients []int, dur Duration) []ScaleCell {
-	var out []ScaleCell
-	for _, s := range segments {
-		for _, c := range clients {
-			out = append(out, RunScaleCell(seed, s, c, dur))
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package wgtt
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -307,5 +308,22 @@ func TestFig13RidesTheMutatedRoad(t *testing.T) {
 	if g, w := got.Summary(), want.Summary(); g != w {
 		t.Errorf("Fig 13 on a 16-AP road did not ride its whole crossing\n%s",
 			firstDiffLabeled("16-AP crossing", "fig13", w, g))
+	}
+}
+
+// TestFig23HonorsParallelSegments: Exec.ParallelSegments reaches every
+// experiment's config through buildConfig, so Fig 23's dense→sparse
+// column rides split into per-segment domains exactly as it does under
+// a caller's Mutate that asks for DomainsParallel.
+func TestFig23HonorsParallelSegments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six 15 mph rides")
+	}
+	speeds := []float64{15}
+	got := Fig23APDensity(Options{Seed: 1, Exec: Exec{ParallelSegments: true}}, speeds)
+	want := Fig23APDensity(Options{Seed: 1, Mutate: func(c *Config) { c.Domains = DomainsParallel }}, speeds)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Exec{ParallelSegments: true} rode dense/sparse/segmented %v/%v/%v Mbit/s; a Mutate to DomainsParallel rode %v/%v/%v",
+			got.DenseMbps, got.SparseMbps, got.SegmentedMbps, want.DenseMbps, want.SparseMbps, want.SegmentedMbps)
 	}
 }
