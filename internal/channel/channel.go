@@ -20,9 +20,9 @@
 // The contract a backend must satisfy (DESIGN.md §10): the Max*Bound
 // methods may over-estimate freely but must never under-estimate the
 // corresponding link outputs (audibility-index soundness), all
-// methods must be deterministic functions of (construction RNG, query
-// arguments) so serial and parallel domain execution stay bit-identical,
-// and calls on distinct links may run concurrently.
+// methods must be deterministic functions of (construction RNG forks,
+// query arguments) so serial and parallel domain execution stay
+// bit-identical, and calls on links may run concurrently.
 package channel
 
 import (
@@ -35,18 +35,22 @@ import (
 	"wgtt/internal/sim"
 )
 
-// Link is one AP↔client radio-path realization. It is reciprocal —
-// uplink and downlink see the same instantaneous channel — which is what
-// lets WGTT predict downlink delivery from uplink CSI. Methods take the
-// query time explicitly: the wifi5g backend's channel is purely spatial
-// and ignores it, while the mmwave60g backend's blockage process makes
-// the channel time-varying.
+// Link is one AP↔client radio path. It is reciprocal — uplink and
+// downlink see the same instantaneous channel — which is what lets WGTT
+// predict downlink delivery from uplink CSI. Methods take the query time
+// explicitly: the wifi5g backend's channel is purely spatial and ignores
+// it, while the mmwave60g backend's blockage process makes the channel
+// time-varying.
 //
-// A link is not safe for concurrent use (its fading keeps a scratch
-// buffer), but calls on distinct links may run concurrently: links of one
-// Model share only read-only state. The medium relies on this when it
-// evaluates one PPDU at all its receivers at once, one link per receiver
-// (DESIGN.md §10).
+// A link draws each of its realizations (shadowing, fading, and on
+// mmwave60g the blockage schedule) at the realization's first use, from
+// a stream forked when the link was built, so a link the ride never
+// evaluates never draws. Each draw runs under its own sync.Once, and the
+// methods write nothing else, so a link is safe for concurrent use after
+// DisableFading, if called, has returned; links of one Model share only
+// read-only state. The medium relies on this when it evaluates one PPDU
+// at all its receivers at once and senses a pair and its reverse, one
+// link, from two goroutines (DESIGN.md §10).
 type Link interface {
 	// SubcarrierSNRsDB fills dst (rf.NumSubcarriers long) with the
 	// instantaneous per-subcarrier SNR in dB at the client position.
@@ -97,10 +101,12 @@ type Model interface {
 	Name() string
 	// Rates returns the backend's MCS ladder (never nil).
 	Rates() *phy.Table
-	// NewLink draws an AP↔client radio-path realization from rng. The
-	// backend owns antenna patterns; callers pass only the AP mount
-	// position. The RNG fork discipline inside NewLink is part of the
-	// backend's bit-identity contract.
+	// NewLink builds an AP↔client radio path whose realizations are
+	// drawn from rng's forks: NewLink forks them, and each realization
+	// is drawn from its fork at first use (see Link). The backend owns
+	// antenna patterns; callers pass only the AP mount position. The
+	// RNG fork discipline inside NewLink is part of the backend's
+	// bit-identity contract.
 	NewLink(apPos rf.Position, rng *sim.RNG) Link
 
 	// DetectHeadroomDB bounds how far any per-subcarrier SNR can exceed

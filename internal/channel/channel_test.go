@@ -342,7 +342,7 @@ func TestClientToAPBoundDominatesMean(t *testing.T) {
 				if isMM {
 					// The first blockage interval's edges and middle,
 					// and clear instants around it.
-					ev := mm.blocks[0]
+					ev := mm.schedule()[0]
 					instants = append(instants, ev.start-1, ev.start, (ev.start+ev.end)/2, ev.end-1, ev.end)
 				}
 				for _, now := range instants {

@@ -3,6 +3,7 @@ package channel
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"wgtt/internal/csi"
 	"wgtt/internal/phy"
@@ -156,23 +157,21 @@ func (m *mmwave) Name() string { return "mmwave60g" }
 func (m *mmwave) Rates() *phy.Table { return m.tbl }
 
 // NewLink implements Model. Fork order ("fading", "shadow", "blockage")
-// is fixed: it is part of the backend's determinism contract.
+// is fixed: it is part of the backend's determinism contract. Each
+// realization is drawn from its fork at its first use, as rf.Link's are.
 func (m *mmwave) NewLink(apPos rf.Position, rng *sim.RNG) Link {
-	l := &mmLink{
-		m:      m,
-		apPos:  apPos,
-		fader:  rf.NewFaderWith(m.rot, m.p.Fading, rng.Fork("fading")),
-		shadow: rf.NewShadowing(m.p.ShadowSigmaDB, m.p.ShadowCorrDistM, rng.Fork("shadow")),
-	}
-	l.blocks = drawBlockage(m.p, rng.Fork("blockage"))
+	l := &mmLink{m: m, apPos: apPos}
+	l.fader.Init(m.rot, m.p.Fading, rng.Fork("fading"))
+	l.shadow.Init(m.p.ShadowSigmaDB, m.p.ShadowCorrDistM, rng.Fork("shadow"))
+	l.blockRNG = rng.Fork("blockage")
 	return l
 }
 
 // drawBlockage materializes the renewal process: exponential
 // inter-arrivals at BlockageRatePerSec, exponential durations with mean
-// BlockageMeanDur, over blockageHorizon. The whole schedule is drawn at
-// construction so queries are pure lookups — the property that keeps
-// serial and parallel domain execution bit-identical.
+// BlockageMeanDur, over blockageHorizon. A link draws its whole schedule
+// at its first in-cell query, so queries are pure lookups — the property
+// that keeps serial and parallel domain execution bit-identical.
 func drawBlockage(p MMWaveParams, rng *sim.RNG) []blockEvent {
 	if p.BlockageRatePerSec <= 0 || p.BlockageMeanDur <= 0 {
 		return nil
@@ -192,23 +191,43 @@ func drawBlockage(p MMWaveParams, rng *sim.RNG) []blockEvent {
 	}
 }
 
-// mmLink is one AP↔client 60 GHz path.
+// mmLink is one AP↔client 60 GHz path. Like rf.Link, it forks its
+// streams at construction and draws each realization (fading, shadowing,
+// blockage schedule) at its first use, under a sync.Once of its own, so
+// a link the ride never evaluates inside its cell draws nothing.
 type mmLink struct {
-	m       *mmwave
-	apPos   rf.Position
-	fader   *rf.Fader
-	shadow  *rf.Shadowing
-	blocks  []blockEvent
-	fadeOff bool
+	m         *mmwave
+	apPos     rf.Position
+	fadeOff   bool
+	fader     rf.Fader
+	shadow    rf.Shadowing
+	blockOnce sync.Once
+	blockRNG  *sim.RNG // the schedule's stream; nil once drawn
+	blocks    []blockEvent
+}
+
+// schedule returns the link's blockage schedule, drawing it at the first
+// call.
+func (l *mmLink) schedule() []blockEvent {
+	l.blockOnce.Do(l.drawSchedule)
+	return l.blocks
+}
+
+// drawSchedule draws the blockage schedule. Run it only through
+// l.blockOnce.
+func (l *mmLink) drawSchedule() {
+	l.blocks = drawBlockage(l.m.p, l.blockRNG)
+	l.blockRNG = nil
 }
 
 // blockageDB returns the blockage attenuation active at time now.
 func (l *mmLink) blockageDB(now sim.Time) float64 {
-	i := sort.Search(len(l.blocks), func(i int) bool { return l.blocks[i].start > now })
+	blocks := l.schedule()
+	i := sort.Search(len(blocks), func(i int) bool { return blocks[i].start > now })
 	if i == 0 {
 		return 0
 	}
-	if ev := l.blocks[i-1]; now < ev.end {
+	if ev := blocks[i-1]; now < ev.end {
 		return l.m.p.BlockageDepthDB
 	}
 	return 0

@@ -64,7 +64,8 @@ func (w wifiLink) DisableFading()                                   { w.l.Disabl
 func (w wifiLink) APPos() rf.Position                               { return w.l.APPos() }
 
 // NewLink implements Model. The rf constructor forks "fading" then
-// "shadow" from rng — the order every golden pin depends on.
+// "shadow" from rng — the order every golden pin depends on — and draws
+// each realization from its fork at first use.
 func (m *wifi5g) NewLink(apPos rf.Position, rng *sim.RNG) Link {
 	return wifiLink{rf.NewLinkWith(m.rot, m.p, apPos, m.apAnt, rf.Omni{}, rng)}
 }

@@ -21,8 +21,10 @@ import (
 // distinct receivers of one transmitter, never twice on one pair or its
 // reverse, so per-link scratch state is safe there; SenseSNRdB and
 // SenseBoundDB may run concurrently for any pairs, a pair and its
-// reverse included, so they must write nothing. Everything a call reads,
-// positions included, stays unwritten while a delivery is evaluated.
+// reverse included, so they must write nothing but state a sync.Once
+// guards (a link's first-use realization, DESIGN.md §10). Everything
+// else a call reads, positions included, stays unwritten while a
+// delivery is evaluated.
 type Channel interface {
 	// SubcarrierSNRs fills dst (rf.NumSubcarriers long) with the
 	// per-subcarrier SNR in dB at rx for a transmission from tx, and

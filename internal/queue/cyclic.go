@@ -25,12 +25,18 @@ func IndexDist(a, b uint16) int {
 // and transmits; when a switch start(c,k) arrives, the new AP simply moves
 // its head to k — the backlogged packets are already in its buffer, which
 // is what makes WGTT's handoff nearly instantaneous.
+//
+// Every AP of a segment holds a buffer per associated client, but the
+// controller fans a client's downlink only to the few candidate APs near
+// it, so most buffers never see a packet. The 4,096 index slots (32 KB)
+// are therefore allocated at the first Insert; until then a buffer is its
+// cursors and counters alone.
 type Cyclic struct {
-	slots [packet.IndexMod]*packet.Packet
-	head  uint16 // next index to transmit
-	tail  uint16 // one past the newest inserted index
-	count int    // occupied slots
-	empty bool   // true until first insert
+	slots *[packet.IndexMod]*packet.Packet // nil until the first Insert
+	head  uint16                           // next index to transmit
+	tail  uint16                           // one past the newest inserted index
+	count int                              // occupied slots
+	empty bool                             // true until first insert
 
 	// Stats count buffer events over the queue's lifetime. Plain ints
 	// kept inline (no telemetry handles) so the package stays leaf;
@@ -102,6 +108,9 @@ func (c *Cyclic) Insert(p packet.Packet) {
 			c.Clear()
 		}
 	}
+	if c.slots == nil {
+		c.slots = new([packet.IndexMod]*packet.Packet)
+	}
 	if old := c.slots[idx]; old == nil {
 		c.count++
 	} else {
@@ -163,8 +172,9 @@ func (c *Cyclic) SetHead(k uint16) {
 		c.empty = false
 		return
 	}
-	// Drop slots in [head, k).
-	for c.head != k {
+	// Drop slots in [head, k). An empty buffer holds none to drop (and
+	// may have no slots yet).
+	for c.count > 0 && c.head != k {
 		if IndexDist(c.head, k) <= 0 {
 			break
 		}
@@ -225,13 +235,16 @@ func (c *Cyclic) Head() uint16 { return c.head }
 // Len returns the number of buffered packets at or ahead of the head.
 func (c *Cyclic) Len() int { return c.count }
 
-// Clear empties the buffer (client de-association).
+// Clear empties the buffer (client de-association). The slots, once
+// allocated, are kept for the packets to come.
 func (c *Cyclic) Clear() {
-	for i, cell := range c.slots {
-		if cell != nil {
-			c.release(cell)
+	if c.count > 0 {
+		for i, cell := range c.slots {
+			if cell != nil {
+				c.release(cell)
+				c.slots[i] = nil
+			}
 		}
-		c.slots[i] = nil
 	}
 	c.count = 0
 	c.empty = true

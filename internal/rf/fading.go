@@ -3,6 +3,7 @@ package rf
 import (
 	"math"
 	"math/cmplx"
+	"sync"
 
 	"wgtt/internal/sim"
 )
@@ -55,23 +56,22 @@ type tap struct {
 // delay spread across taps makes the response frequency-selective — the
 // property ESNR exists to capture.
 //
-// A Fader is NOT safe for concurrent use: Gains writes into a scratch
-// buffer owned by the Fader. Distinct Faders share nothing they write
-// (the delay-rotation table is read-only), so calls on distinct Faders
-// may run concurrently. Each simulation run builds its own network (and
-// hence its own Faders) from a per-run forked RNG, so the parallel
-// experiment runner never shares a Fader across goroutines, and a
-// medium evaluating one PPDU at many receivers concurrently uses one
-// link, and so one Fader, per receiver.
+// A Fader built by Init draws its realization at its first Gains, from
+// the stream Init was given; NewFader and NewFaderWith draw it at once.
+// Either way the waves are the same draws in the same order, so when the
+// draw happens moves no float. The draw runs under a sync.Once, and Gains
+// otherwise writes only dst, so a Fader is safe for concurrent use. The
+// delay-rotation table is shared read-only with every other Fader built
+// from it.
 type Fader struct {
-	waveNumber float64 // 2π/λ
-	taps       []tap
+	once sync.Once
+	rng  *sim.RNG // the realization's stream; nil once drawn
+	p    FadingParams
 	// rot is the delay-rotation table (see DelayRotations), shared
 	// read-only with every other Fader built from the same table.
-	rot []complex128
-	// tapGains is the per-call scratch for the taps' spatial gains,
-	// kept on the Fader so Gains is allocation-free.
-	tapGains []complex128
+	rot        *DelayRotations
+	waveNumber float64 // 2π/λ
+	taps       []tap
 }
 
 // FadingParams configures a Fader.
@@ -150,6 +150,18 @@ func NewFader(p FadingParams, rng *sim.RNG) *Fader {
 // from the same FadingParams (NewDelayRotations) and shares between
 // faders. The realization is identical to NewFader's.
 func NewFaderWith(rot *DelayRotations, p FadingParams, rng *sim.RNG) *Fader {
+	f := new(Fader)
+	f.Init(rot, p, rng)
+	f.once.Do(f.draw)
+	return f
+}
+
+// Init sets up f, a zero Fader, to draw its realization from rng at its
+// first use, over rot, a delay-rotation table built from p. f takes rng
+// over: nothing else may draw from it. A link that is never evaluated
+// thus never draws its waves, and one that is draws the realization
+// NewFaderWith would have drawn from the same stream.
+func (f *Fader) Init(rot *DelayRotations, p FadingParams, rng *sim.RNG) {
 	if p.NumTaps < 1 {
 		p.NumTaps = 1
 	}
@@ -159,18 +171,27 @@ func NewFaderWith(rot *DelayRotations, p FadingParams, rng *sim.RNG) *Fader {
 	if rot.numTaps != p.NumTaps || rot.spacing != p.TapSpacingSec {
 		panic("rf: delay rotations built for another tap-delay profile")
 	}
+	f.rng, f.p, f.rot = rng, p, rot
+}
+
+// tapPower returns tap l's share of the exponential power delay profile
+// before normalization to unit total power.
+func tapPower(p FadingParams, l int) float64 {
+	return math.Pow(10, -p.DecayDB*float64(l)/10)
+}
+
+// draw draws the realization from f's stream: per tap, the LOS direction
+// and phase when the tap is Rician, then each wave's direction and phase.
+// Run it only through f.once.
+func (f *Fader) draw() {
+	p, rng := f.p, f.rng
 	lambda := SpeedOfLight / p.FreqHz
-	f := &Fader{waveNumber: 2 * math.Pi / lambda, rot: rot.rot}
+	f.waveNumber = 2 * math.Pi / lambda
 
 	// Exponential power delay profile, normalized to unit total power.
-	powers := make([]float64, p.NumTaps)
 	total := 0.0
-	for l := range powers {
-		powers[l] = math.Pow(10, -p.DecayDB*float64(l)/10)
-		total += powers[l]
-	}
-	for l := range powers {
-		powers[l] /= total
+	for l := 0; l < p.NumTaps; l++ {
+		total += tapPower(p, l)
 	}
 
 	// One backing array holds every tap's wave parameters, and taps is
@@ -178,7 +199,7 @@ func NewFaderWith(rot *DelayRotations, p FadingParams, rng *sim.RNG) *Fader {
 	f.taps = make([]tap, 0, p.NumTaps)
 	waves := make([]float64, 3*p.NumTaps*p.NumWaves)
 	for l := 0; l < p.NumTaps; l++ {
-		t := tap{ampl: math.Sqrt(powers[l])}
+		t := tap{ampl: math.Sqrt(tapPower(p, l) / total)}
 		w := waves[3*l*p.NumWaves:]
 		t.dirX = w[0:0:p.NumWaves]
 		t.dirY = w[p.NumWaves : p.NumWaves : 2*p.NumWaves]
@@ -204,8 +225,7 @@ func NewFaderWith(rot *DelayRotations, p FadingParams, rng *sim.RNG) *Fader {
 		t.amplScatter(scatter, p.NumWaves)
 		f.taps = append(f.taps, t)
 	}
-	f.tapGains = make([]complex128, len(f.taps))
-	return f
+	f.rng = nil
 }
 
 // amplScatter folds the Rician scatter fraction and the 1/√N wave
@@ -236,23 +256,21 @@ func (t *tap) gain(k float64, pos Position) complex128 {
 // square of the gains over positions and realizations is 1, so large-scale
 // power is untouched on average.
 //
-// Gains reuses the Fader's scratch buffer and precomputed delay
-// rotations, so it performs no allocation; see the Fader doc comment for
-// the resulting (single-goroutine) ownership rule.
+// Past the first call, which may draw the realization, Gains allocates
+// nothing and writes only dst.
 func (f *Fader) Gains(pos Position, dst []complex128) {
 	if len(dst) != NumSubcarriers {
 		panic("rf: Gains dst must have NumSubcarriers elements")
 	}
+	f.once.Do(f.draw)
 	dst = dst[:NumSubcarriers]
 	// Evaluate each tap once, then rotate per subcarrier by its delay,
-	// accumulating tap by tap. Every subcarrier still sums
+	// accumulating tap by tap. Every subcarrier sums
 	// ((0 + g₀·r₀) + g₁·r₁) + …, in tap order.
-	for l := range f.taps {
-		f.tapGains[l] = f.taps[l].gain(f.waveNumber, pos)
-	}
 	clear(dst)
-	for l, g := range f.tapGains {
-		row := f.rot[l*NumSubcarriers:][:NumSubcarriers]
+	for l := range f.taps {
+		g := f.taps[l].gain(f.waveNumber, pos)
+		row := f.rot.rot[l*NumSubcarriers:][:NumSubcarriers]
 		for i, r := range row {
 			dst[i] += g * r
 		}
@@ -286,16 +304,14 @@ func MaxFadeDB(p FadingParams) float64 {
 	if p.NumWaves < 1 {
 		p.NumWaves = 1
 	}
-	// Mirror NewFader's power normalization exactly.
-	powers := make([]float64, p.NumTaps)
+	// Mirror the realization's power normalization exactly.
 	total := 0.0
-	for l := range powers {
-		powers[l] = math.Pow(10, -p.DecayDB*float64(l)/10)
-		total += powers[l]
+	for l := 0; l < p.NumTaps; l++ {
+		total += tapPower(p, l)
 	}
 	sum := 0.0
-	for l := range powers {
-		ampl := math.Sqrt(powers[l] / total)
+	for l := 0; l < p.NumTaps; l++ {
+		ampl := math.Sqrt(tapPower(p, l) / total)
 		k := 0.0
 		if l == 0 {
 			k = p.RicianK

@@ -2,6 +2,7 @@ package rf
 
 import (
 	"math"
+	"sync"
 
 	"wgtt/internal/sim"
 )
@@ -56,12 +57,18 @@ func (p Params) MaxShadowDB() float64 {
 // driving by sees shadowing evolve at the ~10 m scale (Gudmundson model
 // behaviour) rather than flickering packet to packet. Exported so channel
 // backends other than the default can reuse the realization machinery.
+//
+// Like a Fader, a Shadowing built by Init draws its components at its
+// first DB, under a sync.Once, so it is safe for concurrent use; the
+// components live in fixed arrays, so the draw allocates nothing.
 type Shadowing struct {
-	sigma float64
-	kx    []float64
-	ky    []float64
-	phase []float64
-	norm  float64
+	once     sync.Once
+	rng      *sim.RNG // the realization's stream; nil once drawn
+	sigma    float64
+	corrDist float64
+	kx       [shadowComps]float64
+	ky       [shadowComps]float64
+	phase    [shadowComps]float64
 }
 
 // shadowComps is the number of sinusoid components in the shadowing
@@ -72,50 +79,71 @@ const shadowComps = 8
 // the matching MaxShadowDB-style bound: sigma·√(2·ShadowComps).
 const ShadowComps = shadowComps
 
+// shadowNorm scales the component sum to unit variance.
+var shadowNorm = math.Sqrt(2.0 / shadowComps)
+
 // NewShadowing draws a shadowing realization from rng.
 func NewShadowing(sigmaDB, corrDistM float64, rng *sim.RNG) *Shadowing {
-	const comps = shadowComps
-	s := &Shadowing{sigma: sigmaDB, norm: math.Sqrt(2.0 / comps)}
-	if sigmaDB == 0 {
-		return s
-	}
-	// One backing array holds the three component slices.
-	buf := make([]float64, 3*comps)
-	s.kx, s.ky, s.phase = buf[0:0:comps], buf[comps:comps:2*comps], buf[2*comps:2*comps]
-	for i := 0; i < comps; i++ {
-		// Spatial frequencies spread around 1/corrDist.
-		w := (0.5 + rng.Float64()) * 2 * math.Pi / corrDistM
-		ang := 2 * math.Pi * rng.Float64()
-		s.kx = append(s.kx, w*math.Cos(ang))
-		s.ky = append(s.ky, w*math.Sin(ang))
-		s.phase = append(s.phase, 2*math.Pi*rng.Float64())
-	}
+	s := new(Shadowing)
+	s.Init(sigmaDB, corrDistM, rng)
+	s.once.Do(s.draw)
 	return s
+}
+
+// Init sets up s, a zero Shadowing, to draw its realization from rng at
+// its first use. s takes rng over: nothing else may draw from it. A zero
+// sigmaDB draws nothing, ever.
+func (s *Shadowing) Init(sigmaDB, corrDistM float64, rng *sim.RNG) {
+	s.rng, s.sigma, s.corrDist = rng, sigmaDB, corrDistM
+}
+
+// draw draws the components from s's stream. Run it only through s.once.
+func (s *Shadowing) draw() {
+	if s.sigma != 0 {
+		for i := range s.kx {
+			// Spatial frequencies spread around 1/corrDist.
+			w := (0.5 + s.rng.Float64()) * 2 * math.Pi / s.corrDist
+			ang := 2 * math.Pi * s.rng.Float64()
+			s.kx[i] = w * math.Cos(ang)
+			s.ky[i] = w * math.Sin(ang)
+			s.phase[i] = 2 * math.Pi * s.rng.Float64()
+		}
+	}
+	s.rng = nil
 }
 
 // DB evaluates the shadowing process in dB at a position.
 func (s *Shadowing) DB(pos Position) float64 {
-	if s.sigma == 0 || len(s.kx) == 0 {
+	if s.sigma == 0 {
 		return 0
 	}
+	s.once.Do(s.draw)
 	sum := 0.0
 	for i := range s.kx {
 		sum += math.Sin(s.kx[i]*pos.X + s.ky[i]*pos.Y + s.phase[i])
 	}
-	return s.sigma * s.norm * sum
+	return s.sigma * shadowNorm * sum
 }
 
 // Link is the radio path between one AP and one client. It is reciprocal:
 // uplink and downlink see the same instantaneous channel, which is what
 // lets WGTT predict downlink delivery from uplink CSI.
+//
+// A link forks its fading and shadowing streams when it is built, and
+// draws each realization from its stream at the realization's first use:
+// the shadowing at the first MeanSNRdB, the fading at the first fill. A
+// network builds a link for every client×AP pair but evaluates far fewer,
+// so most links never draw. Each draw runs under its own sync.Once, and
+// past it every method writes nothing, so a Link is safe for concurrent
+// use once DisableFading (if called) has returned.
 type Link struct {
 	params  Params
 	apPos   Position
 	apAnt   Antenna
 	cliAnt  Antenna
-	fader   *Fader
-	shadow  *Shadowing
 	fadeOff bool
+	fader   Fader
+	shadow  Shadowing
 }
 
 // NewLink creates the radio path between an AP (fixed position and antenna)
@@ -126,16 +154,14 @@ func NewLink(p Params, apPos Position, apAnt Antenna, cliAnt Antenna, rng *sim.R
 }
 
 // NewLinkWith is NewLink whose fader shares rot, a delay-rotation table
-// built from p.Fading (see NewFaderWith). The realization is identical.
+// built from p.Fading (see NewFaderWith). It forks "fading" then
+// "shadow" from rng, and each realization is the one NewFaderWith and
+// NewShadowing would draw from its fork.
 func NewLinkWith(rot *DelayRotations, p Params, apPos Position, apAnt Antenna, cliAnt Antenna, rng *sim.RNG) *Link {
-	return &Link{
-		params: p,
-		apPos:  apPos,
-		apAnt:  apAnt,
-		cliAnt: cliAnt,
-		fader:  NewFaderWith(rot, p.Fading, rng.Fork("fading")),
-		shadow: NewShadowing(p.ShadowSigmaDB, p.ShadowCorrDistM, rng.Fork("shadow")),
-	}
+	l := &Link{params: p, apPos: apPos, apAnt: apAnt, cliAnt: cliAnt}
+	l.fader.Init(rot, p.Fading, rng.Fork("fading"))
+	l.shadow.Init(p.ShadowSigmaDB, p.ShadowCorrDistM, rng.Fork("shadow"))
+	return l
 }
 
 // DisableFading freezes small-scale fading at unit gain; used by tests and

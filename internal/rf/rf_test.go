@@ -217,7 +217,7 @@ func TestFaderGainsMatchesDefinition(t *testing.T) {
 			for i := range got {
 				var want complex128
 				for l := range f.taps {
-					want += f.taps[l].gain(f.waveNumber, pos) * f.rot[l*NumSubcarriers+i]
+					want += f.taps[l].gain(f.waveNumber, pos) * f.rot.rot[l*NumSubcarriers+i]
 				}
 				if got[i] != want {
 					t.Fatalf("%d taps, pos %v, subcarrier %d: Gains %v, definition %v", p.NumTaps, pos, i, got[i], want)
@@ -349,5 +349,70 @@ func TestBestAPFlipsAtMillisecondScale(t *testing.T) {
 	}
 	if flips < 5 {
 		t.Errorf("best AP flipped only %d times in 500 ms at 25 mph, want ≥5", flips)
+	}
+}
+
+// TestLinkRealizesFromItsForks holds NewLinkWith's fork discipline under
+// lazy realization. The link forks "fading" then "shadow" at
+// construction, leaving its parent stream where two forks leave it, and
+// draws nothing more until used. Whichever method runs first, its
+// realizations then equal the ones NewFaderWith and NewShadowing draw at
+// once from the same forks, and a link whose fading is disabled never
+// draws its waves.
+func TestLinkRealizesFromItsForks(t *testing.T) {
+	p := DefaultParams()
+	rot := NewDelayRotations(p.Fading)
+	apPos := Position{X: 0, Y: 18}
+	for _, first := range []string{"MeanSNRdB", "SubcarrierSNRsDB", "FillSubcarrierSNRsDB", "SNRdB", "DisableFading"} {
+		eager := sim.NewRNG(5)
+		fader := NewFaderWith(rot, p.Fading, eager.Fork("fading"))
+		shadow := NewShadowing(p.ShadowSigmaDB, p.ShadowCorrDistM, eager.Fork("shadow"))
+		parent := sim.NewRNG(5)
+		l := NewLinkWith(rot, p, apPos, DefaultParabolic(-90), Omni{}, parent)
+		if parent.Uint64() != eager.Uint64() {
+			t.Fatalf("%s: NewLinkWith moved its parent stream unlike two forks", first)
+		}
+		if l.fader.taps != nil || l.shadow.rng == nil {
+			t.Fatalf("%s: a fresh link drew a realization", first)
+		}
+		pos := Position{X: 3, Y: 0.5}
+		var snrs [NumSubcarriers]float64
+		switch first {
+		case "MeanSNRdB":
+			l.MeanSNRdB(pos)
+			if l.fader.taps != nil {
+				t.Fatal("MeanSNRdB drew the fading")
+			}
+		case "SubcarrierSNRsDB":
+			l.SubcarrierSNRsDB(pos, snrs[:])
+		case "FillSubcarrierSNRsDB":
+			l.FillSubcarrierSNRsDB(pos, 20, snrs[:])
+			if l.shadow.rng == nil {
+				t.Fatal("a fill drew the shadowing")
+			}
+		case "SNRdB":
+			l.SNRdB(pos)
+		case "DisableFading":
+			l.DisableFading()
+		}
+		var a, b [NumSubcarriers]complex128
+		for i := 0; i < 100; i++ {
+			pos := Position{X: float64(i)*0.37 - 15, Y: float64(i%7) * 0.5}
+			if got, want := l.shadow.DB(pos), shadow.DB(pos); got != want {
+				t.Fatalf("%s: shadowing %v at %v, eager realization %v", first, got, pos, want)
+			}
+			l.SubcarrierSNRsDB(pos, snrs[:])
+			if first == "DisableFading" {
+				continue
+			}
+			l.fader.Gains(pos, a[:])
+			fader.Gains(pos, b[:])
+			if a != b {
+				t.Fatalf("%s: fading gains at %v differ from the eager realization", first, pos)
+			}
+		}
+		if first == "DisableFading" && l.fader.taps != nil {
+			t.Error("a link with fading disabled drew its waves")
+		}
 	}
 }
