@@ -91,12 +91,16 @@ type clientState struct {
 
 // awaitBA tracks the in-flight downlink aggregate.
 type awaitBA struct {
-	client   *clientState
-	sent     []mac.MPDU
-	rate     phy.Rate
-	timer    *sim.Event
-	extended bool
-	start    uint16 // BA window start (first MPDU seq)
+	client *clientState
+	sent   []mac.MPDU
+	rate   phy.Rate
+	// timer is the BA deadline, an AtKeep event the record re-arms for
+	// every aggregate and for the ForwardBAs extension; onDeadline is
+	// baDeadline for this record, bound once.
+	timer      *sim.Event
+	onDeadline func()
+	extended   bool
+	start      uint16 // BA window start (first MPDU seq)
 }
 
 // AP is one WGTT access point.
@@ -123,15 +127,22 @@ type AP struct {
 	met apMetrics
 
 	// Send-side scratch reused across bh.Send calls (which serialize
-	// synchronously): one CSI report and one uplink tunnel shell.
+	// synchronously): one CSI report, one uplink tunnel shell and one
+	// shell for the backlog a stop returns.
 	csiOut packet.CSIReport
 	upOut  packet.UplinkData
+	dlOut  packet.DownlinkData
 
 	clients map[packet.MAC]*clientState
 	order   []packet.MAC // round-robin order
 	rrNext  int
 	busy    bool
 	await   *awaitBA
+	// baWait is the BA-wait record await points at while an aggregate
+	// is in flight, reused for every aggregate (see txop); txopFn is
+	// txop, bound at the first kick.
+	baWait *awaitBA
+	txopFn func()
 
 	// Data-plane stats; the switch protocol's are Rec's counts.
 	// RateMPDUs counts transmitted MPDUs per MCS (Fig. 16's link
@@ -330,10 +341,8 @@ func (a *AP) onStop(m *packet.Stop) {
 					break
 				}
 				a.met.fwdBytes.Add(int64(p.WireLen()))
-				a.bh.Send(a.self, a.fabric.Controller(), &packet.DownlinkData{
-					Client: m.Client,
-					Inner:  p,
-				})
+				a.dlOut = packet.DownlinkData{Client: m.Client, Inner: p}
+				a.bh.Send(a.self, a.fabric.Controller(), &a.dlOut)
 			}
 			return
 		}
@@ -394,7 +403,10 @@ func (a *AP) kick() {
 		return
 	}
 	a.busy = true
-	a.medium.Contend(a.node, phy.CWMin, a.txop)
+	if a.txopFn == nil {
+		a.txopFn = a.txop
+	}
+	a.medium.Contend(a.node, phy.CWMin, a.txopFn)
 }
 
 // nextServableIdx finds the next round-robin client with pending traffic.
@@ -441,9 +453,19 @@ func (a *AP) txop() {
 	a.met.aggregates.Inc()
 	a.met.mpdus.Add(int64(len(mpdus)))
 	a.RateMPDUs[rate.MCS] += len(mpdus)
-	aw := &awaitBA{client: cs, sent: mpdus, rate: rate, start: mpdus[0].Seq}
+	// One aggregate is in flight at a time (busy), and finishAggregate,
+	// the only path that settles it, cancels its timer if it has not
+	// fired, so the previous use of the record and of its timer event is
+	// over and both are reused.
+	aw := a.baWait
+	if aw == nil {
+		aw = &awaitBA{}
+		aw.onDeadline = func() { a.baDeadline(aw) }
+		a.baWait = aw
+	}
+	aw.client, aw.sent, aw.rate, aw.start, aw.extended = cs, mpdus, rate, mpdus[0].Seq, false
 	deadline := t.End.Add(phy.SIFS + phy.BlockAckAirtime + a.cfg.BAWaitMargin)
-	aw.timer = a.loop.At(deadline, func() { a.baDeadline(aw) })
+	aw.timer = a.loop.Rearm(aw.timer, deadline, aw.onDeadline)
 	a.await = aw
 }
 
@@ -456,7 +478,7 @@ func (a *AP) baDeadline(aw *awaitBA) {
 	}
 	if a.cfg.ForwardBAs && !aw.extended {
 		aw.extended = true
-		aw.timer = a.loop.After(a.cfg.BAForwardWait, func() { a.baDeadline(aw) })
+		aw.timer = a.loop.Rearm(aw.timer, a.loop.Now().Add(a.cfg.BAForwardWait), aw.onDeadline)
 		return
 	}
 	a.finishAggregate(aw, mac.BAInfo{StartSeq: aw.start, Bitmap: 0})
@@ -471,7 +493,7 @@ func (a *AP) finishAggregate(aw *awaitBA, ba mac.BAInfo) {
 	a.await = nil
 	a.loop.Cancel(aw.timer)
 	res := aw.client.agg.ProcessBA(aw.sent, ba)
-	if n := len(res.DroppedPkts); n > 0 {
+	if n := res.DroppedCount; n > 0 {
 		a.met.mpdusDrop.Add(int64(n))
 	}
 	aw.client.rates.Feedback(a.loop.Now(), aw.rate, len(aw.sent), res.AckedCount)

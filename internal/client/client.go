@@ -67,6 +67,11 @@ type Client struct {
 	alive func() bool
 	// keepaliveEv is the pending keepalive timer, canceled on Detach.
 	keepaliveEv *sim.Event
+	// keepaliveFn is keepalive, bound when New first schedules it, and
+	// txopFn the grant callback txopCB binds, so re-arming either
+	// allocates nothing.
+	keepaliveFn func()
+	txopFn      func()
 	// tasks are the migration-safe timers scheduled through Sched:
 	// Detach cancels their loop events, Attach re-arms them on the new
 	// owner's loop (in insertion order, no earlier than its now).
@@ -96,12 +101,14 @@ type Client struct {
 	busy     bool
 	await    *awaitBA
 	lastTxAt sim.Time
+	// baWait is the BA-wait record await points at while an aggregate
+	// is in flight, reused for every aggregate (see txop).
+	baWait *awaitBA
 
-	// Downlink receive path.
-	dupMAC map[dupKey]bool // recent (transmitter, seq) pairs
-	dupSeq []dupKey        // eviction ring
-	dupIP  map[packet.DedupKey]bool
-	dupIPQ []packet.DedupKey
+	// Downlink receive path: the MAC-level filter of recent
+	// (transmitter, seq) pairs and the IP-level one of recent packets.
+	dupMAC dupWindow[dupKey]
+	dupIP  dupWindow[packet.DedupKey]
 
 	ipid uint16
 
@@ -122,10 +129,40 @@ type dupKey struct {
 	seq uint16
 }
 
+// dupWindow is a duplicate filter over the last size keys remembered:
+// seen holds them, and ring holds them in insertion order. ring grows to
+// size and then wraps, head marking its oldest key, so the window never
+// reallocates once full.
+type dupWindow[K comparable] struct {
+	seen map[K]bool
+	ring []K
+	head int
+}
+
+// remember adds k to the window; when that makes the window hold more
+// than size keys, the oldest is evicted after k is inserted.
+func (w *dupWindow[K]) remember(k K, size int) {
+	w.seen[k] = true
+	if len(w.ring) < size {
+		w.ring = append(w.ring, k)
+		return
+	}
+	old := w.ring[w.head]
+	w.ring[w.head] = k
+	if w.head++; w.head == size {
+		w.head = 0
+	}
+	delete(w.seen, old)
+}
+
 type awaitBA struct {
-	sent  []mac.MPDU
-	rate  phy.Rate
-	timer *sim.Event
+	sent []mac.MPDU
+	rate phy.Rate
+	// timer is the BA deadline, an AtKeep event the record re-arms for
+	// every aggregate; onTimeout is baTimeout for this record, bound
+	// once.
+	timer     *sim.Event
+	onTimeout func()
 }
 
 // New creates a client and registers its radio on the medium.
@@ -143,8 +180,8 @@ func New(id int, loop *sim.Loop, medium *mac.Medium, traj mobility.Trajectory, c
 		upQ:        queue.NewFIFO[packet.Packet](cfg.UplinkQueueCap),
 		agg:        mac.NewAggregator(),
 		rates:      phy.NewMinstrelFor(cfg.Rates, rng.Fork("minstrel")),
-		dupMAC:     make(map[dupKey]bool),
-		dupIP:      make(map[packet.DedupKey]bool),
+		dupMAC:     dupWindow[dupKey]{seen: make(map[dupKey]bool)},
+		dupIP:      dupWindow[packet.DedupKey]{seen: make(map[packet.DedupKey]bool)},
 		AcceptFrom: func(*mac.Node) bool { return true },
 		UplinkDst:  packet.BSSID,
 	}
@@ -162,7 +199,8 @@ func New(id int, loop *sim.Loop, medium *mac.Medium, traj mobility.Trajectory, c
 		// Real clients emit DHCP/ARP traffic right after associating;
 		// that first uplink frame is what lets the controller adopt
 		// the client immediately.
-		c.keepaliveEv = loop.After(sim.Millisecond, c.keepalive)
+		c.keepaliveFn = c.keepalive
+		c.keepaliveEv = loop.After(sim.Millisecond, c.keepaliveFn)
 	}
 	return c
 }
@@ -174,7 +212,7 @@ func (c *Client) Now() sim.Time { return c.loop.Now() }
 
 // SetAlive installs the owning domain's liveness check (see the alive
 // field). Pass nil where the client never migrates.
-func (c *Client) SetAlive(fn func() bool) { c.alive = fn }
+func (c *Client) SetAlive(fn func() bool) { c.alive, c.txopFn = fn, nil }
 
 // Detach removes the client from its current loop and medium ahead of a
 // cross-domain migration: the radio is unregistered (silencing in-flight
@@ -195,7 +233,7 @@ func (c *Client) Detach() {
 		c.rates.Feedback(c.loop.Now(), aw.rate, len(aw.sent), 0)
 	}
 	c.busy = false
-	c.alive = nil
+	c.alive, c.txopFn = nil, nil
 	for _, t := range c.tasks {
 		if t.ev != nil {
 			c.loop.Cancel(t.ev)
@@ -210,12 +248,12 @@ func (c *Client) Detach() {
 func (c *Client) Attach(loop *sim.Loop, medium *mac.Medium, alive func() bool) {
 	c.loop = loop
 	c.medium = medium
-	c.alive = alive
+	c.alive, c.txopFn = alive, nil
 	medium.Register(c.node)
 	if c.cfg.KeepaliveInterval > 0 {
 		// As in New: an early first keepalive lets the new segment's
 		// controller adopt the client quickly.
-		c.keepaliveEv = loop.After(sim.Millisecond, c.keepalive)
+		c.keepaliveEv = loop.After(sim.Millisecond, c.keepaliveFn)
 	}
 	for _, t := range c.tasks {
 		c.armTask(t)
@@ -256,7 +294,7 @@ func (c *Client) keepalive() {
 		c.KeepalivesSent++
 		c.kick()
 	}
-	c.keepaliveEv = c.loop.After(c.cfg.KeepaliveInterval, c.keepalive)
+	c.keepaliveEv = c.loop.After(c.cfg.KeepaliveInterval, c.keepaliveFn)
 }
 
 // kick starts the uplink transmit loop if idle.
@@ -265,18 +303,28 @@ func (c *Client) kick() {
 		return
 	}
 	c.busy = true
-	if alive := c.alive; alive != nil {
-		// The grant may fire after this client migrated away (and even
-		// after it migrated back); only the generation-scoped alive
-		// check distinguishes the stale grant from a live one.
-		c.medium.Contend(c.node, phy.CWMin, func() {
-			if alive() {
-				c.txop()
+	c.medium.Contend(c.node, phy.CWMin, c.txopCB())
+}
+
+// txopCB returns txop as a contention-grant callback, bound once per
+// residency: SetAlive, Attach and Detach drop the binding. A grant may
+// fire after this client migrated away (and even after it migrated
+// back); only the generation-scoped alive check distinguishes the stale
+// grant from a live one, so under a liveness check the callback runs
+// txop only while the check it was bound with still holds.
+func (c *Client) txopCB() func() {
+	if c.txopFn == nil {
+		if alive := c.alive; alive != nil {
+			c.txopFn = func() {
+				if alive() {
+					c.txop()
+				}
 			}
-		})
-		return
+		} else {
+			c.txopFn = c.txop
+		}
 	}
-	c.medium.Contend(c.node, phy.CWMin, c.txop)
+	return c.txopFn
 }
 
 // txop builds and transmits one uplink aggregate.
@@ -299,8 +347,18 @@ func (c *Client) txop() {
 	c.UplinkPPDUs++
 	c.lastTxAt = c.loop.Now()
 	deadline := t.End.Add(phy.SIFS + phy.BlockAckAirtime + c.cfg.BAWaitMargin)
-	aw := &awaitBA{sent: mpdus, rate: rate}
-	aw.timer = c.loop.At(deadline, func() { c.baTimeout(aw) })
+	// One aggregate is in flight at a time (busy), and every path that
+	// settles it (BA, timeout, Detach) fires or cancels its timer, so
+	// the previous use of the record and of its timer event is over and
+	// both are reused.
+	aw := c.baWait
+	if aw == nil {
+		aw = &awaitBA{}
+		aw.onTimeout = func() { c.baTimeout(aw) }
+		c.baWait = aw
+	}
+	aw.sent, aw.rate = mpdus, rate
+	aw.timer = c.loop.Rearm(aw.timer, deadline, aw.onTimeout)
 	c.await = aw
 }
 
@@ -381,19 +439,19 @@ func (c *Client) onDownlinkData(t *mac.Transmission, det mac.Detection) {
 		anyOK = true
 		m := &t.MPDUs[i]
 		k := dupKey{tx: t.Tx, seq: m.Seq}
-		if c.dupMAC[k] {
+		if c.dupMAC.seen[k] {
 			c.RxDuplicates++
 			c.RxDupMAC++
 			continue // MAC retransmission of a frame we already have
 		}
-		c.rememberMAC(k)
+		c.dupMAC.remember(k, macDedupWindow)
 		ik := m.Pkt.DedupKey()
-		if c.dupIP[ik] {
+		if c.dupIP.seen[ik] {
 			c.RxDuplicates++
 			c.RxDupIP++
 			continue // same IP packet via another AP
 		}
-		c.rememberIP(ik)
+		c.dupIP.remember(ik, ipDedupWindow)
 		c.RxMPDUs++
 		c.RxBytes += int64(m.Pkt.WireLen())
 		if c.OnPacket != nil {
@@ -435,24 +493,6 @@ const (
 	macDedupWindow = 1024
 	ipDedupWindow  = 4096
 )
-
-func (c *Client) rememberMAC(k dupKey) {
-	c.dupMAC[k] = true
-	c.dupSeq = append(c.dupSeq, k)
-	if len(c.dupSeq) > macDedupWindow {
-		delete(c.dupMAC, c.dupSeq[0])
-		c.dupSeq = c.dupSeq[1:]
-	}
-}
-
-func (c *Client) rememberIP(k packet.DedupKey) {
-	c.dupIP[k] = true
-	c.dupIPQ = append(c.dupIPQ, k)
-	if len(c.dupIPQ) > ipDedupWindow {
-		delete(c.dupIP, c.dupIPQ[0])
-		c.dupIPQ = c.dupIPQ[1:]
-	}
-}
 
 // DebugState exposes internal flags for test diagnostics.
 func (c *Client) DebugState() (busy bool, awaiting bool, qlen int, retries int) {

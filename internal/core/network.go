@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"wgtt/internal/ap"
 	"wgtt/internal/backhaul"
@@ -239,7 +239,8 @@ func NewNetwork(cfg Config) (*Network, error) {
 		// After Build, so each patrol's first tick follows the plane
 		// timers in its loop's event order.
 		for _, sd := range n.segs {
-			sd.dom.Loop.After(patrolInterval, sd.patrol)
+			sd.patrolFn = sd.patrol
+			sd.dom.Loop.After(patrolInterval, sd.patrolFn)
 		}
 	}
 	return n, nil
@@ -322,7 +323,12 @@ func (n *Network) AddClient(traj mobility.Trajectory) *Client {
 	pos := traj.Pos(n.Loop.Now())
 	seg := n.Deploy.SegmentOfAP(n.nearestAP(pos))
 	home := n.segs[seg.Index]
-	cl := client.New(id, home.dom.Loop, home.medium, traj, n.Cfg.Client, n.rng.Fork(fmt.Sprintf("client%d", id)))
+	// The fork labels are built with strconv into a stack buffer: the
+	// bytes fmt's "client%d" and "link-%d-%d" would produce, without
+	// fmt's cost on every link.
+	var lb [32]byte
+	label := strconv.AppendInt(append(lb[:0], "client"...), int64(id), 10)
+	cl := client.New(id, home.dom.Loop, home.medium, traj, n.Cfg.Client, n.rng.Fork(string(label)))
 	c := &Client{Client: cl, Traj: traj, demux: make(map[uint16]func(packet.Packet))}
 	cl.OnPacket = func(p packet.Packet) {
 		if fn := c.demux[p.DstPort]; fn != nil {
@@ -334,7 +340,9 @@ func (n *Network) AddClient(traj mobility.Trajectory) *Client {
 	// Per-AP radio links for this client, in global AP order.
 	row := make([]channel.Link, len(n.apPos))
 	for i, apPos := range n.apPos {
-		row[i] = n.model.NewLink(apPos, n.rng.Fork(fmt.Sprintf("link-%d-%d", i, id)))
+		label = strconv.AppendInt(append(lb[:0], "link-"...), int64(i), 10)
+		label = strconv.AppendInt(append(label, '-'), int64(id), 10)
+		row[i] = n.model.NewLink(apPos, n.rng.Fork(string(label)))
 	}
 	n.links = append(n.links, row)
 	n.Clients = append(n.Clients, c)

@@ -51,8 +51,9 @@ type segDomain struct {
 	resident map[*client.Client]uint64
 	nextGen  uint64
 	// order lists owned clients in adoption order, the deterministic
-	// iteration order for the patrol.
-	order []*Client
+	// iteration order for the patrol; patrolFn is patrol, bound once.
+	order    []*Client
+	patrolFn func()
 
 	toPrev   *sim.Mailbox // nil on the first segment
 	toNext   *sim.Mailbox // nil on the last segment
@@ -190,7 +191,7 @@ func (s *segDomain) adopt(c *Client) {
 // immediately (Detach) and the adoption lands one lookahead later in the
 // neighbour; the controllers' claim protocol follows on its own.
 func (s *segDomain) patrol() {
-	s.dom.Loop.After(patrolInterval, s.patrol)
+	s.dom.Loop.After(patrolInterval, s.patrolFn)
 	now := s.dom.Loop.Now()
 	kept := s.order[:0]
 	for _, c := range s.order {

@@ -337,14 +337,44 @@ type TrunkTransport interface {
 type LoopTransport struct {
 	loop *sim.Loop
 	fn   func(msg packet.Message)
+	// free recycles in-flight message records (see Post).
+	free []*loopMsg
+}
+
+// loopMsg is one message in flight on a LoopTransport; fire is bound
+// once, when the record is made.
+type loopMsg struct {
+	msg  packet.Message
+	fire func()
 }
 
 // NewLoopTransport returns a transport delivering on loop.
 func NewLoopTransport(loop *sim.Loop) *LoopTransport { return &LoopTransport{loop: loop} }
 
-// Post implements TrunkTransport.
+// Post implements TrunkTransport. The message rides a record from the
+// transport's pool that returns to it when its event fires, so a post
+// allocates nothing once the pool holds a record.
 func (l *LoopTransport) Post(at sim.Time, msg packet.Message) {
-	l.loop.At(at, func() { l.fn(msg) })
+	var r *loopMsg
+	if k := len(l.free); k > 0 {
+		r = l.free[k-1]
+		l.free[k-1] = nil
+		l.free = l.free[:k-1]
+	} else {
+		r = &loopMsg{}
+		r.fire = func() { l.arrive(r) }
+	}
+	r.msg = msg
+	l.loop.At(at, r.fire)
+}
+
+// arrive hands r's message to the receiving side, returning r to the
+// pool first so the record pins no message while the callback runs.
+func (l *LoopTransport) arrive(r *loopMsg) {
+	msg := r.msg
+	r.msg = nil
+	l.free = append(l.free, r)
+	l.fn(msg)
 }
 
 // OnDeliver implements TrunkTransport.

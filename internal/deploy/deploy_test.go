@@ -114,3 +114,32 @@ func TestMixedSchemePanics(t *testing.T) {
 		NewTrunkTransport(loop.Now, NewLoopTransport(loop), cfg),
 		NewTrunkTransport(loop.Now, NewLoopTransport(loop), cfg))
 }
+
+// TestLoopTransportRecords: messages in flight together each keep their
+// own record until they arrive, in order, and once the pool is warm a
+// post and its arrival allocate nothing.
+func TestLoopTransportRecords(t *testing.T) {
+	loop := sim.NewLoop()
+	lt := NewLoopTransport(loop)
+	var got []packet.Message
+	lt.OnDeliver(func(m packet.Message) { got = append(got, m) })
+	msgs := []packet.Message{&packet.Stop{SwitchID: 1}, &packet.Stop{SwitchID: 2}, &packet.Stop{SwitchID: 3}}
+	for i, m := range msgs {
+		lt.Post(sim.Time(sim.Duration(i+1)*sim.Millisecond), m)
+	}
+	loop.Run(sim.Time(3 * sim.Millisecond))
+	if len(got) != 3 || got[0] != msgs[0] || got[1] != msgs[1] || got[2] != msgs[2] {
+		t.Fatalf("arrivals %v, want the three posts in order", got)
+	}
+	if len(lt.free) != 3 {
+		t.Fatalf("%d records back in the pool after three arrivals, want 3", len(lt.free))
+	}
+	got = got[:0]
+	if allocs := testing.AllocsPerRun(100, func() {
+		lt.Post(loop.Now().Add(sim.Millisecond), msgs[0])
+		loop.Run(loop.Now().Add(sim.Millisecond))
+		got = got[:0]
+	}); allocs != 0 && !sim.OwnerChecked {
+		t.Errorf("a post and its arrival allocate %v objects, want 0", allocs)
+	}
+}

@@ -79,11 +79,12 @@ func (a *Aggregator) Build(r phy.Rate, pull Pull) []MPDU {
 }
 
 // BAResult is the outcome of processing acknowledgement state for one
-// transmitted aggregate.
+// transmitted aggregate. DroppedCount counts the MPDUs that exhausted
+// the retry limit, out of LostCount.
 type BAResult struct {
-	DroppedPkts []packet.Packet
-	AckedCount  int
-	LostCount   int
+	AckedCount   int
+	LostCount    int
+	DroppedCount int
 }
 
 // ProcessBA consumes the block ACK for an aggregate previously returned
@@ -100,7 +101,7 @@ func (a *Aggregator) ProcessBA(sent []MPDU, ba BAInfo) BAResult {
 		res.LostCount++
 		m.Retries++
 		if m.Retries >= RetryLimit {
-			res.DroppedPkts = append(res.DroppedPkts, m.Pkt)
+			res.DroppedCount++
 			a.Dropped++
 			continue
 		}

@@ -141,6 +141,11 @@ type Transmission struct {
 	// nil'd at fire time so a late cancel never touches a recycled
 	// event.
 	deliverEv *sim.Event
+	// deliver is the PPDU-end callback, bound at the first Transmit and
+	// kept across pool recycling; it delivers on medium, the Medium the
+	// transmission last went on air on.
+	deliver func()
+	medium  *Medium
 	// pooled marks transmissions acquired from Medium.NewTransmission;
 	// only those return to the free list when they leave the overlap
 	// window. Literal-built transmissions stay unpooled and are never

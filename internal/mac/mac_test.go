@@ -471,7 +471,7 @@ func TestAggregatorDropAfterRetryLimit(t *testing.T) {
 	var dropped int
 	for i := 0; i < RetryLimit+2; i++ {
 		res := a.Timeout(sent)
-		dropped += len(res.DroppedPkts)
+		dropped += res.DroppedCount
 		sent = a.Build(phy.Rates[0], func() (packet.Packet, bool) { return packet.Packet{}, false })
 		if len(sent) == 0 {
 			break
@@ -523,7 +523,7 @@ func TestAggregatorPartitionProperty(t *testing.T) {
 		})
 		res := a.ProcessBA(sent, BAInfo{StartSeq: sent[0].Seq, Bitmap: bitmap})
 		return res.AckedCount+res.LostCount == len(sent) &&
-			a.PendingRetries()+len(res.DroppedPkts) == res.LostCount
+			a.PendingRetries()+res.DroppedCount == res.LostCount
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -192,6 +192,18 @@ type Medium struct {
 	// okScratch is the shared per-delivery Detection.OK buffer.
 	txFree    []*Transmission
 	okScratch []bool
+	// grantFree recycles contention-grant records (see Contend).
+	grantFree []*grant
+}
+
+// grant is one pending contention grant: node n wins a transmit
+// opportunity when the record's event fires, unless it senses the
+// channel busy again. fire is bound once, when the record is made, so a
+// contention allocates nothing once the medium's pool holds a record.
+type grant struct {
+	n    *Node
+	cb   func()
+	fire func()
 }
 
 // reception is one candidate receiver's evaluation of the PPDU being
@@ -318,14 +330,10 @@ func (m *Medium) Unregister(n *Node) {
 	m.active = act
 }
 
-// registered reports whether n is attached to this medium.
+// registered reports whether n is attached to this medium: bySeq holds
+// exactly the registered nodes, each at its own seq.
 func (m *Medium) registered(n *Node) bool {
-	for _, x := range m.nodes {
-		if x == n {
-			return true
-		}
-	}
-	return false
+	return n.seq < len(m.bySeq) && m.bySeq[n.seq] == n
 }
 
 // Stats returns medium counters.
@@ -349,12 +357,13 @@ func (m *Medium) NewTransmission() *Transmission {
 }
 
 // releaseTx recycles a pooled transmission. MPDU slices are owned by the
-// sender's aggregator, so the reset only drops the reference.
+// sender's aggregator, so the reset only drops the reference; the bound
+// delivery callback stays for the transmission's next Transmit.
 func (m *Medium) releaseTx(t *Transmission) {
 	if !t.pooled {
 		return
 	}
-	*t = Transmission{pooled: true}
+	*t = Transmission{pooled: true, deliver: t.deliver}
 	m.txFree = append(m.txFree, t)
 }
 
@@ -412,40 +421,77 @@ func (m *Medium) BlockAckOnAir(n *Node) bool {
 // wait for the channel to go idle (as n senses it), then DIFS plus a
 // random backoff in [0, cw) slots, re-deferring if the channel got busy
 // meanwhile. cw ≤ 0 uses CWMin.
+//
+// The pending grant is a record from the medium's pool whose event
+// callback was bound when the record was made; a re-deferral schedules
+// the same record again, and the record returns to the pool when its
+// grant fires, whether it runs cb or finds n unregistered. So cb should
+// be bound once by its owner (a method value kept in a field): a
+// contention then allocates nothing.
 func (m *Medium) Contend(n *Node, cw int, cb func()) {
 	if cw <= 0 {
 		cw = 16
 	}
 	slots := m.rng.Intn(cw)
-	m.contendAfter(n, slots, cb)
+	g := m.newGrant()
+	g.n, g.cb = n, cb
+	m.contendAfter(g, slots)
 }
 
-func (m *Medium) contendAfter(n *Node, slots int, cb func()) {
+// newGrant returns a pooled (or fresh) grant record.
+func (m *Medium) newGrant() *grant {
+	if k := len(m.grantFree); k > 0 {
+		g := m.grantFree[k-1]
+		m.grantFree[k-1] = nil
+		m.grantFree = m.grantFree[:k-1]
+		return g
+	}
+	g := &grant{}
+	g.fire = func() { m.fireGrant(g) }
+	return g
+}
+
+// contendAfter schedules g's grant DIFS plus slots backoff slots after
+// the channel goes idle as g.n senses it.
+func (m *Medium) contendAfter(g *grant, slots int) {
 	start := m.loop.Now()
-	if bu := m.busyUntil(n); bu > start {
+	if bu := m.busyUntil(g.n); bu > start {
 		start = bu
 	}
-	grant := start.Add(phy.DIFS + sim.Duration(slots)*phy.Slot)
-	m.loop.At(grant, func() {
-		// The node may have been Unregistered (migrated to another
-		// segment's medium) while the grant was pending; its channel
-		// realizations are no longer ours to touch.
-		if !m.registered(n) {
-			return
-		}
-		// The channel may have become busy again; freeze the backoff
-		// and resume after it clears (approximating 802.11's counter
-		// freeze with a single remaining-slot re-draw).
-		if m.busyUntil(n) > m.loop.Now() {
-			m.contendAfter(n, m.rng.Intn(4), cb)
-			return
-		}
-		cb()
-	})
+	m.loop.At(start.Add(phy.DIFS+sim.Duration(slots)*phy.Slot), g.fire)
+}
+
+// fireGrant runs when g's grant event fires.
+func (m *Medium) fireGrant(g *grant) {
+	n, cb := g.n, g.cb
+	// The node may have been Unregistered (migrated to another
+	// segment's medium) while the grant was pending; its channel
+	// realizations are no longer ours to touch.
+	if !m.registered(n) {
+		m.releaseGrant(g)
+		return
+	}
+	// The channel may have become busy again; freeze the backoff and
+	// resume after it clears (approximating 802.11's counter freeze
+	// with a single remaining-slot re-draw).
+	if m.busyUntil(n) > m.loop.Now() {
+		m.contendAfter(g, m.rng.Intn(4))
+		return
+	}
+	m.releaseGrant(g)
+	cb()
+}
+
+// releaseGrant returns a fired grant record to the pool.
+func (m *Medium) releaseGrant(g *grant) {
+	g.n, g.cb = nil, nil
+	m.grantFree = append(m.grantFree, g)
 }
 
 // Transmit puts t on the air now. The caller must not reuse t. Deliveries
-// fire at PPDU end for every audible registered node.
+// fire at PPDU end for every audible registered node. The PPDU-end
+// callback is bound once per Transmission: a pooled one keeps it across
+// its recycling, and a literal one binds it here.
 func (m *Medium) Transmit(t *Transmission) {
 	t.Start = m.loop.Now()
 	t.End = t.Start.Add(t.Airtime())
@@ -458,15 +504,22 @@ func (m *Medium) Transmit(t *Transmission) {
 		m.onTransmit(t)
 	}
 
-	t.deliverEv = m.loop.At(t.End, func() {
-		// The handle must die here: prune may keep t in m.active past
-		// this point, and a later Unregister canceling a fired (and
-		// possibly recycled) event would hit an unrelated callback.
-		t.deliverEv = nil
-		t.Tx.transmitting = false
-		m.deliverAll(t)
-		m.prune()
-	})
+	t.medium = m
+	if t.deliver == nil {
+		t.deliver = func() { t.medium.endPPDU(t) }
+	}
+	t.deliverEv = m.loop.At(t.End, t.deliver)
+}
+
+// endPPDU delivers t at its PPDU end.
+func (m *Medium) endPPDU(t *Transmission) {
+	// The handle must die here: prune may keep t in m.active past this
+	// point, and a later Unregister canceling a fired (and possibly
+	// recycled) event would hit an unrelated callback.
+	t.deliverEv = nil
+	t.Tx.transmitting = false
+	m.deliverAll(t)
+	m.prune()
 }
 
 // deliverAll delivers t in two phases after gathering its candidate
@@ -581,7 +634,7 @@ func (m *Medium) commit(t *Transmission) {
 	for i := range m.recs {
 		r := &m.recs[i]
 		n := r.rx
-		if n.seq >= len(m.bySeq) || m.bySeq[n.seq] != n {
+		if !m.registered(n) {
 			continue
 		}
 		if r.remote {
@@ -603,8 +656,14 @@ func (m *Medium) commit(t *Transmission) {
 		}
 		if t.Type == FrameData {
 			det.OK = m.okBuf(len(t.MPDUs))
+			// PER depends on (rate, ESNR, length), and an aggregate's
+			// subframes share the first two and mostly the third, so it
+			// is evaluated again only when the length changes.
+			perLen, per := -1, 0.0
 			for k := range t.MPDUs {
-				per := phy.PER(t.Rate, r.esnr, t.MPDUs[k].Pkt.WireLen())
+				if l := t.MPDUs[k].Pkt.WireLen(); l != perLen {
+					perLen, per = l, phy.PER(t.Rate, r.esnr, l)
+				}
 				ok := m.rng.Float64() >= per
 				det.OK[k] = ok
 				if !ok {

@@ -5,6 +5,8 @@
 package queue
 
 import (
+	"slices"
+
 	"wgtt/internal/packet"
 )
 
@@ -30,7 +32,10 @@ func IndexDist(a, b uint16) int {
 // controller fans a client's downlink only to the few candidate APs near
 // it, so most buffers never see a packet. The 4,096 index slots (32 KB)
 // are therefore allocated at the first Insert; until then a buffer is its
-// cursors and counters alone.
+// cursors and counters alone. A slot points at a packet cell; cells come
+// in slabs of cellSlab and return to a free list when their packet
+// leaves, so a buffer allocates once per cellSlab cells of high-water
+// occupancy rather than once per packet.
 type Cyclic struct {
 	slots *[packet.IndexMod]*packet.Packet // nil until the first Insert
 	head  uint16                           // next index to transmit
@@ -43,23 +48,31 @@ type Cyclic struct {
 	// the AP layer reads deltas around protocol steps.
 	Stats CyclicStats
 
-	// free recycles slot cells: a buffer that cycles at steady state
-	// (insert, pop, insert, ...) allocates a cell only up to its
-	// high-water occupancy instead of once per insert.
+	// free holds the vacant cells of the buffer's slabs: a buffer that
+	// cycles at steady state (insert, pop, insert, ...) takes a new slab
+	// only when its occupancy passes a multiple of cellSlab.
 	free []*packet.Packet
 }
 
-// put stores p in a recycled (or fresh) cell.
+// cellSlab is the number of packet cells a buffer allocates at a time.
+const cellSlab = 64
+
+// put stores p in a vacant cell, taking a fresh slab when none is left.
 func (c *Cyclic) put(p packet.Packet) *packet.Packet {
-	if n := len(c.free); n > 0 {
-		cell := c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		*cell = p
-		return cell
+	n := len(c.free)
+	if n == 0 {
+		slab := new([cellSlab]packet.Packet)
+		c.free = slices.Grow(c.free, cellSlab)
+		for i := range slab {
+			c.free = append(c.free, &slab[i])
+		}
+		n = cellSlab
 	}
-	cp := p
-	return &cp
+	cell := c.free[n-1]
+	c.free[n-1] = nil
+	c.free = c.free[:n-1]
+	*cell = p
+	return cell
 }
 
 // release returns a vacated cell to the free list.

@@ -231,3 +231,38 @@ func TestCyclicUnusedAllocatesNothing(t *testing.T) {
 		t.Error("unused buffer took its slots")
 	}
 }
+
+// TestCyclicCellsComeInSlabs holds a used buffer's allocation rate: at a
+// steady occupancy, cycling packets through it allocates nothing, and
+// growing its occupancy takes one slab of packet cells per cellSlab
+// packets, not a cell per packet.
+func TestCyclicCellsComeInSlabs(t *testing.T) {
+	c := NewCyclic()
+	idx := uint16(0)
+	insert := func(n int) {
+		for i := 0; i < n; i++ {
+			c.Insert(pkt(idx))
+			idx = (idx + 1) & indexMask
+		}
+	}
+	pop := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, ok := c.Pop(); !ok {
+				t.Fatal("Pop found no packet")
+			}
+		}
+	}
+	insert(100) // slots, two slabs and the free list's capacity
+	if allocs := testing.AllocsPerRun(100, func() {
+		insert(cellSlab)
+		pop(cellSlab)
+	}); allocs != 0 {
+		t.Errorf("cycling %d packets at steady occupancy allocates %v objects, want 0", cellSlab, allocs)
+	}
+	// Growth: each run raises the occupancy by cellSlab packets, the
+	// free list's capacity included, so at most one slab and one
+	// free-list growth per run.
+	if allocs := testing.AllocsPerRun(8, func() { insert(cellSlab) }); allocs > 2 {
+		t.Errorf("growing by %d packets allocates %v objects, want at most a slab and a free-list growth", cellSlab, allocs)
+	}
+}

@@ -66,6 +66,16 @@ type Mailbox struct {
 	minDelay Duration
 	pending  []pendingEnv
 	handlers map[EnvelopeKind]func(payload any)
+	// free recycles typed dispatch records (see deliver).
+	free []*dispatch
+}
+
+// dispatch is one typed envelope awaiting its handler on the receiving
+// loop; fire is bound once, when the record is made.
+type dispatch struct {
+	h    func(payload any)
+	p    any
+	fire func()
 }
 
 // Post schedules env for dispatch in the receiving domain at virtual time
@@ -131,6 +141,14 @@ func (m *Mailbox) OnReceive(kind EnvelopeKind, fn func(payload any)) {
 // sender's causal trace id is stamped onto the scheduled event so the
 // receiving domain's handler (and anything it schedules) continues the
 // sender's trace.
+//
+// A typed envelope rides a dispatch record from the mailbox's pool,
+// whose event callback was bound when the record was made, so a
+// delivery allocates nothing once the pool holds a record. deliver runs
+// at the round barrier, on the coordinator's goroutine, while no domain
+// executes; the record returns to the pool when the receiving loop
+// fires it, inside a round. The barrier orders the two, so the pool
+// needs no lock.
 func (m *Mailbox) deliver(at Time, env Envelope, trace uint64) {
 	if env.Kind == KindFunc {
 		m.to.Loop.At(at, env.Payload.(func())).trace = trace
@@ -141,8 +159,26 @@ func (m *Mailbox) deliver(at Time, env Envelope, trace uint64) {
 		panic(fmt.Sprintf("sim: no OnReceive handler for envelope kind %s on %s->%s",
 			EnvelopeKindName(env.Kind), m.from.name, m.to.name))
 	}
-	p := env.Payload
-	m.to.Loop.At(at, func() { h(p) }).trace = trace
+	var d *dispatch
+	if k := len(m.free); k > 0 {
+		d = m.free[k-1]
+		m.free[k-1] = nil
+		m.free = m.free[:k-1]
+	} else {
+		d = &dispatch{}
+		d.fire = func() { m.fire(d) }
+	}
+	d.h, d.p = h, env.Payload
+	m.to.Loop.At(at, d.fire).trace = trace
+}
+
+// fire runs d's handler on the receiving loop, returning d to the pool
+// first so the record pins no payload while the handler runs.
+func (m *Mailbox) fire(d *dispatch) {
+	h, p := d.h, d.p
+	d.h, d.p = nil, nil
+	m.free = append(m.free, d)
+	h(p)
 }
 
 // Coordinator advances a set of domains in lockstep rounds of width equal

@@ -14,7 +14,9 @@ import (
 // Canceled, When) after the event has fired — by then the same *Event may
 // already carry an unrelated pending callback. Callers that need a handle
 // which stays inert after firing (so an unconditional late Cancel is a
-// no-op rather than a stray cancellation) schedule with AtKeep.
+// no-op rather than a stray cancellation) schedule with AtKeep, and may
+// schedule such an event again with Rearm once it has fired or been
+// canceled. A canceled event is never recycled by the loop.
 type Event struct {
 	when Time
 	seq  uint64
@@ -99,6 +101,13 @@ type Loop struct {
 	fan *pool
 }
 
+// OwnerChecked reports whether this build checks that each Loop is used
+// from one goroutine (build tag simcheck). The check reads the calling
+// goroutine's id on every scheduling call inside Run and allocates doing
+// so, so an allocation count of code that schedules events holds only
+// in builds where OwnerChecked is false.
+const OwnerChecked = ownerCheckEnabled
+
 // checkOwner panics if the caller is scheduling against a Loop that is
 // mid-Run on a different goroutine. Compiled away unless the simcheck
 // build tag is set.
@@ -126,24 +135,37 @@ func (l *Loop) Now() Time { return l.now }
 // it is always a logic error in a discrete-event model, and silently
 // clamping would hide causality bugs.
 func (l *Loop) At(t Time, fn func()) *Event {
-	l.checkOwner("At")
-	if t < l.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, l.now))
-	}
+	l.checkSchedule("At", t)
 	var e *Event
 	if n := len(l.free); n > 0 {
 		e = l.free[n-1]
 		l.free[n-1] = nil
 		l.free = l.free[:n-1]
-		e.when, e.fn, e.keep = t, fn, false
+		e.keep = false
 	} else {
-		e = &Event{when: t, fn: fn}
+		e = &Event{}
 	}
+	l.push(e, t, fn)
+	return e
+}
+
+// checkSchedule enforces At's rules for every way of scheduling: the
+// owner goroutine, and no event in the past.
+func (l *Loop) checkSchedule(op string, t Time) {
+	l.checkOwner(op)
+	if t < l.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, l.now))
+	}
+}
+
+// push queues e to run fn at t, stamping the next sequence number and
+// the current trace id.
+func (l *Loop) push(e *Event, t Time, fn func()) {
+	e.when, e.fn = t, fn
 	e.trace = l.curTrace
 	e.seq = l.nextSeq
 	l.nextSeq++
 	heap.Push(&l.events, e)
-	return e
 }
 
 // AtKeep is At for callers that keep the returned handle past the firing
@@ -153,6 +175,26 @@ func (l *Loop) At(t Time, fn func()) *Event {
 func (l *Loop) AtKeep(t Time, fn func()) *Event {
 	e := l.At(t, fn)
 	e.keep = true
+	return e
+}
+
+// Rearm schedules fn at t on e, a handle of the caller's from AtKeep
+// (or an earlier Rearm) that has fired or been canceled, exactly as
+// AtKeep(t, fn) would schedule a new event: e takes the next sequence
+// number and the current trace id, so the schedule is the same either
+// way. With e nil it is AtKeep. An owner that keeps one timer for the
+// life of a record re-arms it here instead of allocating an event per
+// arming; it must hold the only handle, since a re-armed e is live
+// again. Re-arming a pending or recyclable event panics.
+func (l *Loop) Rearm(e *Event, t Time, fn func()) *Event {
+	if e == nil {
+		return l.AtKeep(t, fn)
+	}
+	l.checkSchedule("Rearm", t)
+	if !e.keep || e.index >= 0 {
+		panic("sim: Rearm of a pending event or one not from AtKeep")
+	}
+	l.push(e, t, fn)
 	return e
 }
 
