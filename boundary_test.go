@@ -44,12 +44,21 @@ func boundaryRide(seed int64, mode core.DomainMode) (rendered string, posted, ap
 	return render(res), posted, applied
 }
 
+// boundaryCounts pins BoundaryInterferenceStats per seed: the
+// boundary-zone transmissions posted to neighbours, and the receptions
+// the remote interference applied to. Applied counts every audible
+// candidate the hook reports an overlap for, including those whose
+// fill stopped below the medium's floor, so a medium that skipped the
+// hook for them would move it.
+var boundaryCounts = map[int64][2]int{1: {6641, 1189}, 2: {6630, 981}, 3: {6597, 1075}}
+
 // TestBoundaryInterferenceParity pins the cross-domain interference
 // exchange: with the feature on, DomainsSerial and DomainsParallel must
 // stay bit-identical to each other (the exchange rides the same
-// conservative mailboxes as all other cross-domain traffic), and the
+// conservative mailboxes as all other cross-domain traffic), the
 // exchange must actually fire — boundary-zone transmissions posted to
-// neighbours and remote interference applied to deliveries.
+// neighbours and remote interference applied to deliveries — and its
+// counts must match boundaryCounts.
 func TestBoundaryInterferenceParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full corridor rides per seed")
@@ -73,6 +82,9 @@ func TestBoundaryInterferenceParity(t *testing.T) {
 			}
 			if sApplied == 0 {
 				t.Error("no delivery saw remote interference; the penalty path never fired")
+			}
+			if want := boundaryCounts[seed]; sPosted != want[0] || sApplied != want[1] {
+				t.Errorf("posted=%d applied=%d, want %d and %d", sPosted, sApplied, want[0], want[1])
 			}
 		})
 	}

@@ -33,11 +33,8 @@ func (f fakeFabric) APByMAC(m packet.MAC) (backhaul.NodeID, bool) {
 // flatChannel gives every pair a fixed good SNR.
 type flatChannel struct{ snr float64 }
 
-func (f flatChannel) SubcarrierSNRs(tx, rx *mac.Node, _ float64, dst []float64) bool {
-	for i := range dst {
-		dst[i] = f.snr
-	}
-	return true
+func (f flatChannel) SubcarrierSNRs(tx, rx *mac.Node, _, floor float64, dst []float64) (bool, bool) {
+	return true, rf.FillFlatSNRsDB(f.snr, floor, dst)
 }
 func (f flatChannel) SenseSNRdB(tx, rx *mac.Node) float64 { return f.snr }
 

@@ -45,15 +45,12 @@ func (f *flatChannel) snrOf(tx *mac.Node) float64 {
 	return f.snr
 }
 
-func (f *flatChannel) SubcarrierSNRs(tx, rx *mac.Node, _ float64, dst []float64) bool {
+func (f *flatChannel) SubcarrierSNRs(tx, rx *mac.Node, _, floor float64, dst []float64) (bool, bool) {
 	s := f.snrOf(tx)
 	if s < -50 {
-		return false
+		return false, false
 	}
-	for i := range dst {
-		dst[i] = s
-	}
-	return true
+	return true, rf.FillFlatSNRsDB(s, floor, dst)
 }
 func (f *flatChannel) SenseSNRdB(tx, rx *mac.Node) float64 { return f.snrOf(tx) }
 

@@ -19,10 +19,11 @@
 //
 // The contract a backend must satisfy (DESIGN.md §10): the Max*Bound
 // methods may over-estimate freely but must never under-estimate the
-// corresponding link outputs (audibility-index soundness), all
-// methods must be deterministic functions of (construction RNG forks,
-// query arguments) so serial and parallel domain execution stay
-// bit-identical, and calls on links may run concurrently.
+// corresponding link outputs (audibility-index soundness), a floored
+// fill may stop only when every value it would write is below its
+// floor, all methods must be deterministic functions of (construction
+// RNG forks, query arguments) so serial and parallel domain execution
+// stay bit-identical, and calls on links may run concurrently.
 package channel
 
 import (
@@ -56,10 +57,14 @@ type Link interface {
 	// instantaneous per-subcarrier SNR in dB at the client position.
 	SubcarrierSNRsDB(now sim.Time, cliPos rf.Position, dst []float64)
 	// FillSubcarrierSNRsDB is SubcarrierSNRsDB for a caller that
-	// already holds mean = MeanSNRdB(now, cliPos): it applies the
-	// instantaneous fading to mean instead of evaluating it again.
-	// SubcarrierSNRsDB is MeanSNRdB followed by this fill.
-	FillSubcarrierSNRsDB(now sim.Time, cliPos rf.Position, mean float64, dst []float64)
+	// already holds mean = MeanSNRdB(now, cliPos), with a floor: it
+	// applies the instantaneous fading to mean instead of evaluating it
+	// again, and reports whether it filled dst. It may stop early,
+	// reporting false and leaving dst unspecified, only when every
+	// value it would write is below floor; a fill it does not stop
+	// writes the floats a −Inf floor writes, and a −Inf floor always
+	// fills. SubcarrierSNRsDB is MeanSNRdB followed by a −Inf fill.
+	FillSubcarrierSNRsDB(now sim.Time, cliPos rf.Position, mean, floor float64, dst []float64) bool
 	// MeanSNRdB is the large-scale SNR (no fast fading) at the client
 	// position; blockage, being a large-scale obstruction, is included.
 	MeanSNRdB(now sim.Time, cliPos rf.Position) float64

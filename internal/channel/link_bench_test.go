@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"math"
 	"testing"
 
 	"wgtt/internal/rf"
@@ -57,7 +58,7 @@ func BenchmarkLinkFirstUse(b *testing.B) {
 				}
 				l := links[len(links)-1]
 				links = links[:len(links)-1]
-				l.FillSubcarrierSNRsDB(0, pos, l.MeanSNRdB(0, pos), dst[:])
+				l.FillSubcarrierSNRsDB(0, pos, l.MeanSNRdB(0, pos), math.Inf(-1), dst[:])
 			}
 		})
 	}

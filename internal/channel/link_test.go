@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -74,7 +75,7 @@ func TestLinkFirstUseOrder(t *testing.T) {
 					case "MeanSNRdB":
 						l.MeanSNRdB(q.now, q.pos)
 					case "FillSubcarrierSNRsDB":
-						l.FillSubcarrierSNRsDB(q.now, q.pos, -3, a[:])
+						l.FillSubcarrierSNRsDB(q.now, q.pos, -3, math.Inf(-1), a[:])
 					case "SubcarrierSNRsDB":
 						l.SubcarrierSNRsDB(q.now, q.pos, a[:])
 					case "SNRdB":
@@ -96,8 +97,7 @@ func TestLinkFirstUseOrder(t *testing.T) {
 						if a != b {
 							t.Fatalf("seed %d query %d %+v: SubcarrierSNRsDB differs from the reference", seed, i, q)
 						}
-						l.FillSubcarrierSNRsDB(q.now, q.pos, mean, a[:])
-						if a != b {
+						if !l.FillSubcarrierSNRsDB(q.now, q.pos, mean, math.Inf(-1), a[:]) || a != b {
 							t.Fatalf("seed %d query %d %+v: FillSubcarrierSNRsDB differs from SubcarrierSNRsDB", seed, i, q)
 						}
 					}

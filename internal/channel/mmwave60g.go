@@ -257,31 +257,19 @@ func (l *mmLink) MeanSNRdB(now sim.Time, cliPos rf.Position) float64 {
 
 // SubcarrierSNRsDB implements Link.
 func (l *mmLink) SubcarrierSNRsDB(now sim.Time, cliPos rf.Position, dst []float64) {
-	l.FillSubcarrierSNRsDB(now, cliPos, l.meanSNRdB(now, cliPos), dst)
+	l.FillSubcarrierSNRsDB(now, cliPos, l.meanSNRdB(now, cliPos), math.Inf(-1), dst)
 }
 
-// FillSubcarrierSNRsDB implements Link. Blockage is already in mean;
-// the fading depends on position only.
-func (l *mmLink) FillSubcarrierSNRsDB(_ sim.Time, cliPos rf.Position, mean float64, dst []float64) {
+// FillSubcarrierSNRsDB implements Link with rf's floored fill. Blockage
+// is already in mean; the fading depends on position only.
+func (l *mmLink) FillSubcarrierSNRsDB(_ sim.Time, cliPos rf.Position, mean, floor float64, dst []float64) bool {
 	if len(dst) != rf.NumSubcarriers {
 		panic("channel: SubcarrierSNRsDB dst must have rf.NumSubcarriers elements")
 	}
 	if l.fadeOff {
-		for i := range dst {
-			dst[i] = mean
-		}
-		return
+		return rf.FillFlatSNRsDB(mean, floor, dst)
 	}
-	var gains [rf.NumSubcarriers]complex128
-	l.fader.Gains(cliPos, gains[:])
-	for i, g := range gains {
-		re, im := real(g), imag(g)
-		pw := re*re + im*im
-		if pw < 1e-12 {
-			pw = 1e-12
-		}
-		dst[i] = mean + 10*math.Log10(pw)
-	}
+	return l.fader.FillSNRsDB(cliPos, mean, floor, dst)
 }
 
 // SNRdB implements Link.

@@ -55,8 +55,8 @@ type wifiLink struct{ l *rf.Link }
 func (w wifiLink) SubcarrierSNRsDB(_ sim.Time, cliPos rf.Position, dst []float64) {
 	w.l.SubcarrierSNRsDB(cliPos, dst)
 }
-func (w wifiLink) FillSubcarrierSNRsDB(_ sim.Time, cliPos rf.Position, mean float64, dst []float64) {
-	w.l.FillSubcarrierSNRsDB(cliPos, mean, dst)
+func (w wifiLink) FillSubcarrierSNRsDB(_ sim.Time, cliPos rf.Position, mean, floor float64, dst []float64) bool {
+	return w.l.FillSubcarrierSNRsDB(cliPos, mean, floor, dst)
 }
 func (w wifiLink) MeanSNRdB(_ sim.Time, cliPos rf.Position) float64 { return w.l.MeanSNRdB(cliPos) }
 func (w wifiLink) SNRdB(_ sim.Time, cliPos rf.Position) float64     { return w.l.SNRdB(cliPos) }

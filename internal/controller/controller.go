@@ -106,8 +106,11 @@ type switchState struct {
 	issued  sim.Time
 	held    []packet.Packet // downlink held unstamped during a remote stop
 	// heldData is the stopped AP's pre-stamped backlog arriving while an
-	// export resolves; it ships to the importer stamped.
-	heldData []*packet.DownlinkData
+	// export resolves; it ships to the importer stamped. It is held by
+	// value: the sends hand the trunk pointers into it, so once one has
+	// gone nothing appends to or rewrites it, and it goes with the
+	// switch.
+	heldData []packet.DownlinkData
 }
 
 type clientState struct {
@@ -513,8 +516,8 @@ func (c *Controller) stopTimeout(cs *clientState, sw *switchState) {
 		// An abandoned cross-segment handoff re-admits the downlink
 		// packets held while the stop was in flight (stamped backlog
 		// re-fans as-is).
-		for _, d := range sw.heldData {
-			c.fanOut(cs, d.Inner)
+		for i := range sw.heldData {
+			c.fanOut(cs, sw.heldData[i].Inner)
 		}
 		for _, p := range sw.held {
 			c.Downlink(p)
@@ -753,11 +756,10 @@ func (c *Controller) onReturnedBacklog(m *packet.DownlinkData) {
 		return
 	}
 	// m is the backhaul's decode scratch; both the held queue and the
-	// trunk retain messages past this call, so hand them a copy.
+	// trunk retain messages past this call, so they keep copies.
 	if cs.owned {
 		if sw := cs.sw; sw != nil && sw.remote >= 0 && len(sw.heldData) < heldCap {
-			d := *m
-			sw.heldData = append(sw.heldData, &d)
+			sw.heldData = append(sw.heldData, *m)
 		}
 		return
 	}

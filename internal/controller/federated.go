@@ -69,8 +69,8 @@ func (c *Controller) exportOutcome(cs *clientState, sw *switchState, ok bool) {
 		if c.fed != nil {
 			c.fed.NoteExported(cs.addr, dst)
 		}
-		for _, d := range sw.heldData {
-			c.send(dst, d)
+		for i := range sw.heldData {
+			c.send(dst, &sw.heldData[i])
 		}
 		for _, p := range sw.held {
 			c.send(dst, &packet.ServerData{Inner: p})
@@ -87,8 +87,8 @@ func (c *Controller) exportOutcome(cs *clientState, sw *switchState, ok bool) {
 	c.fed.Announce(cs.addr)
 	c.Rec.Record(trace.Record{At: now, Trace: c.traceID(sw.id), SwitchID: sw.id,
 		Node: -1, Op: trace.OpAbandon, Client: cs.addr, A: int32(sw.retries), B: int32(sw.remote)})
-	for _, d := range sw.heldData {
-		c.fanOut(cs, d.Inner)
+	for i := range sw.heldData {
+		c.fanOut(cs, sw.heldData[i].Inner)
 	}
 	for _, p := range sw.held {
 		c.Downlink(p)
@@ -118,8 +118,8 @@ func (c *Controller) Release(addr packet.MAC, owner int) {
 		c.Rec.Record(trace.Record{At: now, Trace: c.traceID(sw.id), SwitchID: sw.id,
 			Node: -1, Op: trace.OpAbandon, Client: addr, A: int32(sw.retries), B: int32(owner)})
 		cs.sw = nil
-		for _, d := range sw.heldData {
-			c.fed.Send(owner, d)
+		for i := range sw.heldData {
+			c.fed.Send(owner, &sw.heldData[i])
 		}
 		for _, p := range sw.held {
 			c.fed.Send(owner, &packet.ServerData{Inner: p})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -155,7 +156,7 @@ func TestAudibilityIndexNeverSkipsAudible(t *testing.T) {
 					continue
 				}
 				skipped++
-				if !nc.SubcarrierSNRs(tx, rx, nc.SenseSNRdB(tx, rx), snrs[:]) {
+				if audible, _ := nc.SubcarrierSNRs(tx, rx, nc.SenseSNRdB(tx, rx), math.Inf(-1), snrs[:]); !audible {
 					continue
 				}
 				for _, m := range mods {

@@ -524,33 +524,30 @@ type netChannel struct {
 }
 
 // SubcarrierSNRs implements mac.Channel. senseDB is SenseSNRdB(tx, rx)
-// now: the AP↔client link applies its fading to it, and every other pair
-// gets a flat channel at it.
-func (nc *netChannel) SubcarrierSNRs(tx, rx *mac.Node, senseDB float64, dst []float64) bool {
+// now: the AP↔client link applies its fading to it with the backend's
+// floored fill, and every other pair gets a flat channel at it, left
+// unfilled below floorDB.
+func (nc *netChannel) SubcarrierSNRs(tx, rx *mac.Node, senseDB, floorDB float64, dst []float64) (audible, filled bool) {
 	n := nc.n
 	tref, tok := refOf(tx)
 	rref, rok := refOf(rx)
 	if !tok || !rok {
-		return false
+		return false, false
 	}
 	if tref.isAP != rref.isAP {
 		// Downlink or uplink: one reciprocal channel.
 		ap, cli := apClient(tref, rref)
 		now := nc.loop.Now()
 		pos := n.Clients[cli].Traj.Pos(now)
-		n.links[cli][ap].FillSubcarrierSNRsDB(now, pos, senseDB, dst)
-		return true
+		return true, n.links[cli][ap].FillSubcarrierSNRsDB(now, pos, senseDB, floorDB, dst)
 	}
 	// Client ↔ client is the backend's flat vehicle-to-vehicle budget;
 	// AP ↔ AP only matters for sensing, so it is a flat strong channel
 	// within range.
 	if senseDB < -5 {
-		return false
+		return false, false
 	}
-	for i := range dst {
-		dst[i] = senseDB
-	}
-	return true
+	return true, rf.FillFlatSNRsDB(senseDB, floorDB, dst)
 }
 
 // SenseSNRdB implements mac.Channel (large-scale only).

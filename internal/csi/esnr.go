@@ -214,7 +214,10 @@ func invBERBisect(m Modulation, target float64) float64 {
 // given modulation: mean the per-subcarrier BERs, then invert. Both
 // directions are served from the per-modulation lookup table, so the call
 // is allocation-free and costs a handful of table interpolations instead
-// of dozens of Pow/Erfc evaluations.
+// of dozens of Pow/Erfc evaluations. A subcarrier whose SNR equals the
+// one before it reuses that one's BER, so a flat channel looks up one
+// BER, not one per subcarrier; the sum adds the same value per
+// subcarrier in the same order either way, so it is bit-identical.
 func EffectiveSNRdB(snrsDB []float64, m Modulation) float64 {
 	if len(snrsDB) == 0 {
 		return math.Inf(-1)
@@ -222,9 +225,16 @@ func EffectiveSNRdB(snrsDB []float64, m Modulation) float64 {
 	if m < BPSK || m > QAM64 {
 		return effectiveSNRdBSlow(snrsDB, m)
 	}
+	// Equal SNRs (−0 and +0 included) have equal BERs; a NaN equals
+	// nothing, so it is always looked up.
+	prev := snrsDB[0]
+	ber := berAtDB(m, prev)
 	sum := 0.0
 	for _, s := range snrsDB {
-		sum += berAtDB(m, s)
+		if s != prev {
+			prev, ber = s, berAtDB(m, s)
+		}
+		sum += ber
 	}
 	return esnrDBFromBER(m, sum/float64(len(snrsDB)))
 }

@@ -2,6 +2,7 @@ package csi
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -264,5 +265,49 @@ func TestWindowMedianBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// plainESNRdB is EffectiveSNRdB without the equal-SNR reuse: one table
+// lookup per subcarrier, summed in order.
+func plainESNRdB(snrsDB []float64, m Modulation) float64 {
+	sum := 0.0
+	for _, s := range snrsDB {
+		sum += berAtDB(m, s)
+	}
+	return esnrDBFromBER(m, sum/float64(len(snrsDB)))
+}
+
+// TestEffectiveSNRMatchesPlainLoop holds EffectiveSNRdB to the plain
+// per-subcarrier loop, bit for bit, on vectors built from runs of equal
+// values that recur (so a reused BER must follow its SNR, not an older
+// one), ±0, NaN, ±Inf, and SNRs past both ends of the table, for every
+// modulation.
+func TestEffectiveSNRMatchesPlainLoop(t *testing.T) {
+	values := []float64{
+		3, 3.5, -7.25, 12, 28.125, 0, math.Copysign(0, -1),
+		math.NaN(), math.Inf(1), math.Inf(-1),
+		berTblMinDB - 5, berTblMinDB, berTblMaxDB, berTblMaxDB + 5,
+	}
+	rng := rand.New(rand.NewSource(1))
+	var snrs [rf.NumSubcarriers]float64
+	for m := BPSK; m <= QAM64; m++ {
+		for k := 0; k < 5000; k++ {
+			pool := values[:2+rng.Intn(len(values)-1)]
+			for i := 0; i < len(snrs); {
+				v := pool[rng.Intn(len(pool))]
+				if k%3 == 0 {
+					v = rng.Float64()*130 - 45
+				}
+				for run := 1 + rng.Intn(6); run > 0 && i < len(snrs); run-- {
+					snrs[i] = v
+					i++
+				}
+			}
+			got, want := EffectiveSNRdB(snrs[:], m), plainESNRdB(snrs[:], m)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v %v: ESNR %v, plain loop %v", m, snrs, got, want)
+			}
+		}
 	}
 }

@@ -17,16 +17,29 @@ import (
 // refDeliverAll is the one-phase delivery that two-phase deliverAll
 // replaced: each candidate is evaluated and committed before the next is
 // evaluated, so a candidate sees every effect of the OnReceive calls
-// before it.
+// before it. It fills every audible candidate in full (a −Inf floor) and
+// takes every one through ESNR, so it also checks that the medium's
+// floored fill stops only receptions that are not heard. It counts
+// receptions by outcome as the medium does, a reception below the floor
+// being one whose every subcarrier reads under fillFloorDB.
 func refDeliverAll(m *Medium, t *Transmission) {
 	var snrs [rf.NumSubcarriers]float64
 	visit := func(n *Node) {
+		m.stats.Evaluated++
 		sense := m.channel.SenseSNRdB(t.Tx, n)
 		if m.hasHeadroom && sense+m.headroomDB < detectThresholdDB {
+			m.stats.Prefiltered++
 			return
 		}
-		if !m.channel.SubcarrierSNRs(t.Tx, n, sense, snrs[:]) {
+		audible, filled := m.channel.SubcarrierSNRs(t.Tx, n, sense, math.Inf(-1), snrs[:])
+		if !audible {
 			return
+		}
+		if !filled {
+			panic("a −Inf floor left an audible reception unfilled")
+		}
+		if slices.Max(snrs[:]) < fillFloorDB {
+			m.stats.BelowFloor++
 		}
 		if m.interference != nil {
 			iLin, hit := m.interference(n, t)
@@ -44,6 +57,7 @@ func refDeliverAll(m *Medium, t *Transmission) {
 		if esnr < detectThresholdDB {
 			return
 		}
+		m.stats.Heard++
 		det := Detection{ESNRdB: esnr, SNRsDB: snrs}
 		if m.collided(t, n, esnr) {
 			det.Collided = true
@@ -107,18 +121,19 @@ func (x *markAll) MarkAudible(_ *Node, bitmap []uint64) {
 }
 
 // shapedChannel is fakeChannel with a per-subcarrier ripple, so a
-// Detection's CSI differs between subcarriers. It only reads its map
-// while deliveries are evaluated, so concurrent evaluation is safe.
+// Detection's CSI differs between subcarriers. It stops unfilled when
+// every rippled value is below the floor. It only reads its map while
+// deliveries are evaluated, so concurrent evaluation is safe.
 type shapedChannel struct{ *fakeChannel }
 
-func (c shapedChannel) SubcarrierSNRs(tx, rx *Node, sense float64, dst []float64) bool {
-	if !c.fakeChannel.SubcarrierSNRs(tx, rx, sense, dst) {
-		return false
+func (c shapedChannel) SubcarrierSNRs(tx, rx *Node, sense, floor float64, dst []float64) (bool, bool) {
+	if audible, _ := c.fakeChannel.SubcarrierSNRs(tx, rx, sense, math.Inf(-1), dst); !audible {
+		return false, false
 	}
 	for i := range dst {
 		dst[i] += float64(i%7) - 3
 	}
-	return true
+	return true, slices.Max(dst) >= floor
 }
 
 // deliveryWorld is one medium with a transmitter, an interferer and 40
@@ -278,6 +293,9 @@ func TestTwoPhaseDeliveryMatchesSequential(t *testing.T) {
 		}
 		if st := want.m.Stats(); st.Collisions == 0 || want.m.InterferenceHits() == 0 {
 			t.Errorf("index=%v: world exercises too little: %+v, %d hits", index, st, want.m.InterferenceHits())
+		}
+		if st := want.m.Stats(); st.BelowFloor == 0 || st.Heard == 0 {
+			t.Errorf("index=%v: no reception stopped below the floor, or none heard: %+v", index, st)
 		}
 	}
 }

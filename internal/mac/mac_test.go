@@ -24,15 +24,14 @@ func (f *fakeChannel) set(a, b *Node, snr float64) {
 	f.snr[[2]*Node{b, a}] = snr
 }
 
-func (f *fakeChannel) SubcarrierSNRs(tx, rx *Node, _ float64, dst []float64) bool {
+// SubcarrierSNRs fills the pair's flat SNR, and stops unfilled when it
+// is below the floor.
+func (f *fakeChannel) SubcarrierSNRs(tx, rx *Node, _, floor float64, dst []float64) (bool, bool) {
 	s, ok := f.snr[[2]*Node{tx, rx}]
 	if !ok {
-		return false
+		return false, false
 	}
-	for i := range dst {
-		dst[i] = s
-	}
-	return true
+	return true, rf.FillFlatSNRsDB(s, floor, dst)
 }
 
 func (f *fakeChannel) SenseSNRdB(tx, rx *Node) float64 {

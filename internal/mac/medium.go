@@ -27,12 +27,17 @@ import (
 // delivery is evaluated.
 type Channel interface {
 	// SubcarrierSNRs fills dst (rf.NumSubcarriers long) with the
-	// per-subcarrier SNR in dB at rx for a transmission from tx, and
-	// reports whether rx can hear tx at all. senseDB is SenseSNRdB(tx,
-	// rx) at the same instant, which the medium has already evaluated:
-	// a channel that derives the subcarrier SNRs from the large-scale
-	// SNR starts from it rather than evaluating it again.
-	SubcarrierSNRs(tx, rx *Node, senseDB float64, dst []float64) bool
+	// per-subcarrier SNR in dB at rx for a transmission from tx. It
+	// reports whether rx can hear tx at all (audible) and whether it
+	// filled dst (filled, never true without audible). senseDB is
+	// SenseSNRdB(tx, rx) at the same instant, which the medium has
+	// already evaluated: a channel that derives the subcarrier SNRs
+	// from the large-scale SNR starts from it rather than evaluating it
+	// again. A channel may leave an audible pair unfilled, and dst
+	// unspecified, only when every SNR it would write is below floorDB;
+	// what it does fill must not depend on floorDB, and a −Inf floor
+	// always fills an audible pair.
+	SubcarrierSNRs(tx, rx *Node, senseDB, floorDB float64, dst []float64) (audible, filled bool)
 	// SenseSNRdB returns the large-scale SNR rx observes from tx, used
 	// for carrier sensing (energy detection ignores fast fading).
 	SenseSNRdB(tx, rx *Node) float64
@@ -135,6 +140,14 @@ const (
 	// captureMarginDB: a frame survives an overlap when it is this much
 	// stronger than the interferer (preamble capture).
 	captureMarginDB = 10
+	// fillFloorDB is the floor the medium hands SubcarrierSNRs: a fill
+	// with every subcarrier below it stops unfilled. ESNR never exceeds
+	// the largest subcarrier SNR by more than the BER tables' rounding,
+	// and fillFloorMarginDB covers that rounding (TestFillFloorMargin),
+	// so a stopped reception is one whose ESNR would have come out under
+	// detectThresholdDB: not heard, with nothing drawn or scheduled.
+	fillFloorMarginDB = 1e-6
+	fillFloorDB       = detectThresholdDB - fillFloorMarginDB
 )
 
 // DetectThresholdDB exposes the preamble-detection threshold for index
@@ -210,13 +223,25 @@ type grant struct {
 // delivered, written by evaluate and read by commit.
 type reception struct {
 	rx *Node
-	// heard reports a detectable preamble; esnr, snrs and collided are
-	// meaningful only then. remote reports that the interference hook
-	// found a remote-domain overlap.
-	heard, collided, remote bool
-	esnr                    float64
-	snrs                    [rf.NumSubcarriers]float64
+	// outcome is where the evaluation ended; esnr, snrs and collided
+	// are meaningful only when it is heard. remote reports that the
+	// interference hook found a remote-domain overlap.
+	outcome          outcome
+	collided, remote bool
+	esnr             float64
+	snrs             [rf.NumSubcarriers]float64
 }
+
+// outcome is where a candidate's evaluation ended.
+type outcome uint8
+
+const (
+	inaudible   outcome = iota // the channel reports rx cannot hear tx
+	prefiltered                // the headroom prefilter settled it
+	belowFloor                 // the fill stopped: every SNR under fillFloorDB
+	undetected                 // ESNR under detectThresholdDB
+	heard                      // a detectable preamble, collided or not
+)
 
 // MediumStats counts medium-level events.
 type MediumStats struct {
@@ -224,6 +249,13 @@ type MediumStats struct {
 	MPDUs      int
 	MPDULosses int
 	Collisions int
+	// Receptions by where their evaluation ended, counted at commit:
+	// every candidate committed, those the headroom prefilter settled,
+	// those whose fill stopped below the floor, and those heard.
+	Evaluated   int
+	Prefiltered int
+	BelowFloor  int
+	Heard       int
 }
 
 // NewMedium creates the channel on the given loop.
@@ -593,23 +625,32 @@ func (m *Medium) addCandidate(n *Node) {
 // prefilter and the per-subcarrier fill. The prefilter takes the exact
 // value, not the SenseBounder bound: the audibility index has already
 // dropped the receivers a bound would settle.
+//
+// Evaluation stops where the outcome is decided. The fill takes
+// fillFloorDB and may stop with every subcarrier under it, which
+// decides "not heard" before any ESNR; the interference hook still
+// runs for every audible candidate, so the overlaps it reports are
+// counted whatever the fill did. Its penalty only lowers SNRs, so the
+// floor needs no term for it.
 func (m *Medium) evaluate(i int) {
 	r := &m.recs[i]
 	t, n := m.cur, r.rx
-	r.heard, r.collided, r.remote = false, false, false
+	r.outcome, r.collided, r.remote = inaudible, false, false
 	sense := m.channel.SenseSNRdB(t.Tx, n)
 	if m.hasHeadroom && sense+m.headroomDB < detectThresholdDB {
 		// Even maximally constructive fading cannot lift this receiver
 		// over the detection threshold; skip the per-subcarrier fill.
+		r.outcome = prefiltered
 		return
 	}
-	if !m.channel.SubcarrierSNRs(t.Tx, n, sense, r.snrs[:]) {
+	audible, filled := m.channel.SubcarrierSNRs(t.Tx, n, sense, fillFloorDB, r.snrs[:])
+	if !audible {
 		return
 	}
 	if m.interference != nil {
 		iLin, hit := m.interference(n, t)
 		r.remote = hit
-		if iLin > 0 {
+		if iLin > 0 && filled {
 			// Remote-domain co-channel energy raises the noise floor:
 			// SINR = SNR − 10·log10(1 + I/N), flat across subcarriers
 			// (only the interferer's large-scale budget is known).
@@ -619,11 +660,16 @@ func (m *Medium) evaluate(i int) {
 			}
 		}
 	}
-	esnr := csi.EffectiveSNRdB(r.snrs[:], t.Rate.Modulation)
-	if esnr < detectThresholdDB {
+	if !filled {
+		r.outcome = belowFloor
 		return
 	}
-	r.heard, r.esnr = true, esnr
+	esnr := csi.EffectiveSNRdB(r.snrs[:], t.Rate.Modulation)
+	if esnr < detectThresholdDB {
+		r.outcome = undetected
+		return
+	}
+	r.outcome, r.esnr = heard, esnr
 	r.collided = m.collided(t, n, esnr)
 }
 
@@ -637,10 +683,19 @@ func (m *Medium) commit(t *Transmission) {
 		if !m.registered(n) {
 			continue
 		}
+		m.stats.Evaluated++
+		switch r.outcome {
+		case prefiltered:
+			m.stats.Prefiltered++
+		case belowFloor:
+			m.stats.BelowFloor++
+		case heard:
+			m.stats.Heard++
+		}
 		if r.remote {
 			m.interferenceHits++
 		}
-		if !r.heard {
+		if r.outcome != heard {
 			continue
 		}
 		det := Detection{ESNRdB: r.esnr, SNRsDB: r.snrs}

@@ -41,6 +41,10 @@ type tap struct {
 	losDirX  float64
 	losDirY  float64
 	losPhase float64
+	// reach bounds |h_k| summed over this tap and every later one. A
+	// tap's own bound is its scattered amplitude times its wave count
+	// (every wave in phase) plus its LOS amplitude.
+	reach float64
 }
 
 // Fader produces the small-scale complex channel gain of one AP↔client
@@ -56,13 +60,18 @@ type tap struct {
 // delay spread across taps makes the response frequency-selective — the
 // property ESNR exists to capture.
 //
-// A Fader built by Init draws its realization at its first Gains, from
-// the stream Init was given; NewFader and NewFaderWith draw it at once.
-// Either way the waves are the same draws in the same order, so when the
-// draw happens moves no float. The draw runs under a sync.Once, and Gains
-// otherwise writes only dst, so a Fader is safe for concurrent use. The
-// delay-rotation table is shared read-only with every other Fader built
-// from it.
+// A Fader built by Init draws its realization at its first Gains or
+// FillSNRsDB, from the stream Init was given; NewFader and NewFaderWith
+// draw it at once. Either way the waves are the same draws in the same
+// order, so when the draw happens moves no float. The draw runs under a
+// sync.Once, and Gains and FillSNRsDB otherwise write only dst, so a
+// Fader is safe for concurrent use. The delay-rotation table is shared
+// read-only with every other Fader built from it.
+//
+// FillSNRsDB takes a floor and stops as soon as it can tell that every
+// subcarrier SNR it would write is below it, from bounds on the taps
+// the realization stores and then from the strongest subcarrier; a
+// fill it does not stop computes the unfloored fill's floats.
 type Fader struct {
 	once sync.Once
 	rng  *sim.RNG // the realization's stream; nil once drawn
@@ -225,6 +234,12 @@ func (f *Fader) draw() {
 		t.amplScatter(scatter, p.NumWaves)
 		f.taps = append(f.taps, t)
 	}
+	reach := 0.0
+	for l := len(f.taps) - 1; l >= 0; l-- {
+		t := &f.taps[l]
+		reach += t.scatterAmpl*float64(len(t.phase)) + t.los
+		t.reach = reach
+	}
 	f.rng = nil
 }
 
@@ -263,18 +278,89 @@ func (f *Fader) Gains(pos Position, dst []complex128) {
 		panic("rf: Gains dst must have NumSubcarriers elements")
 	}
 	f.once.Do(f.draw)
-	dst = dst[:NumSubcarriers]
-	// Evaluate each tap once, then rotate per subcarrier by its delay,
-	// accumulating tap by tap. Every subcarrier sums
-	// ((0 + g₀·r₀) + g₁·r₁) + …, in tap order.
-	clear(dst)
+	acc := (*[NumSubcarriers]complex128)(dst)
+	clear(acc[:])
+	for l := range f.taps {
+		f.addTap(l, f.taps[l].gain(f.waveNumber, pos), acc)
+	}
+}
+
+// addTap adds tap l's gain g to every subcarrier of acc, rotated by the
+// tap's delay. A response adds its taps in order, so every subcarrier
+// sums ((0 + g₀·r₀) + g₁·r₁) + ….
+func (f *Fader) addTap(l int, g complex128, acc *[NumSubcarriers]complex128) {
+	row := f.rot.rot[l*NumSubcarriers:][:NumSubcarriers]
+	for i, r := range row {
+		acc[i] += g * r
+	}
+}
+
+// minPower clamps a subcarrier's fading power before its dB conversion,
+// so a null reads 120 dB under the mean rather than −Inf.
+const minPower = 1e-12
+
+// minPowerDB is a clamped power in dB, 10·log10(minPower).
+var minPowerDB = 10 * math.Log10(minPower)
+
+// FillSNRsDB writes each subcarrier's SNR at pos into dst (length
+// NumSubcarriers): mean plus its fading power in dB. If every one of
+// those values is below floor it may stop instead, report false and
+// leave dst unspecified. It stops once the taps evaluated so far, plus
+// the bound on the rest (tap.reach), cannot reach 10^((floor−mean)/20)
+// in amplitude, and after the delay rotation if the strongest
+// subcarrier is below floor. A fill it does not stop writes the floats
+// of a −Inf floor, which is the unfloored fill, bit for bit.
+//
+// Past the first call, which may draw the realization, FillSNRsDB
+// allocates nothing and writes only dst.
+func (f *Fader) FillSNRsDB(pos Position, mean, floor float64, dst []float64) bool {
+	if len(dst) != NumSubcarriers {
+		panic("rf: FillSNRsDB dst must have NumSubcarriers elements")
+	}
+	f.once.Do(f.draw)
+	// A clamped power reads minPowerDB under the mean, so the tap bound
+	// may stop the fill only for a floor above that.
+	lim := 0.0
+	if floor-mean > minPowerDB {
+		lim = math.Pow(10, (floor-mean)/20)
+	}
+	if f.taps[0].reach < lim {
+		return false
+	}
+	// Tap l is added to the response only after the check that follows
+	// it, so a fill the bound stops adds no tap in vain.
+	var gains [NumSubcarriers]complex128
+	seen := 0.0 // Σ |h_k| over the taps evaluated so far
 	for l := range f.taps {
 		g := f.taps[l].gain(f.waveNumber, pos)
-		row := f.rot.rot[l*NumSubcarriers:][:NumSubcarriers]
-		for i, r := range row {
-			dst[i] += g * r
+		seen += cmplx.Abs(g)
+		rest := 0.0
+		if l+1 < len(f.taps) {
+			rest = f.taps[l+1].reach
 		}
+		if seen+rest < lim {
+			return false
+		}
+		f.addTap(l, g, &gains)
 	}
+	dst = dst[:NumSubcarriers]
+	top := 0.0
+	for i, g := range gains {
+		re, im := real(g), imag(g)
+		p := re*re + im*im
+		if p < minPower {
+			p = minPower
+		}
+		dst[i] = p
+		top = max(top, p)
+	}
+	if mean+10*math.Log10(top) < floor {
+		return false
+	}
+	for i, p := range dst {
+		dst[i] = mean + 10*math.Log10(p)
+	}
+	return true
 }
 
 // PowerDB returns the wideband (subcarrier-averaged) fading power in dB at

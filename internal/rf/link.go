@@ -194,32 +194,36 @@ func (l *Link) MeanSNRdB(cliPos Position) float64 {
 // per-subcarrier SNR in dB at the client position — the quantity the
 // Atheros CSI tool exposes and from which ESNR is computed.
 func (l *Link) SubcarrierSNRsDB(cliPos Position, dst []float64) {
-	l.FillSubcarrierSNRsDB(cliPos, l.MeanSNRdB(cliPos), dst)
+	l.FillSubcarrierSNRsDB(cliPos, l.MeanSNRdB(cliPos), math.Inf(-1), dst)
 }
 
 // FillSubcarrierSNRsDB is SubcarrierSNRsDB for a caller that already
-// holds mean = MeanSNRdB(cliPos): it applies the fading at cliPos to
-// mean without evaluating the large-scale budget again.
-func (l *Link) FillSubcarrierSNRsDB(cliPos Position, mean float64, dst []float64) {
+// holds mean = MeanSNRdB(cliPos), with a floor: it applies the fading at
+// cliPos to mean without evaluating the large-scale budget again, and
+// reports whether it filled dst. It may stop, reporting false, only when
+// every value it would write is below floor (Fader.FillSNRsDB); a
+// −Inf floor always fills.
+func (l *Link) FillSubcarrierSNRsDB(cliPos Position, mean, floor float64, dst []float64) bool {
 	if len(dst) != NumSubcarriers {
 		panic("rf: SubcarrierSNRsDB dst must have NumSubcarriers elements")
 	}
 	if l.fadeOff {
-		for i := range dst {
-			dst[i] = mean
-		}
-		return
+		return FillFlatSNRsDB(mean, floor, dst)
 	}
-	var gains [NumSubcarriers]complex128
-	l.fader.Gains(cliPos, gains[:])
-	for i, g := range gains {
-		re, im := real(g), imag(g)
-		p := re*re + im*im
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		dst[i] = mean + 10*math.Log10(p)
+	return l.fader.FillSNRsDB(cliPos, mean, floor, dst)
+}
+
+// FillFlatSNRsDB fills dst with snr, every subcarrier of a channel
+// without fading, unless snr is below floor: then it reports false and
+// leaves dst as it was.
+func FillFlatSNRsDB(snr, floor float64, dst []float64) bool {
+	if snr < floor {
+		return false
 	}
+	for i := range dst {
+		dst[i] = snr
+	}
+	return true
 }
 
 // SNRdB returns the instantaneous wideband SNR (dB) at the client

@@ -386,7 +386,7 @@ func TestLinkRealizesFromItsForks(t *testing.T) {
 		case "SubcarrierSNRsDB":
 			l.SubcarrierSNRsDB(pos, snrs[:])
 		case "FillSubcarrierSNRsDB":
-			l.FillSubcarrierSNRsDB(pos, 20, snrs[:])
+			l.FillSubcarrierSNRsDB(pos, 20, math.Inf(-1), snrs[:])
 			if l.shadow.rng == nil {
 				t.Fatal("a fill drew the shadowing")
 			}

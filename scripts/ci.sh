@@ -51,10 +51,17 @@ go test -race -run 'TestCorridorSingleSegmentFallback' .
 # procs, so helpers are engaged whatever the host's core count. The
 # crowd pin's split shape also runs segment domains concurrently over
 # the AP positions and the fading delay-rotation table every link
-# shares, so this one ride of it covers that sharing too.
+# shares, so this one ride of it covers that sharing too. The boundary
+# pin's seed 1 also holds its posted/applied counts, which move if the
+# interference hook is skipped for a reception whose fill stopped.
 go test -race -cpu 1,2,4 -run 'TestFan' ./internal/sim/
 go test -race -cpu 1,2,4 -run 'TestTwoPhaseDeliveryMatchesSequential' ./internal/mac/
 go test -race -cpu 1,2,4 -run 'TestCrowdPins/seed1|TestBoundaryInterferenceParity/seed1' .
+# The floored subcarrier fill runs on those fan-out helpers, and a stop
+# must leave only receptions that would not have been heard: shake the
+# rf and channel floor properties (both backends, fills from four
+# goroutines on fresh links) five times at 1, 2 and 4 procs.
+go test -race -cpu 1,2,4 -count=5 -run 'TestFillSNRsDBFloor|TestFloorFillBothBackends' ./internal/rf/ ./internal/channel/
 # Recurring events bind their callbacks once, on pooled records: the
 # medium's contention grants and PPDU-end deliveries, the mailboxes'
 # typed dispatches (taken at the barrier, returned by the receiving
