@@ -34,7 +34,7 @@ func main() {
 		workers = flag.Int("workers", 0, "cap parallel workers per experiment (0 = GOMAXPROCS; 1 runs serially, for debugging/profiling)")
 
 		parallelSegments = flag.Bool("parallel-segments", false,
-			"run each multi-segment network's segments as parallel event-loop domains")
+			"run each multi-segment network's segments as their own event-loop domains, synchronized at the trunks")
 
 		metrics    = flag.Bool("metrics", false, "print a per-case telemetry summary after each experiment")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")

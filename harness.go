@@ -16,7 +16,7 @@ import (
 )
 
 // Exec is the execution half of an experiment configuration: run-level
-// fan-out (Workers) and in-run segment parallelism (ParallelSegments).
+// fan-out (Workers) and per-segment domains (ParallelSegments).
 // It is the runner's type re-exported, so Options embeds the very same
 // half and no translation layer is needed.
 type Exec = runner.Exec

@@ -75,12 +75,15 @@ const (
 	SingleLoop DomainMode = iota
 	// DomainsSerial splits the deployment into per-segment domains
 	// (own loop, own medium partition, mailbox trunks) plus the wired
-	// server's, and executes the synchronization rounds domain by
-	// domain on one goroutine.
+	// server's. Like every network, it runs on sim.Coordinator's one
+	// executor: each synchronization round runs the domains one after
+	// another on the Run goroutine, which lends its GOMAXPROCS−1
+	// helpers to the domains' per-PPDU fan-outs.
 	DomainsSerial
-	// DomainsParallel is the same split with each round's active
-	// domains spread over up to GOMAXPROCS goroutines; bit-identical to
-	// DomainsSerial by construction.
+	// DomainsParallel builds the same split, on the same executor, as
+	// DomainsSerial, and rides bit-identically to it. The name stays
+	// because the benchmark's corridor workload and the
+	// -parallel-segments flags select it.
 	DomainsParallel
 )
 

@@ -161,7 +161,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	geoms := cfg.segmentGeoms()
 	n := &Network{
 		Cfg:         cfg,
-		Coord:       sim.NewCoordinator(cfg.Trunk.PropDelay, cfg.Domains == DomainsParallel),
+		Coord:       sim.NewCoordinator(cfg.Trunk.PropDelay),
 		rng:         sim.NewRNG(cfg.Seed),
 		model:       model,
 		serverDemux: make(map[uint16]func(packet.Packet)),
@@ -517,7 +517,7 @@ func (n *Network) OracleBestAP(clientID int) int {
 // netChannel implements mac.Channel over the deployment geometry for one
 // execution domain's medium: the whole network in the one-domain shape,
 // or one segment's medium partition when split. Positions are sampled on
-// the domain's own clock so concurrent domains never read another loop.
+// the domain's own clock, so a domain never reads another loop.
 type netChannel struct {
 	n    *Network
 	loop *sim.Loop

@@ -3,7 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"wgtt/internal/deploy"
 	"wgtt/internal/mobility"
@@ -14,8 +17,8 @@ import (
 
 // domainRideSignature rides two UDP clients across a three-segment
 // corridor in the given domain mode and returns a byte-exact signature of
-// what each sink saw. Equal signatures mean the serial and parallel
-// domain executions delivered the same packets at the same virtual times.
+// what each sink saw. Equal signatures mean the two split mode names
+// delivered the same packets at the same virtual times.
 func domainRideSignature(t *testing.T, seed int64, mode DomainMode, prop sim.Duration) string {
 	t.Helper()
 	cfg := DefaultConfig(WGTT)
@@ -51,7 +54,8 @@ func domainRideSignature(t *testing.T, seed int64, mode DomainMode, prop sim.Dur
 
 // TestDomainParitySerialParallel pins the conservative-synchronization
 // guarantee at the core layer: per-segment domains produce bit-identical
-// results whether they run on one goroutine or one per domain.
+// results under either split mode name, whichever goroutines their
+// fan-outs run on.
 func TestDomainParitySerialParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 8 s corridor rides per seed")
@@ -69,9 +73,9 @@ func TestDomainParitySerialParallel(t *testing.T) {
 // TestDomainParityRandomTrunkDelays stresses the same guarantee across
 // randomized lookaheads: the trunk propagation delay (and with it the
 // synchronization round width, the mailbox minimum latency, and the
-// client-migration latency) is drawn per seed, and the serial and
-// parallel executions must still agree bit for bit. Run under -race this
-// also hunts cross-domain data races in the round barriers.
+// client-migration latency) is drawn per seed, and the two split mode
+// names must still agree bit for bit. Run under -race this also hunts
+// data races between the round barriers and the fan-out helpers.
 func TestDomainParityRandomTrunkDelays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 8 s corridor rides per seed")
@@ -84,6 +88,44 @@ func TestDomainParityRandomTrunkDelays(t *testing.T) {
 		if serial != parallel {
 			t.Errorf("seed %d (prop %v): serial %q != parallel %q",
 				seed, prop, serial, parallel)
+		}
+	}
+}
+
+// TestDomainModesLendFanHelpers: under either split mode name, at
+// GOMAXPROCS 2, the items of a segment domain's fan-out run on two
+// goroutines at once, so some run off the Run goroutine: both names
+// build the one coordinator, which lends its helpers to every domain.
+func TestDomainModesLendFanHelpers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, mode := range []DomainMode{DomainsSerial, DomainsParallel} {
+		cfg := DefaultConfig(WGTT)
+		cfg.Segments = []deploy.SegmentSpec{{NumAPs: 4}, {NumAPs: 4}}
+		cfg.Domains = mode
+		n := MustNewNetwork(cfg)
+		loop := n.segs[1].dom.Loop
+		var inFlight atomic.Int32
+		var overlapped atomic.Bool
+		item := func(int) {
+			if inFlight.Add(1) > 1 {
+				overlapped.Store(true)
+			}
+			for start := time.Now(); time.Since(start) < 2*time.Microsecond; {
+			}
+			inFlight.Add(-1)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		var tick func()
+		tick = func() {
+			loop.Fan(64, item)
+			if !overlapped.Load() && time.Now().Before(deadline) {
+				loop.After(sim.Microsecond, tick)
+			}
+		}
+		loop.At(sim.Time(sim.Millisecond), tick)
+		n.Run(100 * sim.Millisecond)
+		if !overlapped.Load() {
+			t.Errorf("%v: no two items of a segment domain's fan-out ran at once", mode)
 		}
 	}
 }

@@ -192,7 +192,7 @@ func (w *deliveryWorld) transmit(t *Transmission) {
 }
 
 func newDeliveryWorld(ref, index, unregister bool) *deliveryWorld {
-	w := &deliveryWorld{c: sim.NewCoordinator(0, false), ref: ref}
+	w := &deliveryWorld{c: sim.NewCoordinator(0), ref: ref}
 	w.loop = w.c.NewDomain("medium").Loop
 	ch := newFakeChannel()
 	w.m = NewMedium(w.loop, shapedChannel{ch}, sim.NewRNG(41))

@@ -17,19 +17,21 @@ import (
 	"sync/atomic"
 )
 
-// Exec is the execution half of a run configuration: how work is spread
-// over goroutines, both across independent runs (Workers) and inside a
-// single multi-segment simulation (ParallelSegments). The public
-// wgtt.Options embeds it, so the fields surface unchanged on the facade.
+// Exec is the execution half of a run configuration: how many runs go
+// at once (Workers), and whether a multi-segment simulation splits into
+// per-segment domains (ParallelSegments). The public wgtt.Options embeds
+// it, so the fields surface unchanged on the facade.
 type Exec struct {
 	// Workers is the number of concurrent workers; <= 0 means
 	// runtime.GOMAXPROCS(0). One worker runs every item in order on the
 	// calling goroutine. Results are identical at any count.
 	Workers int
 	// ParallelSegments runs each multi-segment network's segments as
-	// conservative parallel domains (core.DomainsParallel). Callers
-	// apply it to the Config they build; single-segment networks run as
-	// one domain either way.
+	// per-segment domains synchronized conservatively at the trunks
+	// (core.DomainsParallel). The domains run one after another on the
+	// coordinator's goroutine, not in parallel; the name is the flag's.
+	// Callers apply it to the Config they build; single-segment
+	// networks run as one domain either way.
 	ParallelSegments bool
 }
 

@@ -3,13 +3,15 @@ package sim
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 )
 
-// This file implements conservative parallel discrete-event simulation over
-// a set of Loops ("domains"). The model is the classic null-message-free
-// synchronous variant: all cross-domain interactions carry a minimum latency
-// of at least the coordinator's lookahead L, so virtual time can advance in
-// rounds of width L with a barrier between rounds.
+// This file implements the synchronization of conservative parallel
+// discrete-event simulation over a set of Loops ("domains"). The model is
+// the classic null-message-free synchronous variant: all cross-domain
+// interactions carry a minimum latency of at least the coordinator's
+// lookahead L, so virtual time can advance in rounds of width L with a
+// barrier between rounds.
 //
 // Correctness argument. A round covers the half-open window (T, T+L]. While
 // a domain executes its round, its clock satisfies now > T (events fire at
@@ -28,13 +30,11 @@ import (
 // receiving Loop at its arrival time. Each Loop assigns its own monotonic
 // sequence numbers, so the event order inside every domain is a pure
 // function of (round schedule, mailbox registration order, per-domain event
-// history) and is identical whether a round's domains run serially or are
-// spread over several goroutines. Parallel execution is therefore
-// bit-identical to serial execution of the same domain graph — and,
-// because typed envelopes are data (see envelope.go), so is multi-process
-// execution of a partition of it (see shard.go): the same envelopes reach
-// the same mailboxes at the same times in the same order, whether by
-// reference or by wire.
+// history), whichever goroutine runs a domain. Because typed envelopes are
+// data (see envelope.go), multi-process execution of a partition of the
+// domain graph (see shard.go) is therefore bit-identical to running it
+// whole: the same envelopes reach the same mailboxes at the same times in
+// the same order, whether by reference or by wire.
 
 // Domain is one event loop in a partitioned simulation. All state owned by
 // a domain must only be touched from its Loop's callbacks; the only legal
@@ -182,55 +182,39 @@ func (m *Mailbox) fire(d *dispatch) {
 }
 
 // Coordinator advances a set of domains in lockstep rounds of width equal
-// to the lookahead, draining mailboxes at the barrier between rounds. With
-// parallel=false the rounds run domain-by-domain on the calling goroutine,
-// which lends the Run call's helpers to the domains' fan-outs (Loop.Fan).
-// With parallel=true each round runs only the domains with an event due
-// in it, claimed one at a time by the calling goroutine and a pool of
-// GOMAXPROCS−1 helpers (see pool); idle domains just have their clocks
-// advanced, and fan-outs run inline. Both modes produce bit-identical
-// results (see the package comment above). Domains that share no mailbox
-// need no barrier, so without one each Run is a single round to its
-// horizon.
+// to the lookahead, draining mailboxes at the barrier between rounds. A
+// round runs the domains one after another, in registration order, on
+// the goroutine that called Run, which lends the call's GOMAXPROCS−1
+// helpers to the domains' fan-outs (Loop.Fan). Domains that share no
+// mailbox need no barrier, so without one each Run is a single round to
+// its horizon.
 type Coordinator struct {
 	lookahead Duration
-	parallel  bool
 	domains   []*Domain
 	boxes     []*Mailbox
 	now       Time
 	rounds    int64
 	exchanges int64
 	// waitStats, when non-nil, collects per-domain wall-clock barrier
-	// waits in parallel mode (EnableWaitStats). workNs is the per-round
-	// Loop.Run time of each domain, written by whichever goroutine ran
-	// the domain and read by the coordinator once the round completes.
+	// waits (EnableWaitStats). workNs is each domain's Loop.Run time in
+	// the round in progress.
 	waitStats []waitRec
 	workNs    []int64
-	// helpers counts live pool helper goroutines, a parallel Run's or a
-	// serial Run's fan-out helpers; Run returns only once it is back to
-	// zero.
+	// helpers counts live fan-out helper goroutines; Run returns only
+	// once it is back to zero.
 	helpers atomic.Int32
-	// active (indices into domains) and end describe the parallel round
-	// in progress. round writes them before publishing the round's job
-	// and not again until every active domain has finished, so a
-	// goroutine whose claim succeeded may read them. roundFn is
-	// runActive, bound once.
-	active  []int
-	end     Time
-	roundFn func(k int)
 }
 
 // NewCoordinator returns a coordinator advancing time in rounds of width
 // lookahead. Domains that share no mailbox cannot affect each other, so
 // until the first Connect every Run is one round straight to its
 // horizon and the lookahead is unused; Connect requires it positive.
-func NewCoordinator(lookahead Duration, parallel bool) *Coordinator {
-	return &Coordinator{lookahead: lookahead, parallel: parallel}
+// There is one executor: a round's domains run on the Run goroutine,
+// because a round of a few microseconds' work costs less than handing a
+// domain to another goroutine, and only fan-outs spread over helpers.
+func NewCoordinator(lookahead Duration) *Coordinator {
+	return &Coordinator{lookahead: lookahead}
 }
-
-// Parallel reports whether rounds spread their domains over a goroutine
-// pool.
-func (c *Coordinator) Parallel() bool { return c.parallel }
 
 // Lookahead returns the round width.
 func (c *Coordinator) Lookahead() Duration { return c.lookahead }
@@ -271,9 +255,13 @@ func (c *Coordinator) Connect(from, to *Domain, minDelay Duration) *Mailbox {
 // drain moves every pending mailbox envelope onto its receiving Loop.
 // Runs on the coordinator goroutine while no domain executes, in
 // registration order and FIFO within each mailbox, so the resulting
-// event sequence numbers are deterministic.
+// event sequence numbers are deterministic. Most boxes are empty in most
+// rounds; they are skipped without touching their slices.
 func (c *Coordinator) drain() {
 	for _, m := range c.boxes {
+		if len(m.pending) == 0 {
+			continue
+		}
 		for _, p := range m.pending {
 			m.deliver(p.at, p.env, p.trace)
 		}
@@ -303,9 +291,9 @@ func (c *Coordinator) nextEventAt() (Time, bool) {
 }
 
 // Run advances all domains to virtual time until. It may be called
-// repeatedly to advance incrementally. The helper goroutines of either
-// mode live only for the duration of the call: Run returns after every
-// one of them has exited.
+// repeatedly to advance incrementally. The fan-out helpers live only for
+// the duration of the call: Run returns after every one of them has
+// exited.
 func (c *Coordinator) Run(until Time) {
 	if until <= c.now {
 		return
@@ -315,20 +303,13 @@ func (c *Coordinator) Run(until Time) {
 	// Deliver anything posted during construction (sender clocks at zero)
 	// before the first round executes.
 	c.drain()
-
-	var p *pool
-	if c.parallel {
-		p = c.newRoundPool()
-		defer p.close()
-	} else {
-		defer c.closeFanPool(c.newFanPool())
-	}
+	defer c.closeFanPool(c.newFanPool())
 
 	for c.now < until {
 		next, hasNext := c.nextEventAt()
 		end := c.roundEnd(next, hasNext, until)
-		if p != nil {
-			c.round(p, end)
+		if c.waitStats != nil {
+			c.timedRound(end)
 		} else {
 			for _, d := range c.domains {
 				d.Loop.Run(end)
@@ -340,14 +321,33 @@ func (c *Coordinator) Run(until Time) {
 	}
 }
 
+// timedRound runs the window (c.now, end] over every domain, as Run's
+// untimed round does, and records each domain's barrier wait. Only a
+// domain with an event due by end is timed; any other only has its
+// clock advanced and counts no work.
+func (c *Coordinator) timedRound(end Time) {
+	t0 := time.Now()
+	for i, d := range c.domains {
+		if t, ok := d.Loop.NextEventAt(); ok && t <= end {
+			t1 := time.Now()
+			d.Loop.Run(end)
+			c.workNs[i] = time.Since(t1).Nanoseconds()
+			continue
+		}
+		d.Loop.Run(end)
+		c.workNs[i] = 0
+	}
+	c.recordWaits(time.Since(t0).Nanoseconds())
+}
+
 // roundEnd returns where the round after c.now ends, given the earliest
 // pending event: one lookahead on, clamped to until. With no mailbox, or
 // nothing pending anywhere and every mailbox drained, no domain can
 // receive an event from another, so the round runs straight to until.
 // When the earliest event is more than a round away, an idle round
 // advances to next-L so that the round after it, (next-L, next],
-// contains the event. Every input is identical in serial, parallel and
-// partitioned runs, so the round schedule preserves bit-identity.
+// contains the event. Every input is identical in whole and partitioned
+// runs, so the round schedule preserves bit-identity.
 func (c *Coordinator) roundEnd(next Time, hasNext bool, until Time) Time {
 	end := c.now.Add(c.lookahead)
 	if !hasNext || len(c.boxes) == 0 {
@@ -376,10 +376,11 @@ type waitRec struct {
 }
 
 // WaitStat summarizes one domain's wall-clock barrier waits. A domain's
-// wait in one parallel round is the round's wall time minus the domain's
-// own Loop.Run time in it, so a domain with no event due in the round
-// waits the whole round, and Rounds counts every round of the
-// coordinator, active or not. Wall-clock and therefore
+// wait in one round is the round's wall time minus the domain's own
+// Loop.Run time in it: the time the other domains of the round took. A
+// domain with no event due in the round counts no work, so it waits the
+// whole round, and Rounds counts every round of the coordinator, active
+// or not. Wall-clock and therefore
 // nondeterministic — this deliberately lives outside the telemetry
 // registry (whose snapshots must be a pure function of the simulated
 // schedule) and is surfaced through wgtt-serve's introspection
@@ -392,10 +393,10 @@ type WaitStat struct {
 	Buckets []int64 `json:"buckets"` // per WaitBoundsNs, last = overflow
 }
 
-// EnableWaitStats turns on barrier-wait collection for subsequent
-// parallel Run calls (two clock reads per round and per active domain;
-// off by default so the hot path stays untouched). Serial rounds have
-// no barrier waits and record nothing.
+// EnableWaitStats turns on barrier-wait collection for subsequent Run
+// calls: two clock reads per round, plus two per domain with an event
+// due in it. Off by default, so an untimed round reads no clock.
+// RunPartitioned records nothing.
 func (c *Coordinator) EnableWaitStats() {
 	if c.waitStats == nil {
 		c.waitStats = make([]waitRec, len(c.domains))
@@ -403,8 +404,8 @@ func (c *Coordinator) EnableWaitStats() {
 	}
 }
 
-// recordWaits folds one parallel round's per-domain waits (round wall
-// time minus the domain's own work time) into the histograms.
+// recordWaits folds one round's per-domain waits (round wall time minus
+// the domain's own work time) into the histograms.
 func (c *Coordinator) recordWaits(roundNs int64) {
 	for i := range c.waitStats {
 		wait := roundNs - c.workNs[i]

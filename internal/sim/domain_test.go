@@ -6,15 +6,29 @@ import (
 	"testing"
 )
 
-// ringHarness builds nDom domains in a bidirectional ring. Each domain runs
-// a self-rescheduling local event that mixes its RNG and, every few firings,
-// posts a value to a neighbour with a randomized (but >= minDelay) arrival
-// offset. Every action appends to a per-domain log; concatenating the logs
-// gives a signature that must be independent of serial vs parallel rounds.
-func ringSignature(t *testing.T, seed int64, nDom int, parallel bool) []string {
+// fanSum fans out len(out) items on l, item k writing v·(k+1) into its
+// own slot, and returns the slots' sum: a fan-out result a log can
+// record, the same whichever goroutine ran each item.
+func fanSum(l *Loop, out []int, v int) int {
+	l.Fan(len(out), func(k int) { out[k] = v * (k + 1) })
+	sum := 0
+	for _, x := range out {
+		sum += x
+	}
+	return sum
+}
+
+// ringSignature builds nDom domains in a bidirectional ring. Each domain
+// runs a self-rescheduling local event that mixes its RNG, fans out a
+// sum over 16 items, and, every few firings, posts a value to a
+// neighbour with a randomized (but >= minDelay) arrival offset. Every
+// action appends to a per-domain log; concatenating the logs gives a
+// signature that must not depend on whether the fan-outs ran inline or
+// on helpers.
+func ringSignature(t *testing.T, seed int64, nDom int) []string {
 	t.Helper()
 	const lookahead = 200 * Microsecond
-	c := NewCoordinator(lookahead, parallel)
+	c := NewCoordinator(lookahead)
 	doms := make([]*Domain, nDom)
 	logs := make([][]string, nDom)
 	for i := range doms {
@@ -36,13 +50,15 @@ func ringSignature(t *testing.T, seed int64, nDom int, parallel bool) []string {
 		i := i
 		d := doms[i]
 		rng := NewRNG(seed).Fork(fmt.Sprintf("dom%d", i))
+		scratch := make([]int, 16)
 		var tick func()
 		fires := 0
 		tick = func() {
 			fires++
 			now := d.Loop.Now()
-			logs[i] = append(logs[i], fmt.Sprintf("d%d tick%d @%v r%d",
-				i, fires, now, rng.Intn(1000)))
+			r := rng.Intn(1000)
+			logs[i] = append(logs[i], fmt.Sprintf("d%d tick%d @%v r%d f%d",
+				i, fires, now, r, fanSum(d.Loop, scratch, r)))
 			if fires%3 == 0 {
 				dst := (i + 1) % nDom
 				if fires%2 == 0 {
@@ -73,24 +89,30 @@ func ringSignature(t *testing.T, seed int64, nDom int, parallel bool) []string {
 	return sig
 }
 
-// TestCoordinatorParallelMatchesSerial is the core conservative-sync
-// guarantee: parallel rounds are bit-identical to serial rounds.
+// TestCoordinatorParallelMatchesSerial: a ring whose domains' fan-outs
+// run in parallel on the Run goroutine's helpers (GOMAXPROCS 2 and 8)
+// is bit-identical to the same ring at GOMAXPROCS 1, where every
+// fan-out runs serially, inline.
 func TestCoordinatorParallelMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		serial := ringSignature(t, seed, 5, false)
-		par := ringSignature(t, seed, 5, true)
-		if len(serial) != len(par) {
-			t.Fatalf("seed %d: log length %d (serial) != %d (parallel)",
-				seed, len(serial), len(par))
-		}
-		for i := range serial {
-			if serial[i] != par[i] {
-				t.Fatalf("seed %d: first divergence at entry %d:\n serial: %s\n parallel: %s",
-					seed, i, serial[i], par[i])
-			}
-		}
+		var serial []string
+		withProcs(1, func() { serial = ringSignature(t, seed, 5) })
 		if len(serial) == 0 {
 			t.Fatalf("seed %d: empty signature — harness produced no events", seed)
+		}
+		for _, procs := range []int{2, 8} {
+			var par []string
+			withProcs(procs, func() { par = ringSignature(t, seed, 5) })
+			if len(serial) != len(par) {
+				t.Fatalf("seed %d GOMAXPROCS=%d: log length %d, want %d",
+					seed, procs, len(par), len(serial))
+			}
+			for i := range serial {
+				if serial[i] != par[i] {
+					t.Fatalf("seed %d GOMAXPROCS=%d: first divergence at entry %d:\n serial: %s\n parallel: %s",
+						seed, procs, i, serial[i], par[i])
+				}
+			}
 		}
 	}
 }
@@ -100,14 +122,14 @@ func TestCoordinatorParallelMatchesSerial(t *testing.T) {
 // -race). The workload itself is the ring harness at a larger scale.
 func TestCoordinatorStressRace(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		if sig := ringSignature(t, seed, 9, true); len(sig) == 0 {
+		if sig := ringSignature(t, seed, 9); len(sig) == 0 {
 			t.Fatalf("seed %d: empty signature", seed)
 		}
 	}
 }
 
 func TestMailboxPostBelowMinDelayPanics(t *testing.T) {
-	c := NewCoordinator(200*Microsecond, false)
+	c := NewCoordinator(200 * Microsecond)
 	a := c.NewDomain("a")
 	b := c.NewDomain("b")
 	mb := c.Connect(a, b, 200*Microsecond)
@@ -128,7 +150,7 @@ func TestMailboxPostBelowMinDelayPanics(t *testing.T) {
 // in one shared Mailbox.checkDelay, so neither direction nor API can
 // drift to unvalidated posts.
 func TestMailboxPostBelowMinDelayPanicsBothDirections(t *testing.T) {
-	c := NewCoordinator(200*Microsecond, false)
+	c := NewCoordinator(200 * Microsecond)
 	a := c.NewDomain("a")
 	b := c.NewDomain("b")
 	fwd := c.Connect(a, b, 200*Microsecond)
@@ -155,7 +177,7 @@ func TestMailboxPostBelowMinDelayPanicsBothDirections(t *testing.T) {
 }
 
 func TestConnectBelowLookaheadPanics(t *testing.T) {
-	c := NewCoordinator(200*Microsecond, false)
+	c := NewCoordinator(200 * Microsecond)
 	a := c.NewDomain("a")
 	b := c.NewDomain("b")
 	defer func() {
@@ -170,7 +192,7 @@ func TestConnectBelowLookaheadPanics(t *testing.T) {
 // cost one round per lookahead interval: a single event 10s out must fire,
 // and all clocks must land exactly on the horizon.
 func TestCoordinatorIdleFastForward(t *testing.T) {
-	c := NewCoordinator(200*Microsecond, false)
+	c := NewCoordinator(200 * Microsecond)
 	a := c.NewDomain("a")
 	b := c.NewDomain("b")
 	fired := false
@@ -190,7 +212,7 @@ func TestCoordinatorIdleFastForward(t *testing.T) {
 // (sender clocks at zero) are delivered, including ones landing inside the
 // very first round.
 func TestCoordinatorConstructionPosts(t *testing.T) {
-	c := NewCoordinator(200*Microsecond, false)
+	c := NewCoordinator(200 * Microsecond)
 	a := c.NewDomain("a")
 	b := c.NewDomain("b")
 	mb := c.Connect(a, b, 200*Microsecond)
@@ -205,12 +227,19 @@ func TestCoordinatorConstructionPosts(t *testing.T) {
 
 // tickLog arms a self-rescheduling event on l that logs each firing with
 // a draw from its own RNG stream, plus one event exactly on the first
-// horizon of TestCoordinatorWithoutMailboxes.
-func tickLog(l *Loop, seed int64, i int, log *[]string) {
+// horizon of TestCoordinatorWithoutMailboxes. With fan, each firing also
+// logs a sum fanned out over 16 items.
+func tickLog(l *Loop, seed int64, i int, fan bool, log *[]string) {
 	rng := NewRNG(seed).Fork(fmt.Sprintf("dom%d", i))
+	scratch := make([]int, 16)
 	var tick func()
 	tick = func() {
-		*log = append(*log, fmt.Sprintf("tick @%v r%d", l.Now(), rng.Intn(1000)))
+		r := rng.Intn(1000)
+		entry := fmt.Sprintf("tick @%v r%d", l.Now(), r)
+		if fan {
+			entry += fmt.Sprintf(" f%d", fanSum(l, scratch, r))
+		}
+		*log = append(*log, entry)
 		l.After(Duration(50+rng.Intn(900))*Microsecond, tick)
 	}
 	l.After(Duration(10+rng.Intn(50))*Microsecond, tick)
@@ -220,33 +249,38 @@ func tickLog(l *Loop, seed int64, i int, log *[]string) {
 // TestCoordinatorWithoutMailboxes pins the one-round run: domains that
 // share no mailbox cannot affect each other, so each Run is exactly one
 // round straight to its horizon, and every domain fires the events a
-// bare Loop.Run to the same horizons fires, at the same times, serially
-// or on the pool at GOMAXPROCS 1 and 8. Only Connect needs a positive
-// lookahead.
+// bare Loop.Run to the same horizons fires, at the same times, at
+// GOMAXPROCS 1 and 8, with fan-outs (parallel=true: on the Run's
+// helpers where GOMAXPROCS allows) and without. Only Connect needs a
+// positive lookahead.
 func TestCoordinatorWithoutMailboxes(t *testing.T) {
 	const (
 		seed = 7
 		nDom = 4
 	)
 	horizons := []Time{Time(3 * Millisecond), Time(3*Millisecond + 1), Time(40 * Millisecond), Time(41 * Millisecond)}
-	want := make([][]string, nDom)
-	for i := range want {
-		l := NewLoop()
-		tickLog(l, seed, i, &want[i])
-		for _, h := range horizons {
-			l.Run(h)
+	bare := func(fan bool) [][]string {
+		logs := make([][]string, nDom)
+		for i := range logs {
+			l := NewLoop()
+			tickLog(l, seed, i, fan, &logs[i])
+			for _, h := range horizons {
+				l.Run(h)
+			}
 		}
+		return logs
 	}
 	for _, procs := range []int{1, 8} {
 		for _, parallel := range []bool{false, true} {
 			t.Run(fmt.Sprintf("procs%d/parallel=%v", procs, parallel), func(t *testing.T) {
+				want := bare(parallel)
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				c := NewCoordinator(200*Microsecond, parallel)
+				c := NewCoordinator(200 * Microsecond)
 				got := make([][]string, nDom)
 				doms := make([]*Domain, nDom)
 				for i := range doms {
 					doms[i] = c.NewDomain(fmt.Sprintf("d%d", i))
-					tickLog(doms[i].Loop, seed, i, &got[i])
+					tickLog(doms[i].Loop, seed, i, parallel, &got[i])
 				}
 				for k, h := range horizons {
 					c.Run(h)
@@ -268,7 +302,7 @@ func TestCoordinatorWithoutMailboxes(t *testing.T) {
 		}
 	}
 
-	c := NewCoordinator(0, false)
+	c := NewCoordinator(0)
 	a, b := c.NewDomain("a"), c.NewDomain("b")
 	c.Run(Time(Millisecond))
 	defer func() {

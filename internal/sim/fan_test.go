@@ -38,7 +38,7 @@ func TestFanRunsEachIndexOnce(t *testing.T) {
 			withProcs(procs, func() {
 				counts := make([]atomic.Int32, n)
 				count := func(i int) { counts[i].Add(1) }
-				c := NewCoordinator(0, false)
+				c := NewCoordinator(0)
 				d := c.NewDomain("d")
 				for k := 1; k <= fanouts; k++ {
 					d.Loop.At(Time(k), func() { d.Loop.Fan(n, count) })
@@ -56,14 +56,25 @@ func TestFanRunsEachIndexOnce(t *testing.T) {
 	}
 }
 
-// fanOffRun rides a serial one-domain Run whose events each fan out 64
-// items of ~2 µs, until an item has run off the Run goroutine or wall
-// time runs out. It returns how many items did and how many helpers
-// lived during the Run, and checks that none outlives it.
-func fanOffRun(t *testing.T, wall time.Duration) (off int64, helpers int) {
+// fanOffRun rides a Run whose events each fan out 64 items of ~2 µs,
+// until an item has run off the Run goroutine or wall time runs out. The
+// coordinator has one domain, or with split the shape a split network
+// builds: two segment domains and a server, joined by mailboxes, whose
+// last segment fans out. It returns how many items ran off the Run
+// goroutine and how many helpers lived during the Run, and checks that
+// none outlives it.
+func fanOffRun(t *testing.T, split bool, wall time.Duration) (off int64, helpers int) {
 	t.Helper()
-	c := NewCoordinator(0, false)
+	c := NewCoordinator(100 * Microsecond)
 	d := c.NewDomain("d")
+	if split {
+		seg0 := d
+		d = c.NewDomain("seg1")
+		server := c.NewDomain("server")
+		for _, pair := range [][2]*Domain{{seg0, d}, {d, seg0}, {d, server}, {server, d}} {
+			c.Connect(pair[0], pair[1], 100*Microsecond)
+		}
+	}
 	var runG uint64
 	var offItems atomic.Int64
 	item := func(int) {
@@ -91,23 +102,27 @@ func fanOffRun(t *testing.T, wall time.Duration) (off int64, helpers int) {
 }
 
 // TestFanBorrowsHelpersInSerialRun requires some fan-out items to run
-// off the Run goroutine of a serial one-domain Run at GOMAXPROCS 2 and
-// 8, and none while a second coordinator Run is in progress.
+// off the Run goroutine at GOMAXPROCS 2 and 8, both in a one-domain Run
+// and in a split one (every split network, whichever name its
+// Config.Domains gives it, runs on this one coordinator), and none while
+// a second coordinator Run is in progress.
 func TestFanBorrowsHelpersInSerialRun(t *testing.T) {
 	for _, procs := range []int{2, 8} {
-		withProcs(procs, func() {
-			off, helpers := fanOffRun(t, 5*time.Second)
-			if off == 0 {
-				t.Errorf("GOMAXPROCS=%d: no fan-out item ran off the Run goroutine", procs)
-			}
-			if helpers != procs-1 {
-				t.Errorf("GOMAXPROCS=%d: %d helpers during Run, want %d", procs, helpers, procs-1)
-			}
-		})
+		for _, split := range []bool{false, true} {
+			withProcs(procs, func() {
+				off, helpers := fanOffRun(t, split, 5*time.Second)
+				if off == 0 {
+					t.Errorf("GOMAXPROCS=%d split=%v: no fan-out item ran off the Run goroutine", procs, split)
+				}
+				if helpers != procs-1 {
+					t.Errorf("GOMAXPROCS=%d split=%v: %d helpers during Run, want %d", procs, split, helpers, procs-1)
+				}
+			})
+		}
 	}
 
 	withProcs(2, func() {
-		other := NewCoordinator(0, false)
+		other := NewCoordinator(0)
 		d := other.NewDomain("blocker")
 		entered, release, finished := make(chan struct{}), make(chan struct{}), make(chan struct{})
 		d.Loop.At(1, func() {
@@ -119,31 +134,12 @@ func TestFanBorrowsHelpersInSerialRun(t *testing.T) {
 			close(finished)
 		}()
 		<-entered
-		off, helpers := fanOffRun(t, 200*time.Millisecond)
+		off, helpers := fanOffRun(t, true, 200*time.Millisecond)
 		close(release)
 		<-finished
 		if off != 0 || helpers != 0 {
 			t.Errorf("%d fan-out items ran off the Run goroutine, on %d helpers, while another Run was in progress",
 				off, helpers)
-		}
-	})
-
-	// A parallel coordinator lends nothing.
-	withProcs(2, func() {
-		c := NewCoordinator(0, true)
-		d := c.NewDomain("d")
-		var off int
-		d.Loop.At(1, func() {
-			runG := curGoroutine()
-			d.Loop.Fan(64, func(int) {
-				if curGoroutine() != runG {
-					off++
-				}
-			})
-		})
-		c.Run(2)
-		if off != 0 {
-			t.Errorf("%d fan-out items of a parallel coordinator's domain ran off its goroutine", off)
 		}
 	})
 }
@@ -153,7 +149,7 @@ func TestFanBorrowsHelpersInSerialRun(t *testing.T) {
 // value, after every helper has exited.
 func TestFanHelperPanicSurfacesFromRun(t *testing.T) {
 	withProcs(2, func() {
-		c := NewCoordinator(0, false)
+		c := NewCoordinator(0)
 		d := c.NewDomain("d")
 		deadline := time.Now().Add(5 * time.Second)
 		var tick func()
@@ -195,7 +191,7 @@ func TestFanHelperPanicSurfacesFromRun(t *testing.T) {
 // engaged: a bound function and a reused job record cost no allocation.
 func TestFanAllocatesNothing(t *testing.T) {
 	withProcs(2, func() {
-		c := NewCoordinator(0, false)
+		c := NewCoordinator(0)
 		d := c.NewDomain("d")
 		var sink [64]int
 		work := func(i int) { sink[i]++ }
@@ -219,7 +215,7 @@ func TestFanBeyondOneJob(t *testing.T) {
 	withProcs(2, func() {
 		const n = maxJob + 3
 		seen := make([]atomic.Int32, n)
-		c := NewCoordinator(0, false)
+		c := NewCoordinator(0)
 		d := c.NewDomain("d")
 		d.Loop.At(1, func() { d.Loop.Fan(n, func(i int) { seen[i].Add(1) }) })
 		c.Run(2)

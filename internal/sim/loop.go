@@ -96,8 +96,8 @@ type Loop struct {
 	// (e.g. the controller issuing a switch) brackets the originating
 	// calls with SetTrace.
 	curTrace uint64
-	// fan is the pool a serial Coordinator.Run lends this loop's
-	// fan-outs for the length of the call; nil otherwise.
+	// fan is the pool a Coordinator.Run lends this loop's fan-outs for
+	// the length of the call; nil otherwise.
 	fan *pool
 }
 
@@ -274,7 +274,7 @@ func (l *Loop) RunFor(d Duration) { l.Run(l.now.Add(d)) }
 
 // Fan calls fn(i) once for every i in [0, n) and returns after every
 // call has returned. The calls may run concurrently: while the loop runs
-// under a serial Coordinator's Run and no other coordinator run is in
+// under a Coordinator's Run and no other coordinator run is in
 // progress in the process, the Run goroutine and up to GOMAXPROCS−1
 // helper goroutines claim the indices one at a time. Otherwise, and
 // whenever n < 2, they run inline in index order, so a caller must not

@@ -1,21 +1,16 @@
 package sim
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// pool executes jobs of independent items on the goroutine that
-// publishes them and on up to len(helpers) helper goroutines. It serves
-// two kinds of job:
-//
-//   - a parallel coordinator's round, whose items are the round's active
-//     domains (Coordinator.round);
-//   - a fan-out, whose items are whatever Loop.Fan's caller splits its
-//     work into: a medium's candidate receivers of one PPDU.
+// pool executes fan-outs (Loop.Fan) on the goroutine that publishes them
+// and on up to len(helpers) helper goroutines. A fan-out is one job of
+// independent items: whatever Loop.Fan's caller splits its work into, a
+// medium's candidate receivers of one PPDU.
 //
 // The publisher writes the job, stores the claim word, wakes parked
 // helpers, and then claims items itself. Items are claimed one at a time
@@ -48,10 +43,6 @@ type pool struct {
 	// the job's one token on done.
 	left atomic.Int32
 	done chan struct{}
-	// spin is how long an idle helper, and a publisher waiting for a
-	// helper's last item, keep watching the pool before they park; zero
-	// parks at once.
-	spin time.Duration
 
 	helpers []*helper
 	// live is the owning coordinator's count of live helpers.
@@ -79,10 +70,11 @@ type helper struct {
 // maxJob is the largest job the claim word can describe.
 const maxJob = 0xffff
 
-// fanSpin is how long a fan-out helper keeps watching for the next job
-// before it parks. Parking and waking cost microseconds on each side, as
-// much as a whole fan-out's share of work, so the spin covers the usual
-// gap between two deliveries; a longer quiet spell parks the helper.
+// fanSpin is how long an idle helper, and a publisher waiting for a
+// helper's last item, keep watching the pool before they park. Parking
+// and waking cost microseconds on each side, as much as a whole
+// fan-out's share of work, so the spin covers the usual gap between two
+// deliveries; a longer quiet spell parks the helper.
 const fanSpin = 200 * time.Microsecond
 
 // spinCheck is the number of claim-word loads between two clock reads
@@ -92,14 +84,9 @@ const spinCheck = 256
 // runsInProgress counts the Coordinator Run and RunPartitioned calls in
 // progress in the process. A fan-out borrows helpers only while it is 1:
 // with a second run in progress (another ride of a parallel experiment
-// runner, a second in-process shard, a parallel coordinator's run) the
-// cores are already taken, and helpers would only oversubscribe them.
+// runner, a second in-process shard) the cores are already taken, and
+// helpers would only oversubscribe them.
 var runsInProgress atomic.Int32
-
-// newPool returns a pool counting its helpers into live.
-func newPool(live *atomic.Int32, spin time.Duration) *pool {
-	return &pool{live: live, spin: spin, done: make(chan struct{}, 1)}
-}
 
 // start adds k helper goroutines.
 func (p *pool) start(k int) {
@@ -203,21 +190,19 @@ func (p *pool) unclaimed() bool {
 }
 
 // join waits for the job's last item, held by a helper: it watches left
-// for the pool's spin time, then blocks on the helper's token.
+// for fanSpin, then blocks on the helper's token.
 func (p *pool) join() {
-	if p.spin > 0 {
-		start := time.Now()
-		for i := 1; ; i++ {
-			if p.left.Load() == 0 {
-				select {
-				case <-p.done:
-					return
-				default: // the last helper has not sent its token yet
-				}
+	start := time.Now()
+	for i := 1; ; i++ {
+		if p.left.Load() == 0 {
+			select {
+			case <-p.done:
+				return
+			default: // the last helper has not sent its token yet
 			}
-			if i%spinCheck == 0 && time.Since(start) > p.spin {
-				break
-			}
+		}
+		if i%spinCheck == 0 && time.Since(start) > fanSpin {
+			break
 		}
 	}
 	<-p.done
@@ -237,25 +222,23 @@ func (p *pool) help(h *helper) {
 }
 
 // await returns true once a job with unclaimed items may be published,
-// false when the pool is closing. It watches the claim word for the
-// pool's spin time, yielding the processor now and then to any other
-// runnable goroutine, and then parks until a publisher wakes it.
+// false when the pool is closing. It watches the claim word for fanSpin,
+// yielding the processor now and then to any other runnable goroutine,
+// and then parks until a publisher wakes it.
 func (p *pool) await(h *helper) bool {
-	if p.spin > 0 {
-		start := time.Now()
-		for i := 1; ; i++ {
-			if p.stop.Load() {
-				return false
+	start := time.Now()
+	for i := 1; ; i++ {
+		if p.stop.Load() {
+			return false
+		}
+		if p.unclaimed() {
+			return true
+		}
+		if i%spinCheck == 0 {
+			if time.Since(start) > fanSpin {
+				break
 			}
-			if p.unclaimed() {
-				return true
-			}
-			if i%spinCheck == 0 {
-				if time.Since(start) > p.spin {
-					break
-				}
-				runtime.Gosched()
-			}
+			runtime.Gosched()
 		}
 	}
 	h.asleep.Store(true)
@@ -267,75 +250,18 @@ func (p *pool) await(h *helper) bool {
 	return ok
 }
 
-// newRoundPool starts a parallel coordinator's helpers for one Run call:
-// GOMAXPROCS−1 of them, never more than one fewer than the domains. They
-// park as soon as a round's work is gone (no spin), as they did before
-// fan-outs shared the pool; whether spinning would pay between rounds
-// has not been measured.
-func (c *Coordinator) newRoundPool() *pool {
-	if len(c.domains) > maxJob {
-		panic(fmt.Sprintf("sim: %d domains exceed the parallel coordinator's %d", len(c.domains), maxJob))
-	}
-	p := newPool(&c.helpers, 0)
-	p.start(min(runtime.GOMAXPROCS(0), len(c.domains)) - 1)
-	if c.roundFn == nil {
-		c.roundFn = c.runActive
-	}
-	return p
-}
-
-// round executes the window (c.now, end] over every domain: the domains
-// with an event due by end run as one job of p, and every other domain
-// only has its clock advanced, inline.
-func (c *Coordinator) round(p *pool, end Time) {
-	var t0 time.Time
-	if c.waitStats != nil {
-		t0 = time.Now()
-	}
-	c.active = c.active[:0]
-	for i, d := range c.domains {
-		if t, ok := d.Loop.NextEventAt(); ok && t <= end {
-			c.active = append(c.active, i)
-			continue
-		}
-		d.Loop.Run(end) // nothing due: only the clock moves
-		if c.waitStats != nil {
-			c.workNs[i] = 0
-		}
-	}
-	if n := len(c.active); n > 0 {
-		c.end = end
-		p.run(0, n, c.roundFn)
-	}
-	if c.waitStats != nil {
-		c.recordWaits(time.Since(t0).Nanoseconds())
-	}
-}
-
-// runActive runs the round's k-th active domain to the round's end.
-func (c *Coordinator) runActive(k int) {
-	i := c.active[k]
-	if c.waitStats != nil {
-		t0 := time.Now()
-		c.domains[i].Loop.Run(c.end)
-		c.workNs[i] = time.Since(t0).Nanoseconds()
-		return
-	}
-	c.domains[i].Loop.Run(c.end)
-}
-
-// newFanPool is a serial coordinator's loan to its domains' fan-outs for
-// one Run call. The helpers start at the call's first fan-out that may
+// newFanPool is a coordinator's loan to its domains' fan-outs for one
+// Run call. The helpers start at the call's first fan-out that may
 // borrow them (lend), and every loop forgets the pool when the call ends.
 func (c *Coordinator) newFanPool() *pool {
-	p := newPool(&c.helpers, fanSpin)
+	p := &pool{live: &c.helpers, done: make(chan struct{}, 1)}
 	for _, d := range c.domains {
 		d.Loop.fan = p
 	}
 	return p
 }
 
-// closeFanPool ends a serial Run call's loan.
+// closeFanPool ends a Run call's loan.
 func (c *Coordinator) closeFanPool(p *pool) {
 	for _, d := range c.domains {
 		d.Loop.fan = nil

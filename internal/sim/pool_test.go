@@ -10,30 +10,31 @@ import (
 // sparseMesh is a randomized partitioned model shaped like a long corridor
 // with little traffic: many domains, most of them idle in most rounds,
 // each linked by mailboxes to a few random peers. A domain's tick fires
-// after a short or a long random gap, logs an RNG draw, and sometimes
-// posts to a peer; a delivery logs itself and sometimes replies. Every
-// action appends to the acting domain's own log.
+// after a short or a long random gap, logs an RNG draw (with fan, also a
+// sum fanned out over 16 items), and sometimes posts to a peer; a
+// delivery logs itself and sometimes replies. Every action appends to
+// the acting domain's own log.
 //
 // Local ticks land on whole microseconds and a delivery from domain s on
 // the microsecond plus 1+s nanoseconds, so within one domain two events
 // share a timestamp only when both are local or both crossed the same
 // mailbox. Their order then never depends on where round boundaries fall,
 // which makes the logs invariant under slicing Run as well as under the
-// serial/parallel choice.
+// goroutines the fan-outs run on.
 type sparseMesh struct {
 	c     *Coordinator
 	doms  []*Domain
 	logs  [][]string
 	until Time
-	// probe, when set, runs at the first tick of domain 0.
+	// probe, when set, runs at every tick, before its fan-out.
 	probe func()
 }
 
 const sparseLookahead = 200 * Microsecond
 
-func newSparseMesh(seed int64, nDom int, parallel bool) *sparseMesh {
+func newSparseMesh(seed int64, nDom int, fan bool) *sparseMesh {
 	m := &sparseMesh{
-		c:     NewCoordinator(sparseLookahead, parallel),
+		c:     NewCoordinator(sparseLookahead),
 		logs:  make([][]string, nDom),
 		until: Time(300 * Millisecond),
 	}
@@ -75,15 +76,20 @@ func newSparseMesh(seed int64, nDom int, parallel bool) *sparseMesh {
 				}
 			})
 		}
+		scratch := make([]int, 16)
 		fires := 0
 		var tick func()
 		tick = func() {
 			fires++
-			if i == 0 && fires == 1 && m.probe != nil {
+			if m.probe != nil {
 				m.probe()
 			}
 			r := rng.Intn(1000)
-			m.logs[i] = append(m.logs[i], fmt.Sprintf("tick%d @%d r%d", fires, d.Loop.Now(), r))
+			entry := fmt.Sprintf("tick%d @%d r%d", fires, d.Loop.Now(), r)
+			if fan {
+				entry += fmt.Sprintf(" f%d", fanSum(d.Loop, scratch, r))
+			}
+			m.logs[i] = append(m.logs[i], entry)
 			if r%3 == 0 {
 				post(fires*nDom + i)
 			}
@@ -136,13 +142,14 @@ func diffLogs(t *testing.T, label string, want, got [][]string) {
 }
 
 // TestCoordinatorSparseParallelMatchesSerial runs a sparse 40-domain
-// mesh on the parallel coordinator at GOMAXPROCS 1, 2 and 8 — no
-// helpers, fewer helpers than active domains, and more — and requires
-// every domain's event log to equal the serial run's.
+// mesh whose ticks fan out at GOMAXPROCS 2 and 8 — in parallel on one
+// helper and on seven — and requires every domain's event log to equal
+// the run at GOMAXPROCS 1, where every fan-out runs serially, inline.
 func TestCoordinatorSparseParallelMatchesSerial(t *testing.T) {
 	const nDom = 40
 	for seed := int64(1); seed <= 3; seed++ {
-		serial := newSparseMesh(seed, nDom, false).run(t, nil)
+		var serial [][]string
+		withProcs(1, func() { serial = newSparseMesh(seed, nDom, true).run(t, nil) })
 		entries := 0
 		for _, l := range serial {
 			entries += len(l)
@@ -150,7 +157,7 @@ func TestCoordinatorSparseParallelMatchesSerial(t *testing.T) {
 		if entries < 10*nDom {
 			t.Fatalf("seed %d: only %d log entries — harness too quiet", seed, entries)
 		}
-		for _, procs := range []int{1, 2, 8} {
+		for _, procs := range []int{2, 8} {
 			withProcs(procs, func() {
 				par := newSparseMesh(seed, nDom, true).run(t, nil)
 				diffLogs(t, fmt.Sprintf("seed %d GOMAXPROCS=%d", seed, procs), serial, par)
@@ -160,12 +167,12 @@ func TestCoordinatorSparseParallelMatchesSerial(t *testing.T) {
 }
 
 // TestCoordinatorSlicedRunMatchesOneRun cuts Run into many calls at
-// random horizons — each parallel call starting and stopping its own
+// random horizons — each call starting and stopping its own fan-out
 // helpers — and requires the logs of one uninterrupted call.
 func TestCoordinatorSlicedRunMatchesOneRun(t *testing.T) {
 	const nDom = 24
 	for seed := int64(1); seed <= 2; seed++ {
-		whole := newSparseMesh(seed, nDom, false).run(t, nil)
+		whole := newSparseMesh(seed, nDom, true).run(t, nil)
 		rng := NewRNG(seed).Fork("cuts")
 		var cuts []Time
 		for at := Time(0); ; {
@@ -175,39 +182,43 @@ func TestCoordinatorSlicedRunMatchesOneRun(t *testing.T) {
 			}
 			cuts = append(cuts, at)
 		}
-		for _, parallel := range []bool{false, true} {
-			withProcs(4, func() {
-				sliced := newSparseMesh(seed, nDom, parallel).run(t, cuts)
-				diffLogs(t, fmt.Sprintf("seed %d parallel=%v %d slices", seed, parallel, len(cuts)+1), whole, sliced)
-			})
-		}
+		withProcs(4, func() {
+			sliced := newSparseMesh(seed, nDom, true).run(t, cuts)
+			diffLogs(t, fmt.Sprintf("seed %d %d slices", seed, len(cuts)+1), whole, sliced)
+		})
 	}
 }
 
-// TestCoordinatorHelpersLiveOnlyInRun checks the pool's size while a
-// round executes — GOMAXPROCS−1 helpers, capped at one fewer than the
-// domains, and none at GOMAXPROCS=1 — and that Run returns only after
-// every helper has exited.
+// TestCoordinatorHelpersLiveOnlyInRun checks when fan-out helpers live
+// during a sparse mesh's Run: none before its first fan-out, then
+// GOMAXPROCS−1 of them (none at GOMAXPROCS=1) until Run returns, and
+// none at all in a Run whose domains never fan out.
 func TestCoordinatorHelpersLiveOnlyInRun(t *testing.T) {
-	for _, tc := range []struct{ procs, nDom, want int }{
-		{1, 8, 0},
-		{2, 8, 1},
-		{8, 8, 7},
-		{8, 3, 2},
-	} {
-		withProcs(tc.procs, func() {
-			m := newSparseMesh(1, tc.nDom, true)
-			seen := -1
-			m.probe = func() { seen = int(m.c.helpers.Load()) }
-			m.run(t, nil)
-			if seen != tc.want {
-				t.Errorf("GOMAXPROCS=%d, %d domains: %d helpers during Run, want %d",
-					tc.procs, tc.nDom, seen, tc.want)
-			}
-			if n := m.c.helpers.Load(); n != 0 {
-				t.Errorf("GOMAXPROCS=%d, %d domains: %d helpers outlived Run", tc.procs, tc.nDom, n)
-			}
-		})
+	for _, procs := range []int{1, 2, 8} {
+		for _, fan := range []bool{true, false} {
+			withProcs(procs, func() {
+				m := newSparseMesh(1, 8, fan)
+				var seen []int
+				m.probe = func() { seen = append(seen, int(m.c.helpers.Load())) }
+				m.run(t, nil)
+				want := 0
+				if fan {
+					want = procs - 1
+				}
+				if len(seen) < 2 || seen[0] != 0 {
+					t.Fatalf("GOMAXPROCS=%d fan=%v: helpers %v at the first ticks, want none before the first fan-out",
+						procs, fan, seen[:min(2, len(seen))])
+				}
+				for k, n := range seen[1:] {
+					if n != want {
+						t.Fatalf("GOMAXPROCS=%d fan=%v: %d helpers at tick %d, want %d", procs, fan, n, k+2, want)
+					}
+				}
+				if n := m.c.helpers.Load(); n != 0 {
+					t.Errorf("GOMAXPROCS=%d fan=%v: %d helpers outlived Run", procs, fan, n)
+				}
+			})
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // running the two loops for the round allocates without it (nothing,
 // unless the simcheck owner guard reads goroutine ids in Run).
 func TestMailboxTypedDispatchAllocatesNothing(t *testing.T) {
-	c := NewCoordinator(Millisecond, false)
+	c := NewCoordinator(Millisecond)
 	a, b := c.NewDomain("a"), c.NewDomain("b")
 	mb := c.Connect(a, b, Millisecond)
 	v := &ringVal{Val: 1}
@@ -47,7 +47,7 @@ func TestMailboxTypedDispatchAllocatesNothing(t *testing.T) {
 // receiving loop fires them; a record goes back to the pool only then,
 // and holds no payload there.
 func TestMailboxDispatchRecordsStayPerEnvelope(t *testing.T) {
-	c := NewCoordinator(Millisecond, false)
+	c := NewCoordinator(Millisecond)
 	a, b := c.NewDomain("a"), c.NewDomain("b")
 	mb := c.Connect(a, b, Millisecond)
 	var got []int
@@ -79,8 +79,8 @@ func TestMailboxDispatchRecordsStayPerEnvelope(t *testing.T) {
 // posts two envelopes back at distinct times, until the count runs out.
 // typed carries the hops as registered envelopes (pooled dispatch
 // records); otherwise as PostFunc closures, each its own event callback.
-func pingPong(parallel, typed bool) []string {
-	c := NewCoordinator(200*Microsecond, parallel)
+func pingPong(typed bool) []string {
+	c := NewCoordinator(200 * Microsecond)
 	doms := []*Domain{c.NewDomain("a"), c.NewDomain("b")}
 	boxes := []*Mailbox{
 		c.Connect(doms[0], doms[1], 300*Microsecond),
@@ -124,22 +124,19 @@ func pingPong(parallel, typed bool) []string {
 }
 
 // TestPooledDispatchKeepsEventOrder: handlers that post from inside a
-// pooled dispatch produce the event order the closure form produces,
-// under serial and parallel rounds.
+// pooled dispatch produce the event order the closure form produces.
 func TestPooledDispatchKeepsEventOrder(t *testing.T) {
-	want := pingPong(false, false)
+	want := pingPong(false)
 	if len(want) < 500 {
 		t.Fatalf("ping-pong logged only %d events", len(want))
 	}
-	for _, parallel := range []bool{false, true} {
-		if got := pingPong(parallel, true); !slices.Equal(got, want) {
-			for k := range min(len(got), len(want)) {
-				if got[k] != want[k] {
-					t.Fatalf("parallel=%v: event %d is %q, closure form has %q", parallel, k, got[k], want[k])
-				}
+	if got := pingPong(true); !slices.Equal(got, want) {
+		for k := range min(len(got), len(want)) {
+			if got[k] != want[k] {
+				t.Fatalf("event %d is %q, closure form has %q", k, got[k], want[k])
 			}
-			t.Fatalf("parallel=%v: %d events, closure form has %d", parallel, len(got), len(want))
 		}
+		t.Fatalf("%d events, closure form has %d", len(got), len(want))
 	}
 }
 

@@ -46,7 +46,7 @@ type pingPong struct {
 
 func newPingPong(seed int64) *pingPong {
 	const lookahead = time.Millisecond
-	pp := &pingPong{c: sim.NewCoordinator(lookahead, false)}
+	pp := &pingPong{c: sim.NewCoordinator(lookahead)}
 	pp.doms[0] = pp.c.NewDomain("left")
 	pp.doms[1] = pp.c.NewDomain("right")
 	fwd := pp.c.Connect(pp.doms[0], pp.doms[1], lookahead)

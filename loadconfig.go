@@ -49,7 +49,7 @@ func RegisterFlags(fs *flag.FlagSet, o *DeployOptions) {
 	fs.StringVar(&o.Channel, "channel", o.Channel,
 		"channel-model backend: wifi5g (default) | mmwave60g")
 	fs.BoolVar(&o.ParallelSegments, "parallel-segments", o.ParallelSegments,
-		"run each road segment as its own parallel event-loop domain (multi-segment WGTT, udp/tcp/conference workloads)")
+		"run each road segment as its own event-loop domain, synchronized at the trunks (multi-segment WGTT, udp/tcp/conference workloads)")
 	fs.BoolVar(&o.BoundaryInterference, "boundary-interference", o.BoundaryInterference,
 		"exchange boundary-zone co-channel interference between adjacent segment domains (needs -parallel-segments and >= 2 segments)")
 	fs.BoolVar(&o.Federation, "federation", o.Federation,

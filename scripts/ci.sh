@@ -28,14 +28,17 @@ go build ./...
 # federation package's directory/relocate RPCs ride those trunks; shake
 # all four under the race detector first. The TestDomain* parity tests
 # then exercise full corridor rides (including fault-injected and
-# workload-bearing ones) on the parallel coordinator's goroutine pool.
-# Every network runs through Coordinator.Run, so one seed of the
-# one-domain pins and the one-domain DomainsParallel fallback (a pool
-# with no helpers) go under the race detector too.
-# The runner's tests repeat five times and the sim package's
-# round-dispatch tests (sparse meshes at GOMAXPROCS 1, 2 and 8, sliced
-# runs, helper lifetime) ten times, to shake out rare interleavings of
-# the goroutines that claim work from a shared counter.
+# workload-bearing ones) whose segment domains lend their media's
+# per-PPDU fan-outs to the Run goroutine's helpers, under both split
+# mode names. Every network runs through Coordinator.Run, so one seed
+# of the one-domain pins and the single-segment DomainsParallel
+# fallback (one domain, lending the same helpers) go under the race
+# detector too.
+# The runner's tests repeat five times and the sim package's coordinator
+# and fan-out tests (rings and sparse meshes fanning out at GOMAXPROCS
+# 1, 2 and 8, sliced runs, helper lifetime) ten times, to shake out
+# rare interleavings of the goroutines that claim work from a shared
+# counter.
 go test -race -count=5 ./internal/runner/
 go test -race ./internal/deploy/ ./internal/federation/
 go test -race -count=10 ./internal/sim/
@@ -43,14 +46,14 @@ go test -race -run 'TestDomain' ./internal/core/
 go test -race -run 'TestDomain' .
 go test -race -run 'TestSingleLoopPins/seed1' .
 go test -race -run 'TestCorridorSingleSegmentFallback' .
-# A serial coordinator's Run lends helper goroutines to its domains'
-# fan-outs, and the medium evaluates a PPDU's receivers on them before
+# A coordinator's Run lends helper goroutines to its domains' fan-outs,
+# and the medium evaluates a PPDU's receivers on them before
 # committing in registration order. Shake the fan-out pool, two-phase
 # delivery against its sequential reference, and one seed of the crowd
 # and boundary-interference pins under the race detector at 1, 2 and 4
 # procs, so helpers are engaged whatever the host's core count. The
-# crowd pin's split shape also runs segment domains concurrently over
-# the AP positions and the fading delay-rotation table every link
+# crowd pin's split shape also fans out its segment domains' receivers
+# over the AP positions and the fading delay-rotation table every link
 # shares, so this one ride of it covers that sharing too. The boundary
 # pin's seed 1 also holds its posted/applied counts, which move if the
 # interference hook is skipped for a reception whose fill stopped.
@@ -129,22 +132,22 @@ go test -run='^$' -bench='^BenchmarkLinkFirstUse$/^wifi5g$' -benchtime=2000x -be
 # Flight-recorder/stitching gate: the trace package (ring recorder,
 # stitch, Chrome export) races against nothing by design — prove it —
 # and the recorder-on parity + cross-process stitching tests shake the
-# trace-register propagation through the parallel executor under the
-# race detector.
+# trace-register propagation through split rides, their fan-out helpers
+# and the process boundary under the race detector.
 go test -race ./internal/trace/
 go test -race -run 'TestFlightRecorderOffOnParity|TestMultiProcessStitchedTimeline' .
 
 # The mmWave corridor and the cross-domain boundary-interference
-# exchange both ride the parallel-domain executor; shake one seed of
-# each under the race detector (the remaining seeds run race-free in
-# the full suite below).
+# exchange both ride split domains whose fan-outs run on helpers; shake
+# one seed of each under the race detector (the remaining seeds run
+# race-free in the full suite below).
 go test -race -run 'TestCorridorMMWave/seed1|TestBoundaryInterferenceParity/seed1' .
 
 # Scenario gate, part 1: the declarative scenario layer (parse →
 # validate → compile → generate) under the race detector, plus the
 # compiled-scenario integration tests (corridor golden parity,
-# generated serial==parallel sweeps) which drive the parallel-domain
-# executor.
+# generated serial==parallel sweeps) which drive split rides under both
+# mode names, fan-out helpers included.
 go test -race ./internal/scenario/
 go test -race -run 'TestScenario|TestGeneratedScenarioParity|TestServeScenarioFile' .
 
@@ -272,7 +275,7 @@ rm -rf "$sim_tmp"
 # ride (counters, spans, per-domain 100 ms samplers) must not run more
 # than 5% slower than the uninstrumented one. Each sample averages three
 # rides (seeds 1–3) and the min-of-3 comparison discards scheduler
-# noise, which dominates single rides of the parallel-domain executor.
+# noise, which dominates single corridor rides.
 # The pair is sampled in three interleaved processes (not -count=3,
 # which sequences all base samples before all metrics samples) so a
 # drifting host load lands on both sides rather than biasing one.
@@ -310,12 +313,13 @@ awk '
     }' "$bench_out"
 rm -f "$bench_out"
 
-# Datapath allocation gate: the drive-by ride and both executors of the
-# 24-segment corridor ride must stay within 10% of their allocs/op
-# budgets. Allocation counts repeat to within a few objects; timings do
-# not, so none is gated. When a change legitimately moves a count,
-# re-pin its budget: run the go test line below and copy each
-# benchmark's allocs/op into the budget list, in the order of the names.
+# Datapath allocation gate: the drive-by ride and the 24-segment
+# corridor ride under both split mode names must stay within 10% of
+# their allocs/op budgets. Allocation counts repeat to within a few
+# objects; timings do not, so none is gated. When a change legitimately
+# moves a count, re-pin its budget: run the go test line below and copy
+# each benchmark's allocs/op into the budget list, in the order of the
+# names.
 go test -run=NONE -bench '^BenchmarkMeanPerClientMbps$|^BenchmarkCorridorParallel$' \
     -benchtime=3x -benchmem . | awk '
     function allocs(   i) { for (i = 2; i <= NF; i++) if ($i == "allocs/op") return $(i-1) }

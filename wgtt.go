@@ -102,18 +102,19 @@ func ParseFaultSchedule(s string) (FaultSchedule, error) { return deploy.ParseFa
 
 // DomainMode selects how a multi-segment deployment executes
 // (Config.Domains): as one domain on one event loop, or split into
-// per-segment domains run serially or in parallel. See core.DomainMode.
+// per-segment domains. See core.DomainMode.
 type DomainMode = core.DomainMode
 
 // Domain modes.
 const (
 	// SingleLoop runs the whole deployment as one domain on one loop.
 	SingleLoop = core.SingleLoop
-	// DomainsSerial splits per segment but runs on one goroutine.
+	// DomainsSerial splits per segment; each round runs the domains on
+	// the Run goroutine, which lends helpers to their fan-outs.
 	DomainsSerial = core.DomainsSerial
-	// DomainsParallel spreads each round's active segment domains over
-	// up to GOMAXPROCS goroutines; bit-identical to DomainsSerial by
-	// construction.
+	// DomainsParallel builds the same split on the same executor as
+	// DomainsSerial and rides bit-identically to it; the benchmark's
+	// corridor workload and -parallel-segments select it.
 	DomainsParallel = core.DomainsParallel
 )
 
